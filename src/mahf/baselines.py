@@ -10,13 +10,14 @@ filters are about relative spatial structure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .geometry import effective_normals
 from .io_mesh import Mesh, VertexSignal
 from .laplacian import SparseOperator
-from .spectral import chebyshev_apply
+from .spectral import chebyshev_apply, shared_order
 
 
 @dataclass(frozen=True)
@@ -25,7 +26,6 @@ class MhwSpec:
 
     t: float
     chebyshev_order: int = 50
-    support_threshold: float = 1e-4  # kept for parity with HeatParams; unused here
 
     def __post_init__(self):
         if self.t <= 0:
@@ -34,17 +34,30 @@ class MhwSpec:
             raise ValueError(f"chebyshev_order must be at least 1, got {self.chebyshev_order}")
 
 
+def _mhw_function(t: float):
+    return lambda x: x * np.exp(-t * x)
+
+
 def mhw_apply(op: SparseOperator, spec: MhwSpec, s):
     """Apply ``L exp(-t L)`` to a signal; constants are annihilated."""
     values = s.values if isinstance(s, VertexSignal) else np.asarray(s, dtype=np.float64)
-    out = chebyshev_apply(op, lambda x: x * np.exp(-spec.t * x), values,
-                          spec.chebyshev_order)
+    out = chebyshev_apply(op, _mhw_function(spec.t), values, spec.chebyshev_order)
     if isinstance(s, VertexSignal):
         return VertexSignal(out, name=s.name)
     return out
 
 
-def mhw_normal_variation(mesh: Mesh, op: SparseOperator, spec: MhwSpec) -> VertexSignal:
-    """Sum of squared MHW responses over the three normal components."""
-    filtered = mhw_apply(op, spec, effective_normals(mesh))
-    return VertexSignal(np.sum(filtered ** 2, axis=1), name="mhw_normal_variation")
+def mhw_normal_variation(mesh: Mesh, op: SparseOperator,
+                         spec: MhwSpec | Sequence[MhwSpec]):
+    """Sum of squared MHW responses over the three normal components.
+
+    A sequence of specs, sharing the Chebyshev order, returns one field per
+    spec from a single recurrence.
+    """
+    specs = [spec] if isinstance(spec, MhwSpec) else list(spec)
+    order = shared_order(sp.chebyshev_order for sp in specs)
+    filtered = chebyshev_apply(op, [_mhw_function(sp.t) for sp in specs],
+                               effective_normals(mesh), order)
+    fields = [VertexSignal(np.sum(f ** 2, axis=1), name="mhw_normal_variation")
+              for f in filtered]
+    return fields[0] if isinstance(spec, MhwSpec) else fields

@@ -195,6 +195,12 @@ def _common_parameters(args, kind, ts):
     }
 
 
+def _filter_specs(args, ts_eff):
+    """One spec per effective t; a list makes the library run a single pass."""
+    return [FilterSpec(args.k, HeatParams(t, args.order, args.support_threshold))
+            for t in ts_eff]
+
+
 def cmd_filter(args) -> int:
     mesh = _load_mesh(args)
     sources = [args.signal is not None, args.signal_property is not None, args.luminance]
@@ -215,11 +221,10 @@ def cmd_filter(args) -> int:
     op, kind = _build_operator(args, mesh)
     frames, _ = _frames_for(args, mesh)
     ts_raw, ts_eff = _effective_ts(args, op)
+    responses = apply_filter(op, frames, mesh.vertices, _filter_specs(args, ts_eff), signal)
     out = Path(args.out)
     outputs = []
-    for t_raw, t_eff in zip(ts_raw, ts_eff):
-        spec = FilterSpec(args.k, HeatParams(t_eff, args.order, args.support_threshold))
-        response = apply_filter(op, frames, mesh.vertices, spec, signal)
+    for t_raw, response in zip(ts_raw, responses):
         values = {"r2": response.r2, "real": response.r_real,
                   "imag": response.r_imag}[args.field]
         path = _suffixed(out, f"_k{args.k}_t{t_raw:g}")
@@ -240,15 +245,13 @@ def cmd_normal_variation(args) -> int:
     if mesh.normals is None:
         mesh = Mesh(mesh.vertices, mesh.faces, colors=mesh.colors, normals=normals)
     ts_raw, ts_eff = _effective_ts(args, op)
+    if args.baseline == "mhw":
+        fields = mhw_normal_variation(mesh, op, [MhwSpec(t, args.order) for t in ts_eff])
+    else:
+        fields = normal_variation(mesh, op, frames, _filter_specs(args, ts_eff))
     out = Path(args.out)
     outputs = []
-    for t_raw, t_eff in zip(ts_raw, ts_eff):
-        if args.baseline == "mhw":
-            field = mhw_normal_variation(mesh, op, MhwSpec(t_eff, args.order))
-        else:
-            spec = FilterSpec(args.k, HeatParams(t_eff, args.order,
-                                                 args.support_threshold))
-            field = normal_variation(mesh, op, frames, spec)
+    for t_raw, field in zip(ts_raw, fields):
         path = _suffixed(out, f"_k{args.k}_t{t_raw:g}") if len(ts_raw) > 1 else out
         _write_field(path, mesh, field)
         outputs.append(path)

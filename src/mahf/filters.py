@@ -25,8 +25,8 @@ from .errors import NumericalError
 from .geometry import FrameField, LocalFrame, effective_normals
 from .io_mesh import Mesh, VertexSignal
 from .laplacian import SparseOperator
-from .spectral import (DENSE_LIMIT_DEFAULT, HeatParams, KernelRow,
-                       chebyshev_apply, threshold_row)
+from .spectral import (HeatParams, KernelRow, chebyshev_apply, heat_function,
+                       shared_order, threshold_row)
 
 _DEGENERATE_RTOL = 1e-9
 _CHUNK = 512
@@ -112,133 +112,133 @@ def build_filter_rows(kernel_row: KernelRow, angles: np.ndarray, k: int):
     return h_real, h_imag
 
 
-def _response_block(op: SparseOperator, frames: FrameField, positions: np.ndarray,
-                    spec: FilterSpec, signals: np.ndarray,
-                    kernel_columns: np.ndarray | None = None):
-    """Responses for a block of signals; returns (N, C) real and imaginary parts."""
-    n = op.n
-    params = spec.heat
-    k = spec.k
-    mass = op.mass
-    r_real = np.zeros_like(signals)
-    r_imag = np.zeros_like(signals)
-    fn = lambda x: np.exp(-params.t * x)
+def _contract_chunk(cols, chunk, spec, frames, positions, mass, signals,
+                    r_real, r_imag) -> None:
+    """Fill the response rows of ``chunk`` from its kernel columns ``cols``."""
+    for local, i in enumerate(chunk):
+        kvals, support = threshold_row(cols[:, local], spec.heat.support_threshold)
+        weights = kvals[support] * mass[support]
+        if spec.k == 0:
+            r_real[i] = weights @ signals[support]
+            continue
+        theta = _support_azimuths(positions, i, support, frames.normals[i],
+                                  frames.x_axis[i], frames.y_axis[i])
+        finite = np.isfinite(theta)
+        w = weights[finite]
+        ka = spec.k * theta[finite]
+        sub = signals[support[finite]]
+        r_real[i] = (w * np.cos(ka)) @ sub
+        r_imag[i] = (w * np.sin(ka)) @ sub
 
-    for start in range(0, n, _CHUNK):
-        chunk = np.arange(start, min(start + _CHUNK, n))
+
+def _response_block(op: SparseOperator, frames: FrameField, positions: np.ndarray,
+                    specs: list[FilterSpec], signals: np.ndarray,
+                    kernel_columns: np.ndarray | None = None):
+    """Responses for a block of signals: one (N, C) real/imaginary pair per spec.
+
+    One Chebyshev recurrence per chunk of kernel columns serves every spec.
+    The chunk narrows as specs are added, so the live (N, width) blocks of
+    the recurrence stay within those of a single-spec chunk.
+    """
+    order = shared_order(spec.heat.chebyshev_order for spec in specs)
+    if kernel_columns is not None and len(specs) != 1:
+        raise ValueError("kernel_columns holds a single scale; pass one spec")
+    n = op.n
+    mass = op.mass
+    responses = [(np.zeros_like(signals), np.zeros_like(signals)) for _ in specs]
+    fns = [heat_function(spec.heat.t) for spec in specs]
+    width = max(1, 2 * _CHUNK // (len(specs) + 1))
+
+    for start in range(0, n, width):
+        chunk = np.arange(start, min(start + width, n))
         if kernel_columns is None:
             block = np.zeros((n, chunk.shape[0]))
             block[chunk, np.arange(chunk.shape[0])] = 1.0 / mass[chunk]
-            cols = chebyshev_apply(op, fn, block, params.chebyshev_order)
+            blocks = chebyshev_apply(op, fns, block, order)
         else:
-            cols = kernel_columns[:, chunk]
-        for local, i in enumerate(chunk):
-            kvals, support = threshold_row(cols[:, local], params.support_threshold)
-            weights = kvals[support] * mass[support]
-            if k == 0:
-                r_real[i] = weights @ signals[support]
-                continue
-            theta = _support_azimuths(positions, i, support, frames.normals[i],
-                                      frames.x_axis[i], frames.y_axis[i])
-            finite = np.isfinite(theta)
-            w = weights[finite]
-            ka = k * theta[finite]
-            sub = signals[support[finite]]
-            r_real[i] = (w * np.cos(ka)) @ sub
-            r_imag[i] = (w * np.sin(ka)) @ sub
+            blocks = [kernel_columns[:, chunk]]
+        for spec, cols, (r_real, r_imag) in zip(specs, blocks, responses):
+            _contract_chunk(cols, chunk, spec, frames, positions, mass, signals,
+                            r_real, r_imag)
 
-    bad = np.flatnonzero(~(np.isfinite(r_real).all(axis=1) & np.isfinite(r_imag).all(axis=1)))
-    if bad.size:
-        raise NumericalError(f"non-finite filter response at vertex {int(bad[0])}")
-    return r_real, r_imag
+    for r_real, r_imag in responses:
+        bad = np.flatnonzero(~(np.isfinite(r_real).all(axis=1)
+                               & np.isfinite(r_imag).all(axis=1)))
+        if bad.size:
+            raise NumericalError(f"non-finite filter response at vertex {int(bad[0])}")
+    return responses
 
 
 def kernel_column_matrix(op: SparseOperator, params: HeatParams) -> np.ndarray:
     """All heat-kernel columns as a dense (N, N) matrix via the Chebyshev path."""
     block = np.diag(1.0 / op.mass)
-    return chebyshev_apply(op, lambda x: np.exp(-params.t * x), block,
-                           params.chebyshev_order)
+    return chebyshev_apply(op, heat_function(params.t), block, params.chebyshev_order)
 
 
-def apply_filter(op: SparseOperator, frames: FrameField, positions, spec: FilterSpec,
-                 s, *, kernel_columns: np.ndarray | None = None) -> FilterResponse:
+def apply_filter(op: SparseOperator, frames: FrameField, positions,
+                 spec: FilterSpec | Sequence[FilterSpec], s, *,
+                 kernel_columns: np.ndarray | None = None):
     """Filter a scalar signal, producing per-vertex responses and R^2.
 
     Parameters
     ----------
     op, frames, positions
         Operator, tangent frames and vertex positions, all N-aligned.
-    spec : FilterSpec
-        Harmonic order and heat parameters.
+    spec : FilterSpec or sequence of FilterSpec
+        Harmonic order and heat parameters.  A sequence, whose specs share
+        the Chebyshev order, is served by one recurrence per chunk and
+        returns a list with one response per spec.
     s : VertexSignal or (N,) array
+        Must be finite; a NaN or infinity raises :class:`NumericalError`
+        naming the first such vertex.
     kernel_columns : (N, N) array, optional
         Precomputed output of :func:`kernel_column_matrix`; lets callers
         reuse the kernel across several filter applications at the same t.
     """
+    specs = [spec] if isinstance(spec, FilterSpec) else list(spec)
     positions = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
     values = s.values if isinstance(s, VertexSignal) else np.asarray(s, dtype=np.float64)
     if values.shape[0] != op.n:
         raise ValueError(f"signal has {values.shape[0]} values for {op.n} vertices")
-    r_real, r_imag = _response_block(op, frames, positions, spec,
-                                     values.reshape(-1, 1), kernel_columns)
-    return FilterResponse.from_components(r_real[:, 0], r_imag[:, 0], spec)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise NumericalError(f"non-finite signal value at vertex {int(bad[0])}")
+    blocks = _response_block(op, frames, positions, specs, values.reshape(-1, 1),
+                             kernel_columns)
+    responses = [FilterResponse.from_components(r_real[:, 0], r_imag[:, 0], sp)
+                 for sp, (r_real, r_imag) in zip(specs, blocks)]
+    return responses[0] if isinstance(spec, FilterSpec) else responses
 
 
 def multiscale_apply(op: SparseOperator, frames: FrameField, positions, k: int,
                      ts: Sequence[float], s, *, chebyshev_order: int = 50,
-                     support_threshold: float = 1e-4,
-                     use_semigroup: bool = False) -> list[FilterResponse]:
-    """One response per diffusion time, optionally reusing the semigroup.
-
-    With ``use_semigroup`` and times that are integer multiples of the first,
-    the kernel at each scale is built by composing the base kernel with
-    itself instead of re-expanding, matching the direct path to within the
-    Chebyshev tolerance.
-    """
+                     support_threshold: float = 1e-4) -> list[FilterResponse]:
+    """One response per diffusion time, all from one Chebyshev pass per chunk."""
     ts = list(ts)
     if not ts:
         raise ValueError("ts must be a nonempty ascending sequence")
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise ValueError("ts must be strictly ascending")
-
-    def spec_for(t):
-        return FilterSpec(k, HeatParams(t, chebyshev_order, support_threshold))
-
-    ratios = [t / ts[0] for t in ts] if ts[0] > 0 else []
-    composable = (use_semigroup and op.n <= DENSE_LIMIT_DEFAULT and ts[0] > 0
-                  and all(abs(r - round(r)) <= 1e-9 * max(r, 1.0) for r in ratios))
-    if not composable:
-        return [apply_filter(op, frames, positions, spec_for(t), s) for t in ts]
-
-    base_cols = kernel_column_matrix(op, HeatParams(ts[0], chebyshev_order,
-                                                    support_threshold))
-    propagator = base_cols * op.mass[None, :]
-    responses = []
-    power = propagator
-    q_now = 1
-    for t, ratio in zip(ts, ratios):
-        q = int(round(ratio))
-        while q_now < q:
-            power = power @ propagator
-            q_now += 1
-        cols = power / op.mass[None, :]
-        responses.append(apply_filter(op, frames, positions, spec_for(t), s,
-                                      kernel_columns=cols))
-    return responses
+    specs = [FilterSpec(k, HeatParams(t, chebyshev_order, support_threshold)) for t in ts]
+    return apply_filter(op, frames, positions, specs, s)
 
 
 def normal_variation(mesh: Mesh, op: SparseOperator, frames: FrameField,
-                     spec: FilterSpec) -> VertexSignal:
+                     spec: FilterSpec | Sequence[FilterSpec]):
     """Aggregate response over the three normal components.
 
     Each component of the (given or estimated) normal field is filtered as an
     independent scalar; the returned field is the sum of the three squared
-    moduli, highlighting curvature changes.
+    moduli, highlighting curvature changes.  A sequence of specs returns one
+    field per spec from a single pass, as in :func:`apply_filter`.
     """
+    specs = [spec] if isinstance(spec, FilterSpec) else list(spec)
     normals = effective_normals(mesh)
-    r_real, r_imag = _response_block(op, frames, mesh.vertices, spec, normals)
-    return VertexSignal(np.sum(r_real ** 2 + r_imag ** 2, axis=1),
-                        name="normal_variation")
+    blocks = _response_block(op, frames, mesh.vertices, specs, normals)
+    fields = [VertexSignal(np.sum(r_real ** 2 + r_imag ** 2, axis=1),
+                           name="normal_variation")
+              for r_real, r_imag in blocks]
+    return fields[0] if isinstance(spec, FilterSpec) else fields
 
 
 def fuse(r_l2, r_n2, beta: float) -> VertexSignal:

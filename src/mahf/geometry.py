@@ -16,8 +16,6 @@ from scipy.spatial import cKDTree
 from .errors import GeometryError
 from .io_mesh import Mesh
 
-_BRUTE_FORCE_LIMIT = 5000
-
 
 @dataclass(frozen=True)
 class LocalFrame:
@@ -131,24 +129,11 @@ def effective_normals(mesh: Mesh) -> np.ndarray:
     return vertex_normals(mesh)
 
 
-def _brute_knn(points: np.ndarray, k: int) -> NeighborList:
-    n = points.shape[0]
-    d2 = np.sum((points[:, None, :] - points[None, :, :]) ** 2, axis=2)
-    np.fill_diagonal(d2, np.inf)
-    idx = np.empty((n, k), dtype=np.int64)
-    for i in range(n):
-        # lexsort: distance first, vertex index breaks ties
-        order = np.lexsort((np.arange(n), d2[i]))
-        idx[i] = order[:k]
-    dist = np.sqrt(d2[np.arange(n)[:, None], idx])
-    return NeighborList(idx, dist)
-
-
 def _tree_knn(points: np.ndarray, k: int) -> NeighborList:
     n = points.shape[0]
     tree = cKDTree(points)
     # one extra candidate detects ties straddling the cut; tied rows are
-    # recomputed exactly so the accelerated path matches the brute-force scan
+    # recomputed by an exact scan so ties always go to the lower index
     m = min(n, k + 2)
     dist, idx = tree.query(points, k=m)
     out_idx = np.empty((n, k), dtype=np.int64)
@@ -178,8 +163,6 @@ def knn(points: np.ndarray, k: int) -> NeighborList:
         raise ValueError(f"k must be at least 1, got {k}")
     if k >= n:
         raise ValueError(f"k={k} requires more than k points, got {n}")
-    if n <= _BRUTE_FORCE_LIMIT:
-        return _brute_knn(points, k)
     return _tree_knn(points, k)
 
 

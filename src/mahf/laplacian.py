@@ -38,6 +38,8 @@ class SparseOperator:
     stiffness: sparse.csr_matrix
     mass: np.ndarray
     _lambda_max: float | None = field(default=None, repr=False)
+    _affine: tuple[float, sparse.csr_matrix] | None = field(default=None, repr=False,
+                                                            compare=False)
 
     def __post_init__(self):
         self.mass = np.ascontiguousarray(np.asarray(self.mass, dtype=np.float64)).reshape(-1)
@@ -58,15 +60,12 @@ class SparseOperator:
             self._lambda_max = estimate_lambda_max(self)
         return self._lambda_max
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """Generalized Laplacian action mass^-1 (stiffness @ x); x may be (N,) or (N, m)."""
-        y = self.stiffness @ x
-        if y.ndim == 1:
-            return y / self.mass
-        return y / self.mass[:, None]
-
-    def apply_stiffness(self, x: np.ndarray) -> np.ndarray:
-        return self.stiffness @ x
+    def affine(self, scale: float) -> sparse.csr_matrix:
+        """Cached ``scale * mass^-1 stiffness - I`` as one CSR matrix."""
+        if self._affine is None or self._affine[0] != scale:
+            mapped = sparse.diags(scale / self.mass) @ self.stiffness - sparse.identity(self.n)
+            self._affine = (scale, sparse.csr_matrix(mapped))
+        return self._affine[1]
 
 
 def _stiffness_from_edges(n: int, edge_i: np.ndarray, edge_j: np.ndarray,

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import daxpy
 
 from .errors import NumericalError, OperatorError
 from .io_mesh import VertexSignal
@@ -104,35 +105,58 @@ def chebyshev_coefficients(fn, b: float, order: int) -> np.ndarray:
     return (2.0 / (order + 1)) * (np.cos(np.outer(j, theta)) @ f)
 
 
-def chebyshev_apply(op: SparseOperator, fn, x: np.ndarray, order: int) -> np.ndarray:
+def heat_function(t: float):
+    """The heat kernel's spectral function ``x -> exp(-t x)``."""
+    return lambda x: np.exp(-t * x)
+
+
+def shared_order(orders) -> int:
+    """The single Chebyshev order of a fused pass over several specs."""
+    distinct = set(orders)
+    if len(distinct) != 1:
+        raise ValueError("a fused Chebyshev pass needs at least one spec, "
+                         "all with the same order")
+    return distinct.pop()
+
+
+def chebyshev_apply(op: SparseOperator, fn, x: np.ndarray, order: int):
     """Evaluate ``fn`` of the generalized Laplacian on a vector or block.
 
     Maps the spectral interval [0, 1.01 * lambda_max] to [-1, 1] and runs the
-    three-term recurrence with operator products only.
+    three-term recurrence in place on the operator's cached mapped CSR.
+    ``fn`` may also be a sequence of functions: the blocks ``T_j`` do not
+    depend on the function, only the coefficients do, so one recurrence fills
+    one output per function and a list is returned.
     """
     if order < 1:
         raise ValueError(f"order must be at least 1, got {order}")
-    x = np.asarray(x, dtype=np.float64)
+    fns = [fn] if callable(fn) else list(fn)
+    x = np.ascontiguousarray(x, dtype=np.float64)
     b = 1.01 * op.lambda_max
     if b <= 0:
-        return float(fn(np.zeros(1))[0]) * x.copy()
-    coeff = chebyshev_coefficients(fn, b, order)
-    scale = 2.0 / b
-
-    def mapped(v):
-        return scale * op.apply(v) - v
+        outs = [float(f(np.zeros(1))[0]) * x for f in fns]
+        return outs[0] if callable(fn) else outs
+    coeffs = [chebyshev_coefficients(f, b, order) for f in fns]
+    a = op.affine(2.0 / b)
 
     t_prev = x
-    acc = 0.5 * coeff[0] * x
-    t_cur = mapped(x)
-    acc = acc + coeff[1] * t_cur
+    t_cur = a @ x
+    accs = []
+    for c in coeffs:
+        acc = (0.5 * c[0]) * x
+        daxpy(t_cur.reshape(-1), acc.reshape(-1), a=c[1])
+        accs.append(acc)
     for jj in range(2, order + 1):
-        t_next = 2.0 * mapped(t_cur) - t_prev
+        t_next = a @ t_cur
+        t_next *= 2.0
+        t_next -= t_prev
         if not np.all(np.isfinite(t_next)):
             raise NumericalError(f"non-finite Chebyshev intermediate at iteration {jj}")
-        acc += coeff[jj] * t_next
+        flat = t_next.reshape(-1)
+        for acc, c in zip(accs, coeffs):
+            daxpy(flat, acc.reshape(-1), a=c[jj])
         t_prev, t_cur = t_cur, t_next
-    return acc
+    return accs[0] if callable(fn) else accs
 
 
 def _signal_values(s) -> np.ndarray:
@@ -148,8 +172,7 @@ def heat_apply_chebyshev(op: SparseOperator, params: HeatParams, s):
     input returns unchanged up to rounding.
     """
     values = _signal_values(s)
-    out = chebyshev_apply(op, lambda x: np.exp(-params.t * x), values,
-                          params.chebyshev_order)
+    out = chebyshev_apply(op, heat_function(params.t), values, params.chebyshev_order)
     if isinstance(s, VertexSignal):
         return VertexSignal(out, name=s.name)
     return out
@@ -175,7 +198,7 @@ def heat_kernel_row(op: SparseOperator, params: HeatParams, i: int) -> KernelRow
         raise IndexError(f"vertex index {i} out of range for {op.n} vertices")
     x = np.zeros(op.n)
     x[i] = 1.0 / op.mass[i]
-    row = chebyshev_apply(op, lambda v: np.exp(-params.t * v), x, params.chebyshev_order)
+    row = chebyshev_apply(op, heat_function(params.t), x, params.chebyshev_order)
     values, support = threshold_row(row, params.support_threshold)
     return KernelRow(i, values, support)
 

@@ -57,6 +57,14 @@ def test_mhw_normal_variation_icosphere_uniform(ico642, ico642_op):
     assert cov < 0.2
 
 
+def test_mhw_normal_variation_one_pass_matches_separate_calls(ico162, ico162_op):
+    specs = [MhwSpec(t, 50) for t in (5.0, 10.0, 20.0)]
+    fields = mhw_normal_variation(ico162, ico162_op, specs)
+    for spec, field in zip(specs, fields):
+        alone = mhw_normal_variation(ico162, ico162_op, spec)
+        assert np.abs(field.values - alone.values).max() <= 1e-13 * alone.values.max()
+
+
 def test_mhw_accepts_vertex_signal(two_node_op):
     out = mhw_apply(two_node_op, MhwSpec(0.5, 30), VertexSignal([1.0, -1.0]))
     assert isinstance(out, VertexSignal)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import mahf.filters
 from mahf.cli import main
 from mahf.geometry import vertex_normals
 from mahf.io_mesh import Mesh, parse_signal, write_mesh
@@ -60,6 +61,32 @@ def test_filter_deterministic(tmp_path, grid_inputs):
                      "--out", str(out)]) == 0
         outputs.append((d / "resp_k1_t5.csv").read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def test_filter_multiscale_one_pass_matches_single_runs(tmp_path, grid_inputs,
+                                                       monkeypatch):
+    # a small chunk makes both runs span several chunks of different widths
+    monkeypatch.setattr(mahf.filters, "_CHUNK", 16)
+    mesh, mesh_path, signal_path = grid_inputs
+    base = ["filter", "--mesh", str(mesh_path), "--signal", str(signal_path), "--k", "1"]
+    ts = ("5", "10", "20")
+
+    def run(name, t_args):
+        (tmp_path / name).mkdir()
+        out = tmp_path / name / "resp.csv"
+        assert main(base + t_args + ["--out", str(out)]) == 0
+        return json.loads((tmp_path / name / "resp_manifest.json").read_text())
+
+    multi = run("multi", [a for t in ts for a in ("--t", t)])
+    assert multi["outputs"] == [str(tmp_path / "multi" / f"resp_k1_t{t}.csv") for t in ts]
+    assert multi["parameters"]["t"] == [5.0, 10.0, 20.0]
+    for t in ts:
+        single = run(t, ["--t", t])
+        assert {k: v for k, v in single["parameters"].items() if k not in ("t", "out")} \
+            == {k: v for k, v in multi["parameters"].items() if k not in ("t", "out")}
+        got = parse_signal(tmp_path / "multi" / f"resp_k1_t{t}.csv").values
+        want = parse_signal(tmp_path / t / f"resp_k1_t{t}.csv").values
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_filter_missing_signal_exits_2(tmp_path, grid_inputs, capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import mahf.filters as filters
 from mahf.errors import NumericalError
 from mahf.filters import (FilterSpec, apply_filter, build_filter_rows, fuse,
                           kernel_column_matrix, multiscale_apply,
@@ -8,7 +9,8 @@ from mahf.filters import (FilterSpec, apply_filter, build_filter_rows, fuse,
 from mahf.geometry import LocalFrame, build_frames, vertex_normals
 from mahf.io_mesh import Mesh, VertexSignal
 from mahf.laplacian import cotan_operator, gaussian_knn_operator
-from mahf.spectral import HeatParams, KernelRow, heat_apply_chebyshev
+from mahf.spectral import (HeatParams, KernelRow, chebyshev_apply,
+                           heat_apply_chebyshev)
 
 from conftest import (GRID_SPACING, dense_heat_oracle, grid_columns_rows,
                       grid_interior_mask)
@@ -211,6 +213,14 @@ def test_nonfinite_signal_aborts_with_vertex(grid20, grid20_op, grid20_frames):
                      FilterSpec(1, HeatParams(5.0, 30, 1e-4)), s)
 
 
+def test_nonfinite_raw_signal_names_input_vertex(ico162, ico162_op, ico162_frames):
+    s = np.zeros(ico162_op.n)
+    s[3] = np.nan
+    with pytest.raises(NumericalError, match=r"non-finite signal value at vertex 3$"):
+        apply_filter(ico162_op, ico162_frames, ico162.vertices,
+                     FilterSpec(1, HeatParams(5.0, 50, 1e-4)), s)
+
+
 def test_level_set_on_sphere(ico642, ico642_op):
     # two-level signal on a closed curved surface: the response ridge follows
     # the level-set boundary (the equator ring)
@@ -234,17 +244,55 @@ def test_multiscale_single_time_reduces_to_apply(grid20, grid20_op, grid20_frame
     assert np.array_equal(sweep[0].r2, direct.r2)
 
 
-def test_multiscale_semigroup_matches_direct(ico162, ico162_op, ico162_frames):
+def test_multiscale_one_pass_matches_separate_calls(ico162, ico162_op, ico162_frames):
     rng = np.random.default_rng(5)
     s = rng.standard_normal(ico162_op.n)
-    direct = multiscale_apply(ico162_op, ico162_frames, ico162.vertices, 1,
-                              [5.0, 30.0], s)
-    reused = multiscale_apply(ico162_op, ico162_frames, ico162.vertices, 1,
-                              [5.0, 30.0], s, use_semigroup=True)
-    for a, b in zip(direct, reused):
+    one_pass = multiscale_apply(ico162_op, ico162_frames, ico162.vertices, 1,
+                                [5.0, 30.0], s)
+    for t, b in zip((5.0, 30.0), one_pass):
+        a = apply_filter(ico162_op, ico162_frames, ico162.vertices,
+                         FilterSpec(1, HeatParams(t, 50, 1e-4)), s)
         scale = np.abs(a.r_real).max() + np.abs(a.r_imag).max()
-        assert np.abs(a.r_real - b.r_real).max() < 1e-7 * scale
-        assert np.abs(a.r_imag - b.r_imag).max() < 1e-7 * scale
+        assert np.abs(a.r_real - b.r_real).max() <= 1e-13 * scale
+        assert np.abs(a.r_imag - b.r_imag).max() <= 1e-13 * scale
+
+
+def test_chunk_width_shrinks_with_scale_count(monkeypatch, grid20, grid20_op,
+                                              grid20_frames):
+    widths = []
+
+    def recording(op, fn, x, order):
+        widths.append((len(fn), x.shape[1]))
+        return chebyshev_apply(op, fn, x, order)
+
+    monkeypatch.setattr(filters, "_CHUNK", 8)
+    monkeypatch.setattr(filters, "chebyshev_apply", recording)
+    s = step_signal(grid20)
+    multiscale_apply(grid20_op, grid20_frames, grid20.vertices, 1, [5.0], s,
+                     chebyshev_order=5)
+    multiscale_apply(grid20_op, grid20_frames, grid20.vertices, 1, [5.0, 10.0, 20.0],
+                     s, chebyshev_order=5)
+    single = [w for m, w in widths if m == 1]
+    triple = [w for m, w in widths if m == 3]
+    # one recurrence per chunk serves every scale; the chunk narrows to
+    # 2 * _CHUNK / (scales + 1) so the live blocks never outgrow one scale's
+    assert len(single) + len(triple) == len(widths)
+    assert sum(single) == sum(triple) == grid20_op.n
+    assert set(single) == {8} and set(triple) == {4}
+
+
+def test_fused_pass_validates_specs(grid20, grid20_op, grid20_frames):
+    s = step_signal(grid20)
+    with pytest.raises(ValueError, match="same order"):
+        apply_filter(grid20_op, grid20_frames, grid20.vertices,
+                     [FilterSpec(1, HeatParams(5.0, 30)),
+                      FilterSpec(1, HeatParams(10.0, 40))], s)
+    with pytest.raises(ValueError, match="at least one"):
+        apply_filter(grid20_op, grid20_frames, grid20.vertices, [], s)
+    with pytest.raises(ValueError, match="single scale"):
+        apply_filter(grid20_op, grid20_frames, grid20.vertices,
+                     [FilterSpec(1, HeatParams(5.0)), FilterSpec(1, HeatParams(10.0))], s,
+                     kernel_columns=np.zeros((grid20_op.n, grid20_op.n)))
 
 
 def test_multiscale_validates_times(grid20, grid20_op, grid20_frames):
@@ -294,6 +342,15 @@ def test_normal_variation_icosphere_uniform(ico642, ico642_op):
                              FilterSpec(1, HeatParams(10.0, 50, 1e-4)))
     cov = field.values.std() / field.values.mean()
     assert cov < 0.2
+
+
+def test_normal_variation_one_pass_matches_separate_calls(ico162, ico162_op,
+                                                         ico162_frames):
+    specs = [FilterSpec(1, HeatParams(t, 50, 1e-4)) for t in (5.0, 10.0)]
+    fields = normal_variation(ico162, ico162_op, ico162_frames, specs)
+    for spec, field in zip(specs, fields):
+        alone = normal_variation(ico162, ico162_op, ico162_frames, spec)
+        assert np.abs(field.values - alone.values).max() <= 1e-13 * alone.values.max()
 
 
 def test_fuse():

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-import mahf.geometry as geometry
 from mahf.errors import GeometryError
 from mahf.geometry import (build_frames, face_areas, knn, pca_normals,
                            vertex_areas, vertex_normals)
@@ -163,20 +162,23 @@ def test_knn_collinear():
 
 
 def _oracle_knn(points, k):
+    """Exact scan: indices (ties to the lower index) and their distances."""
     n = len(points)
     idx = np.empty((n, k), dtype=int)
+    dist = np.empty((n, k))
     for i in range(n):
-        d = np.linalg.norm(points - points[i], axis=1)
+        d = np.sqrt(np.sum((points - points[i]) ** 2, axis=1))
         d[i] = np.inf
         idx[i] = sorted(range(n), key=lambda j: (d[j], j))[:k]
-    return idx
+        dist[i] = d[idx[i]]
+    return idx, dist
 
 
 def test_knn_matches_bruteforce_oracle():
     rng = np.random.default_rng(7)
     pts = rng.uniform(0, 1, (200, 3))
     nbrs = knn(pts, 5)
-    assert np.array_equal(nbrs.indices, _oracle_knn(pts, 5))
+    assert np.array_equal(nbrs.indices, _oracle_knn(pts, 5)[0])
     assert (np.diff(nbrs.distances, axis=1) >= 0).all()
     assert (nbrs.indices != np.arange(200)[:, None]).all()
 
@@ -194,19 +196,18 @@ def test_knn_k_too_large():
         knn(pts, 5)
 
 
-def test_knn_accelerated_path_matches_exact(monkeypatch):
+def test_knn_accelerated_path_matches_exact():
     rng = np.random.default_rng(9)
     pts = rng.uniform(0, 1, (400, 3))
-    exact = knn(pts, 6)
-    monkeypatch.setattr(geometry, "_BRUTE_FORCE_LIMIT", 10)
-    accelerated = knn(pts, 6)
-    assert np.array_equal(exact.indices, accelerated.indices)
-    assert np.array_equal(exact.distances, accelerated.distances)
+    nbrs = knn(pts, 6)
+    indices, distances = _oracle_knn(pts, 6)
+    assert np.array_equal(nbrs.indices, indices)
+    assert np.array_equal(nbrs.distances, distances)
 
 
-def test_knn_accelerated_path_tie_break(monkeypatch):
+def test_knn_accelerated_path_tie_break():
     pts = flat_grid(6, 6, 1.0).vertices
-    exact = knn(pts, 3)
-    monkeypatch.setattr(geometry, "_BRUTE_FORCE_LIMIT", 10)
-    accelerated = knn(pts, 3)
-    assert np.array_equal(exact.indices, accelerated.indices)
+    nbrs = knn(pts, 3)
+    indices, distances = _oracle_knn(pts, 3)
+    assert np.array_equal(nbrs.indices, indices)
+    assert np.array_equal(nbrs.distances, distances)

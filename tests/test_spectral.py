@@ -5,9 +5,9 @@ import scipy.sparse as sp
 from mahf.errors import NumericalError, OperatorError
 from mahf.io_mesh import VertexSignal
 from mahf.laplacian import SparseOperator
-from mahf.spectral import (HeatParams, dump_spectrum, eigendecompose,
-                           heat_apply_chebyshev, heat_kernel_dense,
-                           heat_kernel_row, semigroup_compose)
+from mahf.spectral import (HeatParams, chebyshev_apply, dump_spectrum,
+                           eigendecompose, heat_apply_chebyshev, heat_function,
+                           heat_kernel_dense, heat_kernel_row, semigroup_compose)
 
 from conftest import dense_heat_oracle
 
@@ -146,6 +146,18 @@ def test_chebyshev_reports_nonfinite_iteration():
     with np.errstate(invalid="ignore"):
         with pytest.raises(NumericalError, match="iteration"):
             heat_apply_chebyshev(op, HeatParams(1.0, 10), np.ones(2))
+
+
+def test_chebyshev_function_sequence_matches_separate_calls(ico642_op):
+    rng = np.random.default_rng(11)
+    fns = [heat_function(5.0), heat_function(20.0), lambda x: x * np.exp(-10.0 * x)]
+    for x in (rng.standard_normal(ico642_op.n), rng.standard_normal((ico642_op.n, 7))):
+        fused = chebyshev_apply(ico642_op, fns, x, 50)
+        assert len(fused) == len(fns)
+        for fn, got in zip(fns, fused):
+            alone = chebyshev_apply(ico642_op, fn, x, 50)
+            assert got.shape == x.shape
+            assert np.abs(got - alone).max() <= 1e-13 * np.abs(alone).max()
 
 
 def test_heat_params_validation():
