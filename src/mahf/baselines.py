@@ -17,21 +17,21 @@ import numpy as np
 from .geometry import effective_normals
 from .io_mesh import Mesh, VertexSignal
 from .laplacian import SparseOperator
-from .spectral import chebyshev_apply, shared_order
+from .spectral import chebyshev_apply, check_order, shared_order
 
 
 @dataclass(frozen=True)
 class MhwSpec:
-    """Scale and Chebyshev order for one Mexican Hat Wavelet filter."""
+    """Scale and Chebyshev order (``None``: certified) for one Mexican Hat
+    Wavelet filter."""
 
     t: float
-    chebyshev_order: int = 50
+    chebyshev_order: int | None = None
 
     def __post_init__(self):
         if self.t <= 0:
             raise ValueError(f"MHW scale must be positive, got {self.t}")
-        if self.chebyshev_order < 1:
-            raise ValueError(f"chebyshev_order must be at least 1, got {self.chebyshev_order}")
+        check_order(self.chebyshev_order)
 
 
 def _mhw_function(t: float):
@@ -41,7 +41,8 @@ def _mhw_function(t: float):
 def mhw_apply(op: SparseOperator, spec: MhwSpec, s):
     """Apply ``L exp(-t L)`` to a signal; constants are annihilated."""
     values = s.values if isinstance(s, VertexSignal) else np.asarray(s, dtype=np.float64)
-    out = chebyshev_apply(op, _mhw_function(spec.t), values, spec.chebyshev_order)
+    fn = _mhw_function(spec.t)
+    out = chebyshev_apply(op, fn, values, shared_order(op, [spec], [fn]))
     if isinstance(s, VertexSignal):
         return VertexSignal(out, name=s.name)
     return out
@@ -55,9 +56,9 @@ def mhw_normal_variation(mesh: Mesh, op: SparseOperator,
     spec from a single recurrence.
     """
     specs = [spec] if isinstance(spec, MhwSpec) else list(spec)
-    order = shared_order(sp.chebyshev_order for sp in specs)
-    filtered = chebyshev_apply(op, [_mhw_function(sp.t) for sp in specs],
-                               effective_normals(mesh), order)
+    fns = [_mhw_function(sp.t) for sp in specs]
+    filtered = chebyshev_apply(op, fns, effective_normals(mesh),
+                               shared_order(op, specs, fns))
     fields = [VertexSignal(np.sum(f ** 2, axis=1), name="mhw_normal_variation")
               for f in filtered]
     return fields[0] if isinstance(spec, MhwSpec) else fields

@@ -47,7 +47,9 @@ def _add_operator_args(p):
 def _add_heat_args(p):
     p.add_argument("--t", dest="ts", action="append", type=float, required=True,
                    metavar="T", help="diffusion time; repeat for a multiscale sweep")
-    p.add_argument("--order", type=int, default=50, help="Chebyshev order")
+    p.add_argument("--order", type=int, default=None,
+                   help="most Chebyshev terms per scale (default: the certified "
+                        "order of each scale)")
     p.add_argument("--support-threshold", type=float, default=1e-4,
                    help="relative kernel cutoff defining the localized support")
     p.add_argument("--area-normalize-t", action="store_true",

@@ -140,13 +140,13 @@ def _response_block(op: SparseOperator, frames: FrameField, positions: np.ndarra
     The chunk narrows as specs are added, so the live (N, width) blocks of
     the recurrence stay within those of a single-spec chunk.
     """
-    order = shared_order(spec.heat.chebyshev_order for spec in specs)
+    fns = [heat_function(spec.heat.t) for spec in specs]
+    order = shared_order(op, [spec.heat for spec in specs], fns)
     if kernel_columns is not None and len(specs) != 1:
         raise ValueError("kernel_columns holds a single scale; pass one spec")
     n = op.n
     mass = op.mass
     responses = [(np.zeros_like(signals), np.zeros_like(signals)) for _ in specs]
-    fns = [heat_function(spec.heat.t) for spec in specs]
     width = max(1, 2 * _CHUNK // (len(specs) + 1))
 
     for start in range(0, n, width):
@@ -172,7 +172,8 @@ def _response_block(op: SparseOperator, frames: FrameField, positions: np.ndarra
 def kernel_column_matrix(op: SparseOperator, params: HeatParams) -> np.ndarray:
     """All heat-kernel columns as a dense (N, N) matrix via the Chebyshev path."""
     block = np.diag(1.0 / op.mass)
-    return chebyshev_apply(op, heat_function(params.t), block, params.chebyshev_order)
+    fn = heat_function(params.t)
+    return chebyshev_apply(op, fn, block, shared_order(op, [params], [fn]))
 
 
 def apply_filter(op: SparseOperator, frames: FrameField, positions,
@@ -186,8 +187,8 @@ def apply_filter(op: SparseOperator, frames: FrameField, positions,
         Operator, tangent frames and vertex positions, all N-aligned.
     spec : FilterSpec or sequence of FilterSpec
         Harmonic order and heat parameters.  A sequence, whose specs share
-        the Chebyshev order, is served by one recurrence per chunk and
-        returns a list with one response per spec.
+        the Chebyshev order setting, is served by one recurrence per chunk
+        and returns a list with one response per spec.
     s : VertexSignal or (N,) array
         Must be finite; a NaN or infinity raises :class:`NumericalError`
         naming the first such vertex.
@@ -211,7 +212,7 @@ def apply_filter(op: SparseOperator, frames: FrameField, positions,
 
 
 def multiscale_apply(op: SparseOperator, frames: FrameField, positions, k: int,
-                     ts: Sequence[float], s, *, chebyshev_order: int = 50,
+                     ts: Sequence[float], s, *, chebyshev_order: int | None = None,
                      support_threshold: float = 1e-4) -> list[FilterResponse]:
     """One response per diffusion time, all from one Chebyshev pass per chunk."""
     ts = list(ts)

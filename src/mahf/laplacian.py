@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.io import mmwrite
 
 from .errors import OperatorError
 from .geometry import knn, vertex_areas
@@ -203,9 +202,3 @@ def estimate_lambda_max(op: SparseOperator, *, tol: float = 1e-6,
                       RuntimeWarning, stacklevel=2)
     return 1.01 * max(lam, 0.0)
 
-
-def dump_matrix_market(op: SparseOperator, stiffness_path, mass_path=None) -> None:
-    """Debug dump of the operator in Matrix Market coordinate format."""
-    mmwrite(str(stiffness_path), op.stiffness.tocoo())
-    if mass_path is not None:
-        mmwrite(str(mass_path), op.mass.reshape(-1, 1))

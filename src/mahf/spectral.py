@@ -14,10 +14,12 @@ use consistently.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from numpy.polynomial import chebyshev as npcheb
 from scipy.linalg.blas import daxpy
 
 from .errors import NumericalError, OperatorError
@@ -26,20 +28,40 @@ from .laplacian import SparseOperator
 
 DENSE_LIMIT_DEFAULT = 3000
 
+# Certified truncation: each expansion keeps the fewest terms whose
+# coefficient tail is at most CHEB_TOL * max|f| on the spectral interval.
+CHEB_TOL = 1e-12
+# Node counts of the reference expansion that estimates the tail.  The tail
+# is summed over the reference, so its rounding noise (about 1e-16 per
+# coefficient) grows with the reference length; doubling from a short one
+# keeps that noise far below the tolerance.
+_REFERENCE_NODES = (64, 8192)
+# Probe points b * 2^-k (and 0) where the reference must match the function.
+# The spectral functions peak within 1/t of 0; when t * b is so large that
+# the peak falls left of every node, all samples are ~0, the coefficients
+# look converged, and only a probe near 0 shows the miss.  The probe
+# threshold only has to catch such gross misses: Clenshaw evaluation near
+# the ends of the interval alone loses up to ~1e-11 at thousands of terms.
+_PROBES = np.append(2.0 ** -np.arange(64), 0.0)
+_PROBE_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class HeatParams:
-    """Diffusion time plus Chebyshev order and kernel support cutoff."""
+    """Diffusion time plus Chebyshev order and kernel support cutoff.
+
+    ``chebyshev_order=None`` certifies the order (see :func:`certified_order`);
+    an integer caps the number of terms of the expansion.
+    """
 
     t: float
-    chebyshev_order: int = 50
+    chebyshev_order: int | None = None
     support_threshold: float = 1e-4
 
     def __post_init__(self):
         if self.t < 0:
             raise ValueError(f"diffusion time must be nonnegative, got {self.t}")
-        if self.chebyshev_order < 1:
-            raise ValueError(f"chebyshev_order must be at least 1, got {self.chebyshev_order}")
+        check_order(self.chebyshev_order)
         if not (0 <= self.support_threshold < 1):
             raise ValueError("support_threshold must lie in [0, 1)")
 
@@ -90,6 +112,32 @@ def heat_kernel_dense(basis: SpectralBasis, t: float) -> np.ndarray:
     return (phi * np.exp(-t * basis.eigenvalues)[None, :]) @ phi.T
 
 
+def check_order(order: int | None) -> None:
+    """Reject an explicit Chebyshev order below 1; ``None`` means certified."""
+    if order is not None and order < 1:
+        raise ValueError(f"chebyshev_order must be at least 1, got {order}")
+
+
+def _chebyshev_nodes(b: float, order: int) -> np.ndarray:
+    """The ``order + 1`` Chebyshev-Gauss nodes ``b (cos theta_m + 1) / 2``
+    with ``theta_m = (m + 1/2) pi / (order + 1)``.
+
+    Written as ``b sin^2((pi - theta_m) / 2)``, which keeps full relative
+    accuracy near 0, where ``exp(-t x)`` changes fastest at large ``t b``.
+    """
+    half = (order + 0.5 - np.arange(order + 1)) * np.pi / (2 * (order + 1))
+    return b * np.sin(half) ** 2
+
+
+def _quadrature(values: np.ndarray) -> np.ndarray:
+    """Chebyshev-Gauss quadrature ``(2/n) sum_m v_m cos(j theta_m)`` of the n
+    node values, for j < n: a DCT-II through a real FFT of the mirrored
+    values (numpy's FFT, which is loaded with numpy anyway)."""
+    n = values.shape[0]
+    spectrum = np.fft.rfft(np.concatenate([values, values[::-1]]))[:n]
+    return (np.exp(-0.5j * np.pi * np.arange(n) / n) * spectrum).real / n
+
+
 def chebyshev_coefficients(fn, b: float, order: int) -> np.ndarray:
     """Chebyshev expansion coefficients of ``fn`` on [0, b].
 
@@ -97,12 +145,57 @@ def chebyshev_coefficients(fn, b: float, order: int) -> np.ndarray:
     exact for the truncated expansion.  The leading coefficient is returned
     un-halved; evaluation applies the conventional factor 1/2.
     """
-    m = np.arange(order + 1)
-    theta = (m + 0.5) * np.pi / (order + 1)
-    x = 0.5 * b * (np.cos(theta) + 1.0)
-    f = fn(x)
-    j = np.arange(order + 1)
-    return (2.0 / (order + 1)) * (np.cos(np.outer(j, theta)) @ f)
+    return _quadrature(fn(_chebyshev_nodes(b, order)))
+
+
+def _coefficient_tails(fn, b: float) -> np.ndarray:
+    """Relative coefficient tails ``sum_{j>m} |c_j| / max|fn|`` for each order m.
+
+    The coefficients come from a reference expansion whose node count
+    doubles until the certified order (the first ``m`` with a tail of at
+    most :data:`CHEB_TOL`) lies in its first half and the truncation there
+    matches ``fn`` at the probe points.  The reference then resolves the
+    decay of the coefficients, which for the entire functions used here
+    falls faster than geometrically past that order (Trefethen,
+    *Approximation Theory and Approximation Practice*, ch. 8), so the terms
+    past the reference add nothing at this tolerance.  The tail bounds the
+    uniform error of the order-m truncation on [0, b]; an order past the
+    reference has tail 0.  Raises :class:`NumericalError` when even the
+    largest reference does not resolve ``fn``.
+    """
+    if b <= 0:
+        return np.zeros(1)
+    probes = b * _PROBES
+    at_probes = fn(probes)
+    nodes, most = _REFERENCE_NODES
+    while nodes <= most:
+        values = fn(_chebyshev_nodes(b, nodes - 1))
+        scale = max(np.abs(values).max(), np.abs(at_probes).max())
+        if scale == 0:
+            return np.zeros(nodes)
+        c = _quadrature(values)
+        c[0] *= 0.5
+        tails = np.append(np.cumsum(np.abs(c[:0:-1]))[::-1], 0.0) / scale
+        m = int(np.argmax(tails <= CHEB_TOL))
+        if m < nodes // 2:
+            truncated = npcheb.chebval(2.0 * probes / b - 1.0, c[:m + 1])
+            if np.abs(truncated - at_probes).max() <= _PROBE_TOL * scale:
+                return tails
+        nodes *= 2
+    raise NumericalError(
+        f"Chebyshev expansion on [0, {b:g}] needs more than {most // 2} terms "
+        f"for a coefficient tail of {CHEB_TOL:g}; the scale t is too large "
+        "for this operator")
+
+
+def _first_certified(tails: np.ndarray) -> int:
+    return max(1, int(np.argmax(tails <= CHEB_TOL)))
+
+
+def certified_order(fn, b: float) -> int:
+    """Smallest order (at least 1) whose relative coefficient tail is at most
+    :data:`CHEB_TOL` for ``fn`` on [0, b]."""
+    return _first_certified(_coefficient_tails(fn, b))
 
 
 def heat_function(t: float):
@@ -110,33 +203,70 @@ def heat_function(t: float):
     return lambda x: np.exp(-t * x)
 
 
-def shared_order(orders) -> int:
-    """The single Chebyshev order of a fused pass over several specs."""
-    distinct = set(orders)
+def _interval(op: SparseOperator) -> float:
+    """Right end ``b`` of the expansion interval [0, b]."""
+    return 1.01 * op.lambda_max
+
+
+def shared_order(op: SparseOperator, params, fns) -> int:
+    """Recurrence steps of one fused Chebyshev pass.
+
+    ``params`` holds one spec per function of ``fns``, each with a diffusion
+    time ``t`` and a ``chebyshev_order``; all share that order setting.
+    ``None`` gives the largest certified order of the pass.  An explicit
+    order caps every expansion, and one ``RuntimeWarning`` names each ``t``
+    whose tail at that order exceeds :data:`CHEB_TOL`.
+    """
+    params = list(params)
+    distinct = {p.chebyshev_order for p in params}
     if len(distinct) != 1:
         raise ValueError("a fused Chebyshev pass needs at least one spec, "
                          "all with the same order")
-    return distinct.pop()
+    order = distinct.pop()
+    tails = [_coefficient_tails(fn, _interval(op)) for fn in fns]
+    needed = max(_first_certified(tail) for tail in tails)
+    if order is None:
+        return needed
+    short = [(p.t, tail[order]) for p, tail in zip(params, tails)
+             if order < tail.shape[0] and tail[order] > CHEB_TOL]
+    if short:
+        warnings.warn(
+            f"Chebyshev order {order} leaves a relative coefficient tail above "
+            f"{CHEB_TOL:g}: " + ", ".join(f"{tail:.2e} at t={t:g}" for t, tail in short),
+            RuntimeWarning, stacklevel=3)
+    return min(order, needed)
+
+
+def _truncated_coefficients(fn, b: float, order: int) -> np.ndarray:
+    """Coefficients of ``fn`` at its certified order (at most ``order``),
+    zero-padded to ``order + 1`` terms."""
+    m = min(order, certified_order(fn, b))
+    c = np.zeros(order + 1)
+    c[:m + 1] = chebyshev_coefficients(fn, b, m)
+    return c
 
 
 def chebyshev_apply(op: SparseOperator, fn, x: np.ndarray, order: int):
     """Evaluate ``fn`` of the generalized Laplacian on a vector or block.
 
-    Maps the spectral interval [0, 1.01 * lambda_max] to [-1, 1] and runs the
-    three-term recurrence in place on the operator's cached mapped CSR.
-    ``fn`` may also be a sequence of functions: the blocks ``T_j`` do not
-    depend on the function, only the coefficients do, so one recurrence fills
-    one output per function and a list is returned.
+    Maps the spectral interval [0, 1.01 * lambda_max] to [-1, 1] and runs
+    ``order`` steps of the three-term recurrence in place on the operator's
+    cached mapped CSR.  ``fn`` may also be a sequence of functions: the
+    blocks ``T_j`` do not depend on the function, only the coefficients do,
+    so one recurrence fills one output per function and a list is returned.
+    Each function keeps only the terms up to its own certified order (at
+    most ``order``), so its output does not depend on the other functions
+    of the pass.
     """
     if order < 1:
         raise ValueError(f"order must be at least 1, got {order}")
     fns = [fn] if callable(fn) else list(fn)
     x = np.ascontiguousarray(x, dtype=np.float64)
-    b = 1.01 * op.lambda_max
+    b = _interval(op)
     if b <= 0:
         outs = [float(f(np.zeros(1))[0]) * x for f in fns]
         return outs[0] if callable(fn) else outs
-    coeffs = [chebyshev_coefficients(f, b, order) for f in fns]
+    coeffs = [_truncated_coefficients(f, b, order) for f in fns]
     a = op.affine(2.0 / b)
 
     t_prev = x
@@ -144,7 +274,8 @@ def chebyshev_apply(op: SparseOperator, fn, x: np.ndarray, order: int):
     accs = []
     for c in coeffs:
         acc = (0.5 * c[0]) * x
-        daxpy(t_cur.reshape(-1), acc.reshape(-1), a=c[1])
+        if c[1]:
+            daxpy(t_cur.reshape(-1), acc.reshape(-1), a=c[1])
         accs.append(acc)
     for jj in range(2, order + 1):
         t_next = a @ t_cur
@@ -154,7 +285,8 @@ def chebyshev_apply(op: SparseOperator, fn, x: np.ndarray, order: int):
             raise NumericalError(f"non-finite Chebyshev intermediate at iteration {jj}")
         flat = t_next.reshape(-1)
         for acc, c in zip(accs, coeffs):
-            daxpy(flat, acc.reshape(-1), a=c[jj])
+            if c[jj]:
+                daxpy(flat, acc.reshape(-1), a=c[jj])
         t_prev, t_cur = t_cur, t_next
     return accs[0] if callable(fn) else accs
 
@@ -172,7 +304,8 @@ def heat_apply_chebyshev(op: SparseOperator, params: HeatParams, s):
     input returns unchanged up to rounding.
     """
     values = _signal_values(s)
-    out = chebyshev_apply(op, heat_function(params.t), values, params.chebyshev_order)
+    fn = heat_function(params.t)
+    out = chebyshev_apply(op, fn, values, shared_order(op, [params], [fn]))
     if isinstance(s, VertexSignal):
         return VertexSignal(out, name=s.name)
     return out
@@ -198,7 +331,8 @@ def heat_kernel_row(op: SparseOperator, params: HeatParams, i: int) -> KernelRow
         raise IndexError(f"vertex index {i} out of range for {op.n} vertices")
     x = np.zeros(op.n)
     x[i] = 1.0 / op.mass[i]
-    row = chebyshev_apply(op, heat_function(params.t), x, params.chebyshev_order)
+    fn = heat_function(params.t)
+    row = chebyshev_apply(op, fn, x, shared_order(op, [params], [fn]))
     values, support = threshold_row(row, params.support_threshold)
     return KernelRow(i, values, support)
 
@@ -216,10 +350,3 @@ def semigroup_compose(k_t1: np.ndarray, k_t2: np.ndarray, mass: np.ndarray) -> n
         raise ValueError("kernel and mass dimensions do not conform")
     return k_t1 @ (mass[:, None] * k_t2)
 
-
-def dump_spectrum(basis: SpectralBasis, path) -> None:
-    """CSV dump of the eigenvalues for spectrum inspection."""
-    with open(path, "w") as fh:
-        fh.write("index,eigenvalue\n")
-        for idx, lam in enumerate(basis.eigenvalues):
-            fh.write(f"{idx},{lam:.17g}\n")

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -166,6 +167,19 @@ def test_kernel_support_growth(tmp_path):
         vals = parse_signal(tmp_path / f"row_v0_t{t}.csv").values
         sizes.append(int(np.count_nonzero(vals > 0.01 * vals.max())))
     assert all(a <= b for a, b in zip(sizes, sizes[1:]))
+
+
+def test_kernel_order_default_and_explicit_ceiling(tmp_path, grid_inputs):
+    _, mesh_path, _ = grid_inputs
+    base = ["kernel", "--mesh", str(mesh_path), "--vertex", "40", "--t", "1000"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(base + ["--out", str(tmp_path / "auto.csv")]) == 0
+    with pytest.warns(RuntimeWarning, match=r"at t=1000\b"):
+        assert main(base + ["--order", "50", "--out", str(tmp_path / "capped.csv")]) == 0
+    orders = [json.loads((tmp_path / f"{stem}_manifest.json").read_text())
+              ["parameters"]["order"] for stem in ("auto", "capped")]
+    assert orders == [None, 50]
 
 
 def test_kernel_vertex_out_of_range(tmp_path, grid_inputs):

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
-import scipy.io
 import scipy.sparse as sp
 
 from mahf.errors import OperatorError
 from mahf.io_mesh import Mesh
-from mahf.laplacian import (SparseOperator, cotan_operator, dump_matrix_market,
+from mahf.laplacian import (SparseOperator, cotan_operator,
                             estimate_lambda_max, gaussian_knn_operator)
 from mahf.synthetic import cube_surface, flat_grid, icosphere, refine_midpoint
 
@@ -152,11 +151,3 @@ def test_operator_matches_oracle_action(grid20_op):
     kernel, propagator = dense_heat_oracle(grid20_op, 0.0)
     assert np.allclose(propagator, np.eye(grid20_op.n), atol=1e-10)
 
-
-def test_dump_matrix_market(tmp_path, two_node_op):
-    spath = tmp_path / "stiffness.mtx"
-    mpath = tmp_path / "mass.mtx"
-    dump_matrix_market(two_node_op, spath, mpath)
-    back = scipy.io.mmread(spath).toarray()
-    assert np.allclose(back, two_node_op.stiffness.toarray())
-    assert np.allclose(np.asarray(scipy.io.mmread(mpath)).ravel(), two_node_op.mass)

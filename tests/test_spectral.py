@@ -1,13 +1,18 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from numpy.polynomial import chebyshev as npcheb
 
+from mahf.baselines import MhwSpec
 from mahf.errors import NumericalError, OperatorError
 from mahf.io_mesh import VertexSignal
 from mahf.laplacian import SparseOperator
-from mahf.spectral import (HeatParams, chebyshev_apply, dump_spectrum,
-                           eigendecompose, heat_apply_chebyshev, heat_function,
-                           heat_kernel_dense, heat_kernel_row, semigroup_compose)
+from mahf.spectral import (CHEB_TOL, HeatParams, certified_order, chebyshev_apply,
+                           chebyshev_coefficients, eigendecompose,
+                           heat_apply_chebyshev, heat_function, heat_kernel_dense,
+                           heat_kernel_row, semigroup_compose, shared_order)
 
 from conftest import dense_heat_oracle
 
@@ -160,6 +165,75 @@ def test_chebyshev_function_sequence_matches_separate_calls(ico642_op):
             assert np.abs(got - alone).max() <= 1e-13 * np.abs(alone).max()
 
 
+def test_chebyshev_default_order_fused_equals_single(ico642_op):
+    # each function keeps its own certified terms, so sharing a pass with
+    # higher-order functions changes none of its output bits
+    rng = np.random.default_rng(12)
+    specs = [HeatParams(5.0), HeatParams(20.0), MhwSpec(10.0)]
+    fns = [heat_function(5.0), heat_function(20.0), lambda x: x * np.exp(-10.0 * x)]
+    for x in (rng.standard_normal(ico642_op.n), rng.standard_normal((ico642_op.n, 7))):
+        fused = chebyshev_apply(ico642_op, fns, x, shared_order(ico642_op, specs, fns))
+        for spec, fn, got in zip(specs, fns, fused):
+            alone = chebyshev_apply(ico642_op, fn, x, shared_order(ico642_op, [spec], [fn]))
+            assert np.array_equal(got, alone)
+
+
+# --- certified order ---
+
+def test_certified_order_rises_with_tb():
+    orders = [certified_order(heat_function(tb), 1.0) for tb in (0.0, 1.0, 10.0, 100.0, 1000.0)]
+    assert all(a < b for a, b in zip(orders, orders[1:]))
+
+
+def test_certified_order_at_t_zero():
+    for b in (1e-3, 1.0, 250.0):
+        assert certified_order(heat_function(0.0), b) == 1
+
+
+def test_certified_order_meets_tolerance():
+    b = 2.5
+    x = np.linspace(0.0, b, 20001)
+    for tb in (1.0, 10.0, 100.0, 1000.0):
+        t = tb / b
+        for fn in (heat_function(t), lambda x, t=t: x * np.exp(-t * x)):
+            m = certified_order(fn, b)
+            c = chebyshev_coefficients(fn, b, m)
+            c[0] *= 0.5
+            f = fn(x)
+            err = np.abs(npcheb.chebval(2.0 * x / b - 1.0, c) - f).max()
+            assert err <= 2 * CHEB_TOL * np.abs(f).max()
+
+
+def test_certified_order_bounded_search():
+    with pytest.raises(NumericalError, match="too large"):
+        certified_order(heat_function(1e7), 1.0)
+
+
+def test_large_tb_default_order_matches_oracle(grid20_op):
+    # t * b = 1000, where the former fixed order 50 leaves a tail of 2.4e-2
+    rng = np.random.default_rng(13)
+    s = rng.standard_normal(grid20_op.n)
+    t = 1000.0 / (1.01 * grid20_op.lambda_max)
+    kernel, propagator = dense_heat_oracle(grid20_op, t)
+    exact = propagator @ s
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = heat_apply_chebyshev(grid20_op, HeatParams(t), s)
+        row = heat_kernel_row(grid20_op, HeatParams(t, support_threshold=0.0), 17)
+        capped = heat_apply_chebyshev(grid20_op, HeatParams(t, 400), s)
+    assert np.abs(out - exact).max() <= 1e-9 * np.abs(exact).max()
+    assert np.abs(row.values - kernel[17]).max() <= 1e-9 * np.abs(kernel[17]).max()
+    # a ceiling above the certified order changes nothing
+    assert np.array_equal(capped, out)
+
+    with pytest.warns(RuntimeWarning, match=r"order 50 .* at t="):
+        low = heat_apply_chebyshev(grid20_op, HeatParams(t, 50), s)
+    assert np.abs(low - exact).max() > 1e-9 * np.abs(exact).max()
+    with pytest.warns(RuntimeWarning, match=r"order 50 .* at t="):
+        low_row = heat_kernel_row(grid20_op, HeatParams(t, 50, 0.0), 17)
+    assert np.abs(low_row.values - kernel[17]).max() > 1e-9 * np.abs(kernel[17]).max()
+
+
 def test_heat_params_validation():
     with pytest.raises(ValueError):
         HeatParams(-1.0)
@@ -256,10 +330,3 @@ def test_kernel_support_grows_with_time(ico642_op):
     assert all(a <= b for a, b in zip(sizes, sizes[1:]))
     assert sizes[0] < sizes[-1]
 
-
-def test_dump_spectrum(tmp_path, two_node_op):
-    path = tmp_path / "spectrum.csv"
-    dump_spectrum(eigendecompose(two_node_op), path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "index,eigenvalue"
-    assert len(lines) == 3
