@@ -12,15 +12,15 @@ __version__ = "0.1.0"
 from .baselines import MhwSpec, mhw_apply, mhw_normal_variation
 from .errors import (GeometryError, MahfError, MeshFormatError, NumericalError,
                      OperatorError, SignalFormatError)
-from .filters import (FilterResponse, FilterSpec, apply_filter, build_filter_rows,
-                      fuse, multiscale_apply, normal_variation, tangent_azimuth)
-from .geometry import (FrameField, LocalFrame, NeighborList, build_frames,
-                       knn, pca_normals, vertex_areas, vertex_normals)
+from .filters import (FilterResponse, FilterSpec, apply_filter, fuse, multiscale_apply,
+                      normal_variation)
+from .geometry import (FrameField, NeighborList, build_frames, knn, pca_normals,
+                       vertex_areas, vertex_normals)
 from .io_mesh import (Mesh, VertexSignal, parse_mesh, parse_signal,
                       rgb_to_luminance, write_mesh, write_response, write_signal_csv)
 from .laplacian import (SparseOperator, cotan_operator, estimate_lambda_max,
                         gaussian_knn_operator)
-from .spectral import (HeatParams, KernelRow, SpectralBasis, eigendecompose,
+from .spectral import (HeatParams, SpectralBasis, eigendecompose,
                        heat_apply_chebyshev, heat_kernel_dense, heat_kernel_row,
                        semigroup_compose)
 
@@ -28,13 +28,13 @@ __all__ = [
     "__version__",
     "Mesh", "VertexSignal", "parse_mesh", "parse_signal", "write_mesh",
     "write_response", "write_signal_csv", "rgb_to_luminance",
-    "LocalFrame", "FrameField", "NeighborList", "vertex_normals", "pca_normals",
+    "FrameField", "NeighborList", "vertex_normals", "pca_normals",
     "vertex_areas", "build_frames", "knn",
     "SparseOperator", "cotan_operator", "gaussian_knn_operator", "estimate_lambda_max",
-    "SpectralBasis", "HeatParams", "KernelRow", "eigendecompose",
+    "SpectralBasis", "HeatParams", "eigendecompose",
     "heat_kernel_dense", "heat_apply_chebyshev", "heat_kernel_row", "semigroup_compose",
-    "FilterSpec", "FilterResponse", "tangent_azimuth", "build_filter_rows",
-    "apply_filter", "multiscale_apply", "normal_variation", "fuse",
+    "FilterSpec", "FilterResponse", "apply_filter", "multiscale_apply",
+    "normal_variation", "fuse",
     "MhwSpec", "mhw_apply", "mhw_normal_variation",
     "MahfError", "MeshFormatError", "SignalFormatError", "GeometryError",
     "OperatorError", "NumericalError",

@@ -302,10 +302,10 @@ def cmd_kernel(args) -> int:
     out = Path(args.out)
     outputs = []
     for t_raw, t_eff in zip(ts_raw, ts_eff):
-        row = heat_kernel_row(op, HeatParams(t_eff, args.order,
-                                             args.support_threshold), args.vertex)
+        values, _ = heat_kernel_row(op, HeatParams(t_eff, args.order,
+                                                   args.support_threshold), args.vertex)
         path = _suffixed(out, f"_v{args.vertex}_t{t_raw:g}")
-        _write_field(path, mesh, VertexSignal(row.values, name="kernel"))
+        _write_field(path, mesh, VertexSignal(values, name="kernel"))
         outputs.append(path)
 
     parameters = _common_parameters(args, kind, ts_raw)

@@ -22,14 +22,17 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NumericalError
-from .geometry import FrameField, LocalFrame, effective_normals
+from .geometry import FrameField, effective_normals
 from .io_mesh import Mesh, VertexSignal
 from .laplacian import SparseOperator
-from .spectral import (HeatParams, KernelRow, chebyshev_apply, heat_function,
-                       shared_order, threshold_row)
+from .spectral import (HeatParams, chebyshev_apply, heat_function, shared_order,
+                       threshold_row)
 
 _DEGENERATE_RTOL = 1e-9
 _CHUNK = 512
+# Each chunk of kernel columns is contracted in this many column slices, so
+# the per-pair temporaries of the contraction stay a fraction of the chunk's.
+_SLICES = 8
 
 
 @dataclass(frozen=True)
@@ -58,108 +61,82 @@ class FilterResponse:
         return cls(r_real, r_imag, r_real ** 2 + r_imag ** 2, spec)
 
 
-def tangent_azimuth(frame: LocalFrame, p_i, p_j) -> float | None:
-    """Azimuth of ``p_j`` seen from ``p_i`` in the tangent plane of ``frame``.
+def _azimuths(positions, frames: FrameField, centres, neighbours) -> np.ndarray:
+    """Azimuth of each neighbour seen from its centre, in the centre's tangent frame.
 
-    Returns an angle in (-pi, pi], or ``None`` when the displacement is
-    (numerically) parallel to the normal or zero.
+    The displacement's normal component is projected out.  Angles lie in
+    (-pi, pi]; NaN marks a neighbour that is the centre itself or lies
+    (numerically) along the centre's normal.
     """
-    d = np.asarray(p_j, dtype=np.float64) - np.asarray(p_i, dtype=np.float64)
-    d_norm = np.linalg.norm(d)
-    d_t = d - (d @ frame.normal) * frame.normal
-    if d_norm == 0.0 or np.linalg.norm(d_t) <= _DEGENERATE_RTOL * d_norm:
-        return None
-    theta = float(np.arctan2(d_t @ frame.y_axis, d_t @ frame.x_axis))
-    if theta <= -np.pi:
-        theta = np.pi
-    return theta
-
-
-def _support_azimuths(positions, i, support, normal, x_axis, y_axis) -> np.ndarray:
-    """Azimuths over a support set; NaN marks self and degenerate entries."""
-    d = positions[support] - positions[i]
-    d_t = d - (d @ normal)[:, None] * normal[None, :]
-    d_norm = np.linalg.norm(d, axis=1)
-    t_norm = np.linalg.norm(d_t, axis=1)
-    theta = np.arctan2(d_t @ y_axis, d_t @ x_axis)
+    d = positions.take(neighbours, axis=0) - positions.take(centres, axis=0)
+    d_sq = np.einsum("pc,pc->p", d, d)
+    normal = frames.normals.take(centres, axis=0)
+    d -= np.einsum("pc,pc->p", d, normal)[:, None] * normal
+    t_sq = np.einsum("pc,pc->p", d, d)
+    theta = np.arctan2(np.einsum("pc,pc->p", d, frames.y_axis.take(centres, axis=0)),
+                       np.einsum("pc,pc->p", d, frames.x_axis.take(centres, axis=0)))
     theta[theta <= -np.pi] += 2.0 * np.pi
-    theta[(d_norm == 0.0) | (t_norm <= _DEGENERATE_RTOL * d_norm)] = np.nan
+    theta[(d_sq == 0.0) | (t_sq <= _DEGENERATE_RTOL ** 2 * d_sq)] = np.nan
     return theta
 
 
-def build_filter_rows(kernel_row: KernelRow, angles: np.ndarray, k: int):
-    """Real and imaginary filter rows from a kernel row and support azimuths.
+def _contract(cols, first: int, k: int, threshold: float, frames: FrameField,
+              positions, mass, signals):
+    """Responses at centres ``first, first + 1, ...`` from their kernel columns.
 
-    ``angles`` aligns with ``kernel_row.support``; NaN entries (the vertex
-    itself and degenerate projections) contribute zero for ``k >= 1``.  For
-    ``k = 0`` the real row is the kernel row itself and the imaginary row is
-    identically zero.
+    Each kept entry of the (N, width) block ``cols`` pairs a neighbour ``j``
+    (its row) with a centre (its column).  The pair weighs ``s_j`` by the
+    kernel entry times the mass of ``j`` and, for ``k >= 1``, by cos/sin of
+    ``k`` times the neighbour's azimuth; self and degenerate pairs add 0.
+    Returns the real and imaginary (width, C) blocks.
     """
-    values = kernel_row.values
-    support = kernel_row.support
-    angles = np.asarray(angles, dtype=np.float64).reshape(-1)
-    if angles.shape[0] != support.shape[0]:
-        raise ValueError(f"{angles.shape[0]} angles for a support of {support.shape[0]}")
-    h_imag = np.zeros_like(values)
+    width = cols.shape[1]
+    values, kept = threshold_row(cols, threshold)
+    j, local = np.divmod(kept, width)
+    w = values.reshape(-1)[kept] * mass[j]
     if k == 0:
-        return values.copy(), h_imag
-    h_real = np.zeros_like(values)
-    finite = np.isfinite(angles)
-    idx = support[finite]
-    ka = k * angles[finite]
-    h_real[idx] = values[idx] * np.cos(ka)
-    h_imag[idx] = values[idx] * np.sin(ka)
-    return h_real, h_imag
-
-
-def _contract_chunk(cols, chunk, spec, frames, positions, mass, signals,
-                    r_real, r_imag) -> None:
-    """Fill the response rows of ``chunk`` from its kernel columns ``cols``."""
-    for local, i in enumerate(chunk):
-        kvals, support = threshold_row(cols[:, local], spec.heat.support_threshold)
-        weights = kvals[support] * mass[support]
-        if spec.k == 0:
-            r_real[i] = weights @ signals[support]
-            continue
-        theta = _support_azimuths(positions, i, support, frames.normals[i],
-                                  frames.x_axis[i], frames.y_axis[i])
-        finite = np.isfinite(theta)
-        w = weights[finite]
-        ka = spec.k * theta[finite]
-        sub = signals[support[finite]]
-        r_real[i] = (w * np.cos(ka)) @ sub
-        r_imag[i] = (w * np.sin(ka)) @ sub
+        parts = [w]
+    else:
+        ka = k * _azimuths(positions, frames, first + local, j)
+        finite = np.isfinite(ka)
+        parts = [np.where(finite, w * np.cos(ka), 0.0),
+                 np.where(finite, w * np.sin(ka), 0.0)]
+    out = np.zeros((2, width, signals.shape[1]))
+    s = signals.take(j, axis=0)
+    for part, r in zip(parts, out):
+        for c in range(s.shape[1]):
+            r[:, c] = np.bincount(local, part * s[:, c], minlength=width)
+    return out[0], out[1]
 
 
 def _response_block(op: SparseOperator, frames: FrameField, positions: np.ndarray,
-                    specs: list[FilterSpec], signals: np.ndarray,
-                    kernel_columns: np.ndarray | None = None):
+                    specs: list[FilterSpec], signals: np.ndarray):
     """Responses for a block of signals: one (N, C) real/imaginary pair per spec.
 
     One Chebyshev recurrence per chunk of kernel columns serves every spec.
     The chunk narrows as specs are added, so the live (N, width) blocks of
-    the recurrence stay within those of a single-spec chunk.
+    the recurrence stay within those of a single-spec chunk.  Each chunk is
+    contracted in slices of ``1 / _SLICES`` of its width.
     """
     fns = [heat_function(spec.heat.t) for spec in specs]
     order = shared_order(op, [spec.heat for spec in specs], fns)
-    if kernel_columns is not None and len(specs) != 1:
-        raise ValueError("kernel_columns holds a single scale; pass one spec")
     n = op.n
     mass = op.mass
     responses = [(np.zeros_like(signals), np.zeros_like(signals)) for _ in specs]
     width = max(1, 2 * _CHUNK // (len(specs) + 1))
+    step = -(-width // _SLICES)
 
     for start in range(0, n, width):
         chunk = np.arange(start, min(start + width, n))
-        if kernel_columns is None:
-            block = np.zeros((n, chunk.shape[0]))
-            block[chunk, np.arange(chunk.shape[0])] = 1.0 / mass[chunk]
-            blocks = chebyshev_apply(op, fns, block, order)
-        else:
-            blocks = [kernel_columns[:, chunk]]
+        block = np.zeros((n, chunk.shape[0]))
+        block[chunk, np.arange(chunk.shape[0])] = 1.0 / mass[chunk]
+        blocks = chebyshev_apply(op, fns, block, order)
         for spec, cols, (r_real, r_imag) in zip(specs, blocks, responses):
-            _contract_chunk(cols, chunk, spec, frames, positions, mass, signals,
-                            r_real, r_imag)
+            for lo in range(0, chunk.shape[0], step):
+                hi = min(lo + step, chunk.shape[0])
+                r_real[start + lo:start + hi], r_imag[start + lo:start + hi] = _contract(
+                    cols[:, lo:hi], start + lo, spec.k, spec.heat.support_threshold,
+                    frames, positions, mass, signals)
 
     for r_real, r_imag in responses:
         bad = np.flatnonzero(~(np.isfinite(r_real).all(axis=1)
@@ -169,16 +146,8 @@ def _response_block(op: SparseOperator, frames: FrameField, positions: np.ndarra
     return responses
 
 
-def kernel_column_matrix(op: SparseOperator, params: HeatParams) -> np.ndarray:
-    """All heat-kernel columns as a dense (N, N) matrix via the Chebyshev path."""
-    block = np.diag(1.0 / op.mass)
-    fn = heat_function(params.t)
-    return chebyshev_apply(op, fn, block, shared_order(op, [params], [fn]))
-
-
 def apply_filter(op: SparseOperator, frames: FrameField, positions,
-                 spec: FilterSpec | Sequence[FilterSpec], s, *,
-                 kernel_columns: np.ndarray | None = None):
+                 spec: FilterSpec | Sequence[FilterSpec], s):
     """Filter a scalar signal, producing per-vertex responses and R^2.
 
     Parameters
@@ -192,9 +161,6 @@ def apply_filter(op: SparseOperator, frames: FrameField, positions,
     s : VertexSignal or (N,) array
         Must be finite; a NaN or infinity raises :class:`NumericalError`
         naming the first such vertex.
-    kernel_columns : (N, N) array, optional
-        Precomputed output of :func:`kernel_column_matrix`; lets callers
-        reuse the kernel across several filter applications at the same t.
     """
     specs = [spec] if isinstance(spec, FilterSpec) else list(spec)
     positions = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
@@ -204,8 +170,7 @@ def apply_filter(op: SparseOperator, frames: FrameField, positions,
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         raise NumericalError(f"non-finite signal value at vertex {int(bad[0])}")
-    blocks = _response_block(op, frames, positions, specs, values.reshape(-1, 1),
-                             kernel_columns)
+    blocks = _response_block(op, frames, positions, specs, values.reshape(-1, 1))
     responses = [FilterResponse.from_components(r_real[:, 0], r_imag[:, 0], sp)
                  for sp, (r_real, r_imag) in zip(specs, blocks)]
     return responses[0] if isinstance(spec, FilterSpec) else responses

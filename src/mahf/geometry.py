@@ -11,20 +11,9 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import GeometryError
 from .io_mesh import Mesh
-
-
-@dataclass(frozen=True)
-class LocalFrame:
-    """Right-handed orthonormal triad at one vertex; normal is the z axis."""
-
-    index: int
-    normal: np.ndarray
-    x_axis: np.ndarray
-    y_axis: np.ndarray
 
 
 class FrameField:
@@ -37,9 +26,6 @@ class FrameField:
 
     def __len__(self) -> int:
         return self.normals.shape[0]
-
-    def __getitem__(self, i: int) -> LocalFrame:
-        return LocalFrame(i, self.normals[i], self.x_axis[i], self.y_axis[i])
 
     def rotated(self, angles: np.ndarray) -> "FrameField":
         """New field with each tangent basis rotated about its normal."""
@@ -130,6 +116,9 @@ def effective_normals(mesh: Mesh) -> np.ndarray:
 
 
 def _tree_knn(points: np.ndarray, k: int) -> NeighborList:
+    # imported here so that mesh-only runs never load scipy.spatial
+    from scipy.spatial import cKDTree
+
     n = points.shape[0]
     tree = cKDTree(points)
     # one extra candidate detects ties straddling the cut; tied rows are

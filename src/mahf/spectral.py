@@ -74,15 +74,6 @@ class SpectralBasis:
     eigenvectors: np.ndarray  # (N, N), columns
 
 
-@dataclass(frozen=True)
-class KernelRow:
-    """One thresholded heat-kernel row and its surviving support."""
-
-    vertex: int
-    values: np.ndarray
-    support: np.ndarray
-
-
 def eigendecompose(op: SparseOperator, dense_limit: int = DENSE_LIMIT_DEFAULT) -> SpectralBasis:
     """Full dense solution of the symmetric generalized eigenproblem.
 
@@ -312,20 +303,26 @@ def heat_apply_chebyshev(op: SparseOperator, params: HeatParams, s):
 
 
 def threshold_row(row: np.ndarray, threshold: float):
-    """Zero entries below ``threshold * max(row)``; threshold 0 keeps everything."""
+    """Zero entries below ``threshold`` times their column's maximum.
+
+    ``row`` is a vector or an (N, C) block of kernel columns, each with its
+    own cutoff.  Returns the thresholded copy and the flat (row-major)
+    indices of the kept entries; threshold 0 keeps everything, zero and
+    negative entries included.
+    """
     if threshold <= 0:
-        return row.copy(), np.arange(row.shape[0])
-    cutoff = threshold * row.max()
-    keep = row >= cutoff
+        return row.copy(), np.arange(row.size)
+    keep = row >= threshold * row.max(axis=0)
     return np.where(keep, row, 0.0), np.flatnonzero(keep)
 
 
-def heat_kernel_row(op: SparseOperator, params: HeatParams, i: int) -> KernelRow:
+def heat_kernel_row(op: SparseOperator, params: HeatParams, i: int):
     """Row ``i`` of the heat kernel with entries below the cutoff zeroed.
 
-    The mass-weighted indicator makes the Chebyshev result match row ``i`` of
-    the dense spectral-sum kernel; for identity mass the input is the plain
-    indicator.
+    Returns the ``(values, support)`` pair of :func:`threshold_row`: the
+    length-N row and the indices of its kept entries.  The mass-weighted
+    indicator makes the Chebyshev result match row ``i`` of the dense
+    spectral-sum kernel; for identity mass the input is the plain indicator.
     """
     if not 0 <= i < op.n:
         raise IndexError(f"vertex index {i} out of range for {op.n} vertices")
@@ -333,8 +330,7 @@ def heat_kernel_row(op: SparseOperator, params: HeatParams, i: int) -> KernelRow
     x[i] = 1.0 / op.mass[i]
     fn = heat_function(params.t)
     row = chebyshev_apply(op, fn, x, shared_order(op, [params], [fn]))
-    values, support = threshold_row(row, params.support_threshold)
-    return KernelRow(i, values, support)
+    return threshold_row(row, params.support_threshold)
 
 
 def semigroup_compose(k_t1: np.ndarray, k_t2: np.ndarray, mass: np.ndarray) -> np.ndarray:

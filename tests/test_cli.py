@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -268,3 +272,11 @@ def test_area_normalize_flag_recorded(tmp_path, grid_inputs):
 
 def test_usage_error_exits_2():
     assert main(["filter", "--unknown-flag"]) == 2
+
+
+def test_cli_import_does_not_load_scipy_spatial():
+    # only point-cloud commands build a kNN tree; mesh commands skip its import
+    src = str(Path(mahf.filters.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, mahf.cli; sys.exit('scipy.spatial' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -3,83 +3,96 @@ import pytest
 
 import mahf.filters as filters
 from mahf.errors import NumericalError
-from mahf.filters import (FilterSpec, apply_filter, build_filter_rows, fuse,
-                          kernel_column_matrix, multiscale_apply,
-                          normal_variation, tangent_azimuth)
-from mahf.geometry import LocalFrame, build_frames, vertex_normals
+from mahf.filters import (FilterSpec, apply_filter, fuse, multiscale_apply,
+                          normal_variation)
+from mahf.geometry import FrameField, build_frames, vertex_normals
 from mahf.io_mesh import Mesh, VertexSignal
 from mahf.laplacian import cotan_operator, gaussian_knn_operator
-from mahf.spectral import (HeatParams, KernelRow, chebyshev_apply,
-                           heat_apply_chebyshev)
+from mahf.spectral import (HeatParams, chebyshev_apply, heat_apply_chebyshev,
+                           threshold_row)
 
 from conftest import (GRID_SPACING, dense_heat_oracle, grid_columns_rows,
                       grid_interior_mask)
 
 
-def z_frame():
-    return LocalFrame(0, np.array([0.0, 0, 1]), np.array([1.0, 0, 0]),
-                      np.array([0.0, 1, 0]))
+def z_frames(n, y_axis=(0.0, 1, 0)):
+    """``n`` tangent frames with the normal along z and the x axis along x."""
+    return FrameField(np.tile([0.0, 0, 1], (n, 1)), np.tile([1.0, 0, 0], (n, 1)),
+                      np.tile(y_axis, (n, 1)))
 
 
 # --- azimuths ---
 
-def test_tangent_azimuth_along_x():
-    assert tangent_azimuth(z_frame(), np.zeros(3), np.array([1.0, 0, 0])) == 0.0
+def azimuth(p_i, p_j, frames=None):
+    """Azimuth of ``p_j`` seen from ``p_i`` in the frame of ``p_i``."""
+    positions = np.array([p_i, p_j], dtype=float)
+    frames = z_frames(2) if frames is None else frames
+    return filters._azimuths(positions, frames, np.array([0]), np.array([1]))[0]
 
 
-def test_tangent_azimuth_projects_out_normal():
-    theta = tangent_azimuth(z_frame(), np.zeros(3), np.array([0.0, 2.0, 0.5]))
+def test_azimuth_along_x():
+    assert azimuth(np.zeros(3), [1.0, 0, 0]) == 0.0
+
+
+def test_azimuth_projects_out_normal():
+    theta = azimuth(np.zeros(3), [0.0, 2.0, 0.5])
     assert theta == pytest.approx(np.pi / 2, abs=1e-15)
 
 
-def test_tangent_azimuth_degenerate_cases():
-    assert tangent_azimuth(z_frame(), np.zeros(3), np.array([0.0, 0, 1.0])) is None
-    assert tangent_azimuth(z_frame(), np.ones(3), np.ones(3)) is None
+def test_azimuth_degenerate_cases():
+    assert np.isnan(azimuth(np.zeros(3), [0.0, 0, 1.0]))
+    assert np.isnan(azimuth(np.ones(3), np.ones(3)))
 
 
-def test_tangent_azimuth_half_open_range():
-    theta = tangent_azimuth(z_frame(), np.zeros(3), np.array([-1.0, -0.0, 0.0]))
+def test_azimuth_half_open_range():
+    theta = azimuth(np.zeros(3), [-1.0, -0.0, 0.0])
     assert theta == pytest.approx(np.pi)
     assert theta > 0
+    # negative zeros in the frame as well as the displacement
+    frames = z_frames(2, y_axis=(-0.0, -1.0, -0.0))
+    assert azimuth(np.zeros(3), [-1.0, 0.0, -0.0], frames) == np.pi
 
 
 # --- filter rows ---
 
-def _kernel_row(values, support):
-    return KernelRow(0, np.asarray(values, dtype=float),
-                     np.asarray(support, dtype=int))
+def filter_rows(values, k, positions=((0.0, 0, 0), (0.0, 1, 0), (1.0, 0, 0))):
+    """Real and imaginary filter rows of vertex 0 for its kernel column ``values``.
+
+    In a z-up frame at the origin vertex 1 sits at azimuth pi/2 and vertex 2
+    at 0.  Unit mass and identity signals turn the contracted responses of
+    vertex 0 into its filter row.
+    """
+    cols = np.asarray(values, dtype=float).reshape(-1, 1)
+    n = cols.shape[0]
+    positions = np.asarray(positions[:n], dtype=float)
+    h_real, h_imag = filters._contract(cols, 0, k, 0.0, z_frames(n), positions,
+                                       np.ones(n), np.eye(n))
+    return h_real[0], h_imag[0]
 
 
-def test_build_filter_rows_order_zero():
-    row = _kernel_row([0.5, 0.3, 0.2], [0, 1, 2])
-    h_r, h_i = build_filter_rows(row, [np.nan, 0.1, -2.0], k=0)
-    assert np.array_equal(h_r, row.values)
+def test_filter_rows_order_zero():
+    values = [0.5, 0.3, 0.2]
+    h_r, h_i = filter_rows(values, k=0)
+    assert np.array_equal(h_r, values)
     assert not h_i.any()
 
 
-def test_build_filter_rows_order_one():
-    row = _kernel_row([0.0, 0.3, 0.0], [1])
-    h_r, h_i = build_filter_rows(row, [np.pi / 2], k=1)
+def test_filter_rows_order_one():
+    h_r, h_i = filter_rows([0.0, 0.3, 0.0], k=1)
     assert abs(h_r[1]) <= 1e-16
     assert h_i[1] == pytest.approx(0.3, rel=1e-15)
 
 
-def test_build_filter_rows_order_two():
-    row = _kernel_row([0.0, 0.3, 0.0], [1])
-    h_r, h_i = build_filter_rows(row, [np.pi / 2], k=2)
+def test_filter_rows_order_two():
+    h_r, h_i = filter_rows([0.0, 0.3, 0.0], k=2)
     assert h_r[1] == pytest.approx(-0.3, rel=1e-15)
     assert abs(h_i[1]) <= 1e-15
 
 
-def test_build_filter_rows_degenerate_and_self_zero():
-    row = _kernel_row([0.5, 0.3], [0, 1])
-    h_r, h_i = build_filter_rows(row, [np.nan, np.nan], k=1)
+def test_filter_rows_degenerate_and_self_zero():
+    # vertex 0 is the centre itself and vertex 1 lies along its normal
+    h_r, h_i = filter_rows([0.5, 0.3], k=1, positions=((0.0, 0, 0), (0.0, 0, 1)))
     assert not h_r.any() and not h_i.any()
-
-
-def test_build_filter_rows_length_mismatch():
-    with pytest.raises(ValueError):
-        build_filter_rows(_kernel_row([1.0, 0.0], [0, 1]), [0.0], k=1)
 
 
 # --- applying filters ---
@@ -125,27 +138,49 @@ def step_signal(mesh):
     return (mesh.vertices[:, 0] >= 9.5 * GRID_SPACING).astype(float)
 
 
-def test_step_response_matches_bruteforce_oracle(grid20, grid20_op, grid20_frames):
-    s = step_signal(grid20)
-    t, k = 5.0, 1
-    resp = apply_filter(grid20_op, grid20_frames, grid20.vertices,
-                        FilterSpec(k, HeatParams(t, 50, 0.0)), s)
-    _, propagator = dense_heat_oracle(grid20_op, t)
-    n = grid20_op.n
-    oracle = np.zeros(n, dtype=complex)
-    for i in range(n):
-        d = grid20.vertices - grid20.vertices[i]
-        rot = np.stack([grid20_frames.x_axis[i], grid20_frames.y_axis[i],
-                        grid20_frames.normals[i]])
-        local = d @ rot.T
-        t_norm = np.hypot(local[:, 0], local[:, 1])
-        d_norm = np.linalg.norm(d, axis=1)
-        ok = (d_norm > 0) & (t_norm > 1e-9 * d_norm)
-        theta = np.arctan2(local[ok, 1], local[ok, 0])
-        oracle[i] = np.sum(propagator[i, ok] * np.exp(1j * k * theta) * s[ok])
-    scale = np.abs(oracle).max()
-    assert np.abs(resp.r_real - oracle.real).max() < 1e-9 * scale
-    assert np.abs(resp.r_imag - oracle.imag).max() < 1e-9 * scale
+def bruteforce_responses(positions, frames, op, t, k, threshold, signals):
+    """Complex responses sum_j w_ij exp(i k theta_ij) s_j from the dense oracle.
+
+    ``w_ij`` is the propagator entry, kept where kernel row ``i`` is at least
+    ``threshold`` times its maximum; ``theta_ij`` comes from the in-plane
+    coordinates of ``p_j - p_i`` in frame ``i``.  For ``k >= 1`` the vertex
+    itself and neighbours along its normal are left out.
+    """
+    kernel, propagator = dense_heat_oracle(op, t)
+    w = np.where(kernel >= threshold * kernel.max(axis=1, keepdims=True), propagator, 0.0)
+    if k > 0:
+        d = positions[None, :, :] - positions[:, None, :]
+        x = np.einsum("ijc,ic->ij", d, frames.x_axis)
+        y = np.einsum("ijc,ic->ij", d, frames.y_axis)
+        d_norm = np.linalg.norm(d, axis=2)
+        ok = (d_norm > 0) & (np.hypot(x, y) > 1e-9 * d_norm)
+        w = np.where(ok, w * np.exp(1j * k * np.arctan2(y, x)), 0.0)
+    return w @ signals.reshape(op.n, -1)
+
+
+def test_step_response_matches_bruteforce_oracle(grid20, grid20_op, grid20_frames,
+                                                 ico162, ico162_op, ico162_frames):
+    # the flat grid and a curved sphere (non-zero normal components), three
+    # harmonic orders, the full kernel and a per-column cutoff, and three
+    # signal columns at once through normal_variation
+    t = 5.0
+    sphere_step = (ico162.vertices[:, 0] >= 0.0).astype(float)
+    for mesh, op, frames, s in ((grid20, grid20_op, grid20_frames, step_signal(grid20)),
+                                (ico162, ico162_op, ico162_frames, sphere_step)):
+        normals = vertex_normals(mesh)
+        for k in (0, 1, 2):
+            for threshold in (0.0, 1e-4):
+                spec = FilterSpec(k, HeatParams(t, 50, threshold))
+                resp = apply_filter(op, frames, mesh.vertices, spec, s)
+                oracle = bruteforce_responses(mesh.vertices, frames, op, t, k,
+                                              threshold, s)[:, 0]
+                scale = np.abs(oracle).max()
+                assert np.abs(resp.r_real - oracle.real).max() < 1e-9 * scale
+                assert np.abs(resp.r_imag - oracle.imag).max() < 1e-9 * scale
+                field = normal_variation(mesh, op, frames, spec)
+                want = np.sum(np.abs(bruteforce_responses(
+                    mesh.vertices, frames, op, t, k, threshold, normals)) ** 2, axis=1)
+                assert np.abs(field.values - want).max() < 1e-9 * want.max()
 
 
 def test_step_response_peaks_at_step(grid20, grid20_op, grid20_frames):
@@ -172,13 +207,12 @@ def test_frame_rotation_invariance(ico162, ico162_op, ico162_frames):
     rng = np.random.default_rng(42)
     s = rng.standard_normal(ico162_op.n)
     params = HeatParams(10.0, 50, 1e-4)
-    cols = kernel_column_matrix(ico162_op, params)
     base = apply_filter(ico162_op, ico162_frames, ico162.vertices,
-                        FilterSpec(2, params), s, kernel_columns=cols)
+                        FilterSpec(2, params), s)
     for _ in range(10):
         rotated = ico162_frames.rotated(rng.uniform(-np.pi, np.pi, ico162_op.n))
         resp = apply_filter(ico162_op, rotated, ico162.vertices,
-                            FilterSpec(2, params), s, kernel_columns=cols)
+                            FilterSpec(2, params), s)
         assert np.abs(resp.r2 - base.r2).max() < 1e-10 * base.r2.max()
 
 
@@ -281,6 +315,29 @@ def test_chunk_width_shrinks_with_scale_count(monkeypatch, grid20, grid20_op,
     assert set(single) == {8} and set(triple) == {4}
 
 
+def test_contraction_slices_bound_pair_count(monkeypatch, grid20, grid20_op,
+                                              grid20_frames):
+    # every pair is kept at threshold 0; the contraction still sees at most
+    # N * ceil(width / 8) of them at once, and each pair exactly once per scale
+    kept = []
+
+    def recording(block, threshold):
+        values, flat = threshold_row(block, threshold)
+        kept.append(flat.shape[0])
+        return values, flat
+
+    monkeypatch.setattr(filters, "threshold_row", recording)
+    s = step_signal(grid20)
+    n = grid20_op.n
+    for ts in ([5.0], [5.0, 10.0, 20.0]):
+        kept.clear()
+        multiscale_apply(grid20_op, grid20_frames, grid20.vertices, 1, ts, s,
+                         support_threshold=0.0)
+        width = 2 * filters._CHUNK // (len(ts) + 1)
+        assert max(kept) <= n * -(-width // 8)
+        assert sum(kept) == len(ts) * n * n
+
+
 def test_fused_pass_validates_specs(grid20, grid20_op, grid20_frames):
     s = step_signal(grid20)
     with pytest.raises(ValueError, match="same order"):
@@ -289,10 +346,6 @@ def test_fused_pass_validates_specs(grid20, grid20_op, grid20_frames):
                       FilterSpec(1, HeatParams(10.0, 40))], s)
     with pytest.raises(ValueError, match="at least one"):
         apply_filter(grid20_op, grid20_frames, grid20.vertices, [], s)
-    with pytest.raises(ValueError, match="single scale"):
-        apply_filter(grid20_op, grid20_frames, grid20.vertices,
-                     [FilterSpec(1, HeatParams(5.0)), FilterSpec(1, HeatParams(10.0))], s,
-                     kernel_columns=np.zeros((grid20_op.n, grid20_op.n)))
 
 
 def test_multiscale_validates_times(grid20, grid20_op, grid20_frames):

@@ -12,7 +12,8 @@ from mahf.laplacian import SparseOperator
 from mahf.spectral import (CHEB_TOL, HeatParams, certified_order, chebyshev_apply,
                            chebyshev_coefficients, eigendecompose,
                            heat_apply_chebyshev, heat_function, heat_kernel_dense,
-                           heat_kernel_row, semigroup_compose, shared_order)
+                           heat_kernel_row, semigroup_compose, shared_order,
+                           threshold_row)
 
 from conftest import dense_heat_oracle
 
@@ -219,10 +220,10 @@ def test_large_tb_default_order_matches_oracle(grid20_op):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         out = heat_apply_chebyshev(grid20_op, HeatParams(t), s)
-        row = heat_kernel_row(grid20_op, HeatParams(t, support_threshold=0.0), 17)
+        row, _ = heat_kernel_row(grid20_op, HeatParams(t, support_threshold=0.0), 17)
         capped = heat_apply_chebyshev(grid20_op, HeatParams(t, 400), s)
     assert np.abs(out - exact).max() <= 1e-9 * np.abs(exact).max()
-    assert np.abs(row.values - kernel[17]).max() <= 1e-9 * np.abs(kernel[17]).max()
+    assert np.abs(row - kernel[17]).max() <= 1e-9 * np.abs(kernel[17]).max()
     # a ceiling above the certified order changes nothing
     assert np.array_equal(capped, out)
 
@@ -230,8 +231,8 @@ def test_large_tb_default_order_matches_oracle(grid20_op):
         low = heat_apply_chebyshev(grid20_op, HeatParams(t, 50), s)
     assert np.abs(low - exact).max() > 1e-9 * np.abs(exact).max()
     with pytest.warns(RuntimeWarning, match=r"order 50 .* at t="):
-        low_row = heat_kernel_row(grid20_op, HeatParams(t, 50, 0.0), 17)
-    assert np.abs(low_row.values - kernel[17]).max() > 1e-9 * np.abs(kernel[17]).max()
+        low_row, _ = heat_kernel_row(grid20_op, HeatParams(t, 50, 0.0), 17)
+    assert np.abs(low_row - kernel[17]).max() > 1e-9 * np.abs(kernel[17]).max()
 
 
 def test_heat_params_validation():
@@ -247,25 +248,50 @@ def test_heat_params_validation():
 
 def test_kernel_row_matches_dense(ico162_op):
     kernel, _ = dense_heat_oracle(ico162_op, 10.0)
-    row = heat_kernel_row(ico162_op, HeatParams(10.0, 50, 0.0), 17)
-    assert np.abs(row.values - kernel[17]).max() < 1e-8
-    assert row.support.shape[0] == ico162_op.n
+    values, support = heat_kernel_row(ico162_op, HeatParams(10.0, 50, 0.0), 17)
+    assert np.abs(values - kernel[17]).max() < 1e-8
+    assert support.shape[0] == ico162_op.n
 
 
 def test_kernel_row_threshold_two_node(two_node_op):
-    row = heat_kernel_row(two_node_op, HeatParams(10.0, 50, 0.5), 0)
+    values, support = heat_kernel_row(two_node_op, HeatParams(10.0, 50, 0.5), 0)
     # at large t the row tends to [0.5, 0.5]; both entries survive a 0.5 cutoff
-    assert row.support.tolist() == [0, 1]
-    assert np.allclose(row.values, 0.5, atol=1e-6)
+    assert support.tolist() == [0, 1]
+    assert np.allclose(values, 0.5, atol=1e-6)
 
 
 def test_kernel_row_threshold_zeroes_tail(ico642_op):
     params = HeatParams(5.0, 50, 1e-4)
-    row = heat_kernel_row(ico642_op, params, 0)
-    assert 0 < row.support.shape[0] < ico642_op.n
-    off = np.setdiff1d(np.arange(ico642_op.n), row.support)
-    assert not row.values[off].any()
-    assert row.values[row.support].min() >= 1e-4 * row.values.max()
+    values, support = heat_kernel_row(ico642_op, params, 0)
+    assert 0 < support.shape[0] < ico642_op.n
+    off = np.setdiff1d(np.arange(ico642_op.n), support)
+    assert not values[off].any()
+    assert values[support].min() >= 1e-4 * values.max()
+
+
+def test_threshold_row_block():
+    block = np.array([[1.0, 0.002],
+                      [1e-5, 0.0005],
+                      [0.5, 0.0],
+                      [0.0, 0.01]])
+    values, kept = threshold_row(block, 0.1)
+    # each column keeps entries of at least 0.1 times its own maximum, so the
+    # small second column keeps 0.002 and 0.01; indices are flat, row-major
+    assert kept.tolist() == [0, 1, 4, 7]
+    assert np.array_equal(values, [[1.0, 0.002], [0.0, 0.0], [0.5, 0.0], [0.0, 0.01]])
+    # threshold 0 keeps every entry, zero and negative ones included, in a copy
+    block = np.array([[0.5, -1.0], [0.0, 2.0]])
+    values, kept = threshold_row(block, 0.0)
+    assert np.array_equal(values, block) and values is not block
+    assert kept.tolist() == [0, 1, 2, 3]
+    # vectors keep their single cutoff
+    row = np.array([2.0, 1e-5, 0.5, -1.0, 2e-4])
+    values, kept = threshold_row(row, 1e-4)
+    assert kept.tolist() == [0, 2, 4]
+    assert np.array_equal(values, [2.0, 0.0, 0.5, 0.0, 2e-4])
+    values, kept = threshold_row(row, 0.0)
+    assert np.array_equal(values, row) and values is not row
+    assert kept.tolist() == [0, 1, 2, 3, 4]
 
 
 def test_kernel_row_index_out_of_range(two_node_op):
@@ -325,8 +351,8 @@ def test_weak_maximum_principle(grid20_op, ico162_op):
 def test_kernel_support_grows_with_time(ico642_op):
     sizes = []
     for t in (5.0, 25.0, 50.0, 100.0):
-        row = heat_kernel_row(ico642_op, HeatParams(t, 50, 0.0), 0)
-        sizes.append(int(np.count_nonzero(row.values > 0.01 * row.values.max())))
+        row, _ = heat_kernel_row(ico642_op, HeatParams(t, 50, 0.0), 0)
+        sizes.append(int(np.count_nonzero(row > 0.01 * row.max())))
     assert all(a <= b for a, b in zip(sizes, sizes[1:]))
     assert sizes[0] < sizes[-1]
 
