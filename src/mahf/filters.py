@@ -80,9 +80,9 @@ def _azimuths(positions, frames: FrameField, centres, neighbours) -> np.ndarray:
     return theta
 
 
-def _contract(cols, first: int, k: int, threshold: float, frames: FrameField,
+def _contract(cols, centres, k: int, threshold: float, frames: FrameField,
               positions, mass, signals):
-    """Responses at centres ``first, first + 1, ...`` from their kernel columns.
+    """Responses at the vertices ``centres`` from their kernel columns.
 
     Each kept entry of the (N, width) block ``cols`` pairs a neighbour ``j``
     (its row) with a centre (its column).  The pair weighs ``s_j`` by the
@@ -97,7 +97,7 @@ def _contract(cols, first: int, k: int, threshold: float, frames: FrameField,
     if k == 0:
         parts = [w]
     else:
-        ka = k * _azimuths(positions, frames, first + local, j)
+        ka = k * _azimuths(positions, frames, centres.take(local), j)
         finite = np.isfinite(ka)
         parts = [np.where(finite, w * np.cos(ka), 0.0),
                  np.where(finite, w * np.sin(ka), 0.0)]
@@ -114,8 +114,10 @@ def _response_block(op: SparseOperator, frames: FrameField, positions: np.ndarra
     """Responses for a block of signals: one (N, C) real/imaginary pair per spec.
 
     One Chebyshev recurrence per chunk of kernel columns serves every spec.
-    The chunk narrows as specs are added, so the live (N, width) blocks of
-    the recurrence stay within those of a single-spec chunk.  Each chunk is
+    A chunk is a run of consecutive vertices of the operator's ordering, so
+    its columns stay non-zero on few rows for the first steps.  The chunk
+    narrows as specs are added, so the live (N, width) blocks of the
+    recurrence stay within those of a single-spec chunk.  Each chunk is
     contracted in slices of ``1 / _SLICES`` of its width.
     """
     fns = [heat_function(spec.heat.t) for spec in specs]
@@ -127,15 +129,15 @@ def _response_block(op: SparseOperator, frames: FrameField, positions: np.ndarra
     step = -(-width // _SLICES)
 
     for start in range(0, n, width):
-        chunk = np.arange(start, min(start + width, n))
+        chunk = op.ordering[start:start + width]
         block = np.zeros((n, chunk.shape[0]))
         block[chunk, np.arange(chunk.shape[0])] = 1.0 / mass[chunk]
         blocks = chebyshev_apply(op, fns, block, order)
         for spec, cols, (r_real, r_imag) in zip(specs, blocks, responses):
             for lo in range(0, chunk.shape[0], step):
-                hi = min(lo + step, chunk.shape[0])
-                r_real[start + lo:start + hi], r_imag[start + lo:start + hi] = _contract(
-                    cols[:, lo:hi], start + lo, spec.k, spec.heat.support_threshold,
+                centres = chunk[lo:lo + step]
+                r_real[centres], r_imag[centres] = _contract(
+                    cols[:, lo:lo + step], centres, spec.k, spec.heat.support_threshold,
                     frames, positions, mass, signals)
 
     for r_real, r_imag in responses:

@@ -176,15 +176,18 @@ def pca_normals(points: np.ndarray, k: int) -> np.ndarray:
     if k >= n:
         raise ValueError(f"k={k} requires more than k points, got {n}")
     nbrs = knn(points, k)
-    normals = np.empty_like(points)
-    for i in range(n):
-        nbr_pts = points[nbrs.indices[i]]
-        if np.unique(nbr_pts, axis=0).shape[0] < 3:
-            raise GeometryError(f"vertex {i} has fewer than 3 distinct neighbors")
-        centered = nbr_pts - nbr_pts.mean(axis=0)
-        cov = centered.T @ centered
-        _w, vecs = np.linalg.eigh(cov)
-        normals[i] = vecs[:, 0]
+    # coincident points share one id, so a sorted row of ids counts the
+    # distinct positions among a point's neighbours
+    ids = np.unique(points, axis=0, return_inverse=True)[1].reshape(-1)
+    nbr_ids = np.sort(ids[nbrs.indices], axis=1)
+    distinct = 1 + np.count_nonzero(np.diff(nbr_ids, axis=1), axis=1)
+    bad = np.flatnonzero(distinct < 3)
+    if bad.size:
+        raise GeometryError(f"vertex {int(bad[0])} has fewer than 3 distinct neighbors")
+    nbr_pts = points[nbrs.indices]
+    centered = nbr_pts - nbr_pts.mean(axis=1, keepdims=True)
+    _w, vecs = np.linalg.eigh(np.matmul(centered.transpose(0, 2, 1), centered))
+    normals = np.ascontiguousarray(vecs[:, :, 0])
 
     # undirected kNN graph for the orientation sweep
     adjacency = [set() for _ in range(n)]

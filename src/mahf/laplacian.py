@@ -39,6 +39,7 @@ class SparseOperator:
     _lambda_max: float | None = field(default=None, repr=False)
     _affine: tuple[float, sparse.csr_matrix] | None = field(default=None, repr=False,
                                                             compare=False)
+    _ordering: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.mass = np.ascontiguousarray(np.asarray(self.mass, dtype=np.float64)).reshape(-1)
@@ -59,12 +60,68 @@ class SparseOperator:
             self._lambda_max = estimate_lambda_max(self)
         return self._lambda_max
 
+    @property
+    def ordering(self) -> np.ndarray:
+        """Cached breadth-first level order of the vertices (see :func:`_level_order`).
+
+        Position ``p`` of the order holds vertex ``ordering[p]``.
+        """
+        if self._ordering is None:
+            self._ordering = _level_order(self.stiffness)
+        return self._ordering
+
     def affine(self, scale: float) -> sparse.csr_matrix:
-        """Cached ``scale * mass^-1 stiffness - I`` as one CSR matrix."""
+        """Cached ``scale * mass^-1 stiffness - I`` as one CSR matrix.
+
+        Rows and columns are in :attr:`ordering`, and each row's column
+        indices are sorted.
+        """
         if self._affine is None or self._affine[0] != scale:
-            mapped = sparse.diags(scale / self.mass) @ self.stiffness - sparse.identity(self.n)
-            self._affine = (scale, sparse.csr_matrix(mapped))
+            perm = self.ordering
+            mapped = (sparse.diags(scale / self.mass[perm]) @ self.stiffness[perm][:, perm]
+                      - sparse.identity(self.n))
+            mapped = sparse.csr_matrix(mapped)
+            mapped.sort_indices()
+            self._affine = (scale, mapped)
         return self._affine[1]
+
+
+def _level_order(pattern: sparse.csr_matrix) -> np.ndarray:
+    """Breadth-first level order of a sparsity pattern, one component after another.
+
+    Each component is swept twice.  The second sweep starts from the last
+    vertex the first one reached, a pseudo-peripheral vertex, so the levels
+    are narrow (Cuthill & McKee, 1969).  Each level lists its vertices in
+    the order the previous level discovered them.  A degree-``j``
+    polynomial of the matrix carries a set of vertices only ``j`` levels
+    further, so a run of consecutive positions stays within a narrow range
+    of positions.
+    """
+    indptr, indices = pattern.indptr, pattern.indices
+    n = pattern.shape[0]
+    seen = np.zeros(n, dtype=bool)
+
+    def sweep(root: int) -> list[np.ndarray]:
+        levels = [np.array([root])]
+        seen[root] = True
+        while True:
+            starts = indptr[levels[-1]]
+            counts = indptr[levels[-1] + 1] - starts
+            gather = np.repeat(starts - np.cumsum(counts) + counts, counts)
+            reached = indices[gather + np.arange(gather.shape[0])]
+            fresh, found = np.unique(reached[~seen[reached]], return_index=True)
+            if fresh.size == 0:
+                return levels
+            levels.append(fresh[np.argsort(found, kind="stable")])
+            seen[levels[-1]] = True
+
+    parts = []
+    for root in range(n):
+        if not seen[root]:
+            first = np.concatenate(sweep(root))
+            seen[first] = False
+            parts.extend(sweep(int(first[-1])))
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.intp)
 
 
 def _stiffness_from_edges(n: int, edge_i: np.ndarray, edge_j: np.ndarray,

@@ -21,6 +21,7 @@ import numpy as np
 import scipy.linalg
 from numpy.polynomial import chebyshev as npcheb
 from scipy.linalg.blas import daxpy
+from scipy.sparse import _sparsetools
 
 from .errors import NumericalError, OperatorError
 from .io_mesh import VertexSignal
@@ -237,49 +238,86 @@ def _truncated_coefficients(fn, b: float, order: int) -> np.ndarray:
     return c
 
 
+def _reach(a) -> tuple[np.ndarray, np.ndarray]:
+    """For each column ``c`` of ``a``, the lowest and highest row with an
+    entry in it, ``c`` itself included: the rows of ``a @ y`` that row ``c``
+    of ``y`` can make non-zero, plus the row it carries over itself."""
+    csc = a.tocsc()
+    csc.sort_indices()
+    first, last = np.arange(a.shape[0]), np.arange(a.shape[0])
+    filled = np.flatnonzero(np.diff(csc.indptr))
+    first[filled] = np.minimum(filled, csc.indices[csc.indptr[filled]])
+    last[filled] = np.maximum(filled, csc.indices[csc.indptr[filled + 1] - 1])
+    return first, last
+
+
 def chebyshev_apply(op: SparseOperator, fn, x: np.ndarray, order: int):
     """Evaluate ``fn`` of the generalized Laplacian on a vector or block.
 
     Maps the spectral interval [0, 1.01 * lambda_max] to [-1, 1] and runs
-    ``order`` steps of the three-term recurrence in place on the operator's
-    cached mapped CSR.  ``fn`` may also be a sequence of functions: the
-    blocks ``T_j`` do not depend on the function, only the coefficients do,
-    so one recurrence fills one output per function and a list is returned.
-    Each function keeps only the terms up to its own certified order (at
-    most ``order``), so its output does not depend on the other functions
-    of the pass.
+    ``order`` steps of the three-term recurrence on the operator's cached
+    mapped CSR.  ``fn`` may also be a sequence of functions: the blocks
+    ``T_j`` do not depend on the function, only the coefficients do, so one
+    recurrence fills one output per function and a list is returned.  Each
+    function keeps only the terms up to its own certified order (at most
+    ``order``), so its output does not depend on the other functions of
+    the pass.
+
+    The recurrence runs in the operator's :attr:`~SparseOperator.ordering`.
+    ``T_j`` is non-zero only on rows within ``j`` steps of the non-zero rows
+    of ``x``; in that order they form a range of rows, which each step
+    widens and outside which the blocks stay exact zeros.  Each step is one
+    in-place call of scipy's CSR block product kernel on that range.
     """
     if order < 1:
         raise ValueError(f"order must be at least 1, got {order}")
     fns = [fn] if callable(fn) else list(fn)
-    x = np.ascontiguousarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape[0] != op.n:
+        raise ValueError(f"input has {x.shape[0]} rows for {op.n} vertices")
     b = _interval(op)
     if b <= 0:
         outs = [float(f(np.zeros(1))[0]) * x for f in fns]
         return outs[0] if callable(fn) else outs
     coeffs = [_truncated_coefficients(f, b, order) for f in fns]
     a = op.affine(2.0 / b)
+    perm = op.ordering
+    first, last = _reach(a)
+    n = op.n
 
-    t_prev = x
-    t_cur = a @ x
-    accs = []
-    for c in coeffs:
-        acc = (0.5 * c[0]) * x
-        if c[1]:
-            daxpy(t_cur.reshape(-1), acc.reshape(-1), a=c[1])
-        accs.append(acc)
-    for jj in range(2, order + 1):
-        t_next = a @ t_cur
-        t_next *= 2.0
-        t_next -= t_prev
-        if not np.all(np.isfinite(t_next)):
+    # S_j = sigma_j T_j with sigma = +, +, -, -, +, ... turns each step into
+    # a pure accumulate into S_{j-1}'s buffer: S_{j+1} = S_{j-1} + 2A S_j
+    # for even j and S_{j-1} - 2A S_j for odd j
+    signed = (2.0 * a.data, -2.0 * a.data)
+    older = x.reshape(n, -1)[perm]
+    width = older.shape[1]
+    nonzero = np.flatnonzero(older.any(axis=1))
+    lo, hi = (int(nonzero[0]), int(nonzero[-1]) + 1) if nonzero.size else (0, 0)
+    accs = [(0.5 * c[0]) * older for c in coeffs]
+    newer, older = older, np.zeros_like(older)
+    for jj in range(1, order + 1):
+        if hi > lo:
+            lo, hi = int(first[lo:hi].min()), int(last[lo:hi].max()) + 1
+        _sparsetools.csr_matvecs(hi - lo, n, width, a.indptr[lo:hi + 1], a.indices,
+                                 a.data if jj == 1 else signed[1 - jj % 2],
+                                 newer.reshape(-1), older[lo:hi].reshape(-1))
+        active = older[lo:hi].reshape(-1)
+        if jj > 1 and not np.isfinite(active.sum()):
             raise NumericalError(f"non-finite Chebyshev intermediate at iteration {jj}")
-        flat = t_next.reshape(-1)
+        sigma = 1.0 if jj % 4 < 2 else -1.0
         for acc, c in zip(accs, coeffs):
             if c[jj]:
-                daxpy(flat, acc.reshape(-1), a=c[jj])
-        t_prev, t_cur = t_cur, t_next
-    return accs[0] if callable(fn) else accs
+                daxpy(active, acc[lo:hi].reshape(-1), a=sigma * c[jj])
+        newer, older = older, newer
+
+    # back to vertex order, each output into a block the pass no longer needs
+    free, outs = [older, newer], []
+    for acc in accs:
+        out = free.pop()
+        out[perm] = acc
+        outs.append(out.reshape(x.shape))
+        free.append(acc)
+    return outs[0] if callable(fn) else outs
 
 
 def _signal_values(s) -> np.ndarray:

@@ -275,8 +275,10 @@ def test_usage_error_exits_2():
 
 
 def test_cli_import_does_not_load_scipy_spatial():
-    # only point-cloud commands build a kNN tree; mesh commands skip its import
+    # only point-cloud commands build a kNN tree; mesh commands skip its
+    # import, and the vertex ordering needs no graph package
     src = str(Path(mahf.filters.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    code = "import sys, mahf.cli; sys.exit('scipy.spatial' in sys.modules)"
+    code = ("import sys, mahf.cli; sys.exit('scipy.spatial' in sys.modules "
+            "or 'scipy.sparse.csgraph' in sys.modules)")
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -65,7 +65,7 @@ def filter_rows(values, k, positions=((0.0, 0, 0), (0.0, 1, 0), (1.0, 0, 0))):
     cols = np.asarray(values, dtype=float).reshape(-1, 1)
     n = cols.shape[0]
     positions = np.asarray(positions[:n], dtype=float)
-    h_real, h_imag = filters._contract(cols, 0, k, 0.0, z_frames(n), positions,
+    h_real, h_imag = filters._contract(cols, np.array([0]), k, 0.0, z_frames(n), positions,
                                        np.ones(n), np.eye(n))
     return h_real[0], h_imag[0]
 

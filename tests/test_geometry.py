@@ -97,6 +97,54 @@ def test_pca_normals_duplicate_neighborhood():
     pts = np.vstack([np.zeros((5, 3)), np.eye(3)])
     with pytest.raises(GeometryError, match="distinct"):
         pca_normals(pts, 4)
+    # a unit square far away, three coincident points and one beside them:
+    # vertex 4 sees two distinct positions, vertex 7 one; the first is named
+    square = [[100.0, 100, 100], [101, 100, 100], [100, 101, 100], [101, 101, 100]]
+    pts = np.vstack([square, np.zeros((3, 3)), [[1.0, 0, 0]]])
+    with pytest.raises(GeometryError, match="vertex 4 has fewer than 3 distinct"):
+        pca_normals(pts, 3)
+
+
+def _reference_pca_normals(points, k):
+    """Per-point plane fits, then the breadth-first sign sweep."""
+    n = points.shape[0]
+    nbrs = knn(points, k)
+    normals = np.empty_like(points)
+    for i in range(n):
+        nbr_pts = points[nbrs.indices[i]]
+        centered = nbr_pts - nbr_pts.mean(axis=0)
+        normals[i] = np.linalg.eigh(centered.T @ centered)[1][:, 0]
+    adjacency = [set() for _ in range(n)]
+    for i in range(n):
+        for j in nbrs.indices[i]:
+            adjacency[i].add(int(j))
+            adjacency[int(j)].add(i)
+    visited = np.zeros(n, dtype=bool)
+    for seed in np.lexsort((np.arange(n), -points[:, 2])):
+        if visited[seed]:
+            continue
+        if normals[seed, 2] < 0:
+            normals[seed] = -normals[seed]
+        visited[seed] = True
+        queue = [int(seed)]
+        while queue:
+            u = queue.pop(0)
+            for v in sorted(adjacency[u]):
+                if not visited[v]:
+                    if normals[v] @ normals[u] < 0:
+                        normals[v] = -normals[v]
+                    visited[v] = True
+                    queue.append(v)
+    return normals
+
+
+def test_pca_normals_match_per_point_reference():
+    rng = np.random.default_rng(5)
+    pts = rng.standard_normal((600, 3)) * [10.0, 10.0, 2.0]
+    got = pca_normals(pts, 8)
+    ref = _reference_pca_normals(pts, 8)
+    assert np.abs(got - ref).max() <= 1e-12
+    assert np.array_equal(np.sign(got), np.sign(ref))
 
 
 # --- tangent frames ---

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from numpy.polynomial import chebyshev as npcheb
+from scipy.sparse import _sparsetools
 
 from mahf.baselines import MhwSpec
 from mahf.errors import NumericalError, OperatorError
@@ -13,7 +14,7 @@ from mahf.spectral import (CHEB_TOL, HeatParams, certified_order, chebyshev_appl
                            chebyshev_coefficients, eigendecompose,
                            heat_apply_chebyshev, heat_function, heat_kernel_dense,
                            heat_kernel_row, semigroup_compose, shared_order,
-                           threshold_row)
+                           threshold_row, _truncated_coefficients)
 
 from conftest import dense_heat_oracle
 
@@ -152,6 +153,74 @@ def test_chebyshev_reports_nonfinite_iteration():
     with np.errstate(invalid="ignore"):
         with pytest.raises(NumericalError, match="iteration"):
             heat_apply_chebyshev(op, HeatParams(1.0, 10), np.ones(2))
+
+
+def test_chebyshev_rejects_nonfinite_block(grid20_op):
+    x = np.zeros((grid20_op.n, 3))
+    x[17, 1] = np.nan
+    with pytest.raises(NumericalError,
+                       match="non-finite Chebyshev intermediate at iteration 2"):
+        chebyshev_apply(grid20_op, heat_function(5.0), x, 10)
+
+
+def reference_chebyshev(op, fns, x, order):
+    """Plain three-term recurrence on the mapped operator in vertex order."""
+    b = 1.01 * op.lambda_max
+    a = sp.diags(2.0 / (b * op.mass)) @ op.stiffness - sp.identity(op.n)
+    coeffs = [_truncated_coefficients(fn, b, order) for fn in fns]
+    t_prev, t_cur = x, a @ x
+    outs = [0.5 * c[0] * x + c[1] * t_cur for c in coeffs]
+    for j in range(2, order + 1):
+        t_prev, t_cur = t_cur, 2.0 * (a @ t_cur) - t_prev
+        for out, c in zip(outs, coeffs):
+            out += c[j] * t_cur
+    return outs
+
+
+def scattered_components_op():
+    """A weighted path and cycle plus an isolated vertex, labels shuffled,
+    with non-uniform mass."""
+    rng = np.random.default_rng(21)
+    label = rng.permutation(14)
+    edges = [(i, i + 1) for i in range(5)] + [(7 + i, 7 + (i + 1) % 7) for i in range(7)]
+    w = np.zeros((14, 14))
+    for i, j in edges:
+        w[label[i], label[j]] = w[label[j], label[i]] = rng.uniform(0.5, 2.0)
+    return SparseOperator(sp.csr_matrix(np.diag(w.sum(axis=1)) - w),
+                          rng.uniform(0.5, 2.0, 14))
+
+
+@pytest.mark.parametrize("which", ["ico162", "grid20", "components"])
+def test_chebyshev_matches_reference_recurrence(request, which):
+    op = (scattered_components_op() if which == "components"
+          else request.getfixturevalue(f"{which}_op"))
+    assert np.array_equal(np.sort(op.ordering), np.arange(op.n))
+    assert np.array_equal(SparseOperator(op.stiffness, op.mass).ordering, op.ordering)
+    rng = np.random.default_rng(13)
+    centres = rng.choice(op.n, 5, replace=False)
+    indicators = np.zeros((op.n, 5))
+    indicators[centres, np.arange(5)] = 1.0 / op.mass[centres]
+    specs = [HeatParams(5.0), HeatParams(20.0), MhwSpec(10.0)]
+    fns = [heat_function(5.0), heat_function(20.0), lambda x: x * np.exp(-10.0 * x)]
+    order = shared_order(op, specs, fns)
+    for x in (rng.standard_normal(op.n), indicators, rng.standard_normal((op.n, 4))):
+        for got, ref in zip(chebyshev_apply(op, fns, x, order),
+                            reference_chebyshev(op, fns, x, order)):
+            assert got.shape == x.shape
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_csr_matvecs_row_slice_accumulates_in_place():
+    # the recurrence relies on this private scipy kernel: given the rows
+    # [1, 3) of indptr, it adds those rows of A @ X into the output it gets
+    a = sp.csr_matrix(np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]]))
+    x = np.arange(6.0).reshape(3, 2)
+    y = np.ones((3, 2))
+    _sparsetools.csr_matvecs(2, 3, 2, a.indptr[1:], a.indices, a.data,
+                             x.reshape(-1), y[1:].reshape(-1))
+    expected = np.ones((3, 2))
+    expected[1:] += (a @ x)[1:]
+    assert np.array_equal(y, expected)
 
 
 def test_chebyshev_function_sequence_matches_separate_calls(ico642_op):
