@@ -25,8 +25,8 @@ from .errors import NumericalError
 from .geometry import FrameField, effective_normals
 from .io_mesh import Mesh, VertexSignal
 from .laplacian import SparseOperator
-from .spectral import (HeatParams, chebyshev_apply, heat_function, shared_order,
-                       threshold_row)
+from .spectral import (HeatParams, chebyshev_apply, heat_function, reached_rows,
+                       shared_order, threshold_row)
 
 _DEGENERATE_RTOL = 1e-9
 _CHUNK = 512
@@ -61,84 +61,123 @@ class FilterResponse:
         return cls(r_real, r_imag, r_real ** 2 + r_imag ** 2, spec)
 
 
-def _azimuths(positions, frames: FrameField, centres, neighbours) -> np.ndarray:
-    """Azimuth of each neighbour seen from its centre, in the centre's tangent frame.
+def _unit_tangents(positions, frames: FrameField, centres, neighbours):
+    """Direction of each neighbour seen from its centre, in the centre's tangent frame.
 
-    The displacement's normal component is projected out.  Angles lie in
-    (-pi, pi]; NaN marks a neighbour that is the centre itself or lies
-    (numerically) along the centre's normal.
+    Returns the cosine and sine of the neighbour's azimuth: the in-plane
+    frame coordinates ``(d.x, d.y)`` of the displacement ``d`` over their
+    norm, the length of its tangent part.  Both are 0 for a neighbour that
+    is the centre itself or lies (numerically) along the centre's normal.
     """
     d = positions.take(neighbours, axis=0) - positions.take(centres, axis=0)
-    d_sq = np.einsum("pc,pc->p", d, d)
-    normal = frames.normals.take(centres, axis=0)
-    d -= np.einsum("pc,pc->p", d, normal)[:, None] * normal
-    t_sq = np.einsum("pc,pc->p", d, d)
-    theta = np.arctan2(np.einsum("pc,pc->p", d, frames.y_axis.take(centres, axis=0)),
-                       np.einsum("pc,pc->p", d, frames.x_axis.take(centres, axis=0)))
-    theta[theta <= -np.pi] += 2.0 * np.pi
-    theta[(d_sq == 0.0) | (t_sq <= _DEGENERATE_RTOL ** 2 * d_sq)] = np.nan
-    return theta
+    u = np.einsum("pc,pc->p", d, frames.x_axis.take(centres, axis=0))
+    v = np.einsum("pc,pc->p", d, frames.y_axis.take(centres, axis=0))
+    t_sq = u * u + v * v
+    inv = np.zeros_like(t_sq)
+    np.divide(1.0, np.sqrt(t_sq), out=inv,
+              where=t_sq > _DEGENERATE_RTOL ** 2 * np.einsum("pc,pc->p", d, d))
+    return u * inv, v * inv
 
 
-def _contract(cols, centres, k: int, threshold: float, frames: FrameField,
-              positions, mass, signals):
+def _contract(cols, neighbours, centres, terms, frames: FrameField, positions, mass,
+              signals):
     """Responses at the vertices ``centres`` from their kernel columns.
 
-    Each kept entry of the (N, width) block ``cols`` pairs a neighbour ``j``
-    (its row) with a centre (its column).  The pair weighs ``s_j`` by the
-    kernel entry times the mass of ``j`` and, for ``k >= 1``, by cos/sin of
-    ``k`` times the neighbour's azimuth; self and degenerate pairs add 0.
-    Returns the real and imaginary (width, C) blocks.
+    ``cols`` holds one (rows, width) block of kernel columns per diffusion
+    time; row ``r`` belongs to vertex ``neighbours[r]`` and column ``l`` to
+    ``centres[l]``.  Each ``(block, k, threshold)`` of ``terms`` is one
+    filter: an entry of its block kept by its threshold pairs a neighbour
+    ``j`` with a centre and weighs ``s_j`` by the kernel entry times the mass
+    of ``j`` and, for ``k >= 1``, by cos/sin of ``k`` times the neighbour's
+    azimuth; self and degenerate pairs add 0.  Each block is thresholded
+    once per threshold and each kept pair's tangent computed once for all
+    terms.  Returns one pair of real and imaginary (width, C) blocks per term.
     """
-    width = cols.shape[1]
-    values, kept = threshold_row(cols, threshold)
-    j, local = np.divmod(kept, width)
-    w = values.reshape(-1)[kept] * mass[j]
-    if k == 0:
-        parts = [w]
-    else:
-        ka = k * _azimuths(positions, frames, centres.take(local), j)
-        finite = np.isfinite(ka)
-        parts = [np.where(finite, w * np.cos(ka), 0.0),
-                 np.where(finite, w * np.sin(ka), 0.0)]
-    out = np.zeros((2, width, signals.shape[1]))
+    width = centres.shape[0]
+    keeps = {}
+    for b, _, threshold in terms:
+        if (b, threshold) not in keeps:
+            keeps[b, threshold] = threshold_row(cols[b], threshold)[0]
+    union = np.logical_or.reduce(list(keeps.values()))
+    r, local = np.divmod(np.flatnonzero(union), width)
+    j = neighbours.take(r)
     s = signals.take(j, axis=0)
-    for part, r in zip(parts, out):
-        for c in range(s.shape[1]):
-            r[:, c] = np.bincount(local, part * s[:, c], minlength=width)
-    return out[0], out[1]
+    m = mass.take(j)
+
+    # cos/sin of k theta for k = 1, 2, ... by angle addition from the unit tangent
+    harmonics = {}
+    top = max(k for _, k, _ in terms)
+    if top:
+        c1, s1 = ck, sk = _unit_tangents(positions, frames, centres.take(local), j)
+        harmonics[1] = c1, s1
+        for k in range(2, top + 1):
+            ck, sk = harmonics[k] = ck * c1 - sk * s1, sk * c1 + ck * s1
+
+    results = []
+    for b, k, threshold in terms:
+        w = cols[b][r, local] * m
+        if len(keeps) > 1:
+            w[~keeps[b, threshold][r, local]] = 0.0
+        out = np.zeros((2, width, s.shape[1]))
+        for part, res in zip([w] if k == 0 else [w * h for h in harmonics[k]], out):
+            for c in range(s.shape[1]):
+                res[:, c] = np.bincount(local, part * s[:, c], minlength=width)
+        results.append((out[0], out[1]))
+    return results
 
 
 def _response_block(op: SparseOperator, frames: FrameField, positions: np.ndarray,
                     specs: list[FilterSpec], signals: np.ndarray):
     """Responses for a block of signals: one (N, C) real/imaginary pair per spec.
 
-    One Chebyshev recurrence per chunk of kernel columns serves every spec.
-    A chunk is a run of consecutive vertices of the operator's ordering, so
-    its columns stay non-zero on few rows for the first steps.  The chunk
-    narrows as specs are added, so the live (N, width) blocks of the
-    recurrence stay within those of a single-spec chunk.  Each chunk is
-    contracted in slices of ``1 / _SLICES`` of its width.
+    One Chebyshev recurrence per chunk of kernel columns serves every spec,
+    with one function per distinct diffusion time.  A chunk is a run of
+    consecutive positions of the operator's ordering, so its columns stay
+    non-zero on few rows for the first steps, and its indicator block and
+    kernel columns stay in that order.  The chunk narrows as diffusion times
+    are added, so the live (N, width) blocks of the recurrence stay within
+    those of a single-time chunk.  Each chunk is contracted in slices of
+    ``1 / _SLICES`` of its width, on the rows the recurrence reached from
+    the slice.
     """
-    fns = [heat_function(spec.heat.t) for spec in specs]
-    order = shared_order(op, [spec.heat for spec in specs], fns)
+    times = {}
+    for spec in specs:
+        times.setdefault(spec.heat.t, len(times))
+    fns = [heat_function(t) for t in times]
+    order = shared_order(op, [spec.heat for spec in specs],
+                         [fns[times[spec.heat.t]] for spec in specs])
+    terms = [(times[spec.heat.t], spec.k, spec.heat.support_threshold) for spec in specs]
     n = op.n
     mass = op.mass
     responses = [(np.zeros_like(signals), np.zeros_like(signals)) for _ in specs]
-    width = max(1, 2 * _CHUNK // (len(specs) + 1))
+    width = max(1, 2 * _CHUNK // (len(fns) + 1))
     step = -(-width // _SLICES)
-
+    chunks = []
     for start in range(0, n, width):
-        chunk = op.ordering[start:start + width]
-        block = np.zeros((n, chunk.shape[0]))
-        block[chunk, np.arange(chunk.shape[0])] = 1.0 / mass[chunk]
-        blocks = chebyshev_apply(op, fns, block, order)
-        for spec, cols, (r_real, r_imag) in zip(specs, blocks, responses):
-            for lo in range(0, chunk.shape[0], step):
-                centres = chunk[lo:lo + step]
-                r_real[centres], r_imag[centres] = _contract(
-                    cols[:, lo:lo + step], centres, spec.k, spec.heat.support_threshold,
-                    frames, positions, mass, signals)
+        stop = min(start + width, n)
+        chunks.append([(lo, min(lo + step, stop)) for lo in range(start, stop, step)])
+    reached = iter(reached_rows(op, [bounds for chunk in chunks for bounds in chunk], order))
+
+    # the pass's blocks, reused by every chunk; the last chunk may be narrower
+    indicator = np.zeros(n * min(width, n))
+    kernels = [np.empty(n * min(width, n)) for _ in fns]
+    for chunk in chunks:
+        start, stop = chunk[0][0], chunk[-1][1]
+        w = stop - start
+        x = indicator[:n * w].reshape(n, w)
+        diagonal = (np.arange(start, stop), np.arange(w))
+        x[diagonal] = 1.0 / mass[op.ordering[start:stop]]
+        blocks = chebyshev_apply(op, fns, x, order,
+                                 out=[buf[:n * w].reshape(n, w) for buf in kernels])
+        x[diagonal] = 0.0
+        for lo, hi in chunk:
+            rows = slice(*next(reached))
+            centres = op.ordering[lo:hi]
+            parts = _contract([blk[rows, lo - start:hi - start] for blk in blocks],
+                              op.ordering[rows], centres, terms, frames, positions,
+                              mass, signals)
+            for (r_real, r_imag), (h_real, h_imag) in zip(responses, parts):
+                r_real[centres], r_imag[centres] = h_real, h_imag
 
     for r_real, r_imag in responses:
         bad = np.flatnonzero(~(np.isfinite(r_real).all(axis=1)

@@ -125,22 +125,22 @@ def _tree_knn(points: np.ndarray, k: int) -> NeighborList:
     # recomputed by an exact scan so ties always go to the lower index
     m = min(n, k + 2)
     dist, idx = tree.query(points, k=m)
-    out_idx = np.empty((n, k), dtype=np.int64)
-    out_dist = np.empty((n, k))
     scale = dist[:, -1].max() + 1.0
-    for i in range(n):
-        keep = idx[i] != i
-        cand_i, cand_d = idx[i][keep], dist[i][keep]
-        order = np.lexsort((cand_i, cand_d))
-        cand_i, cand_d = cand_i[order], cand_d[order]
-        boundary_tie = cand_d.shape[0] > k and cand_d[k] - cand_d[k - 1] <= 1e-12 * scale
-        if cand_d.shape[0] < k or boundary_tie:
-            d2 = np.sum((points - points[i]) ** 2, axis=1)
-            d2[i] = np.inf
-            order = np.lexsort((np.arange(n), d2))[:k]
-            out_idx[i], out_dist[i] = order, np.sqrt(d2[order])
-        else:
-            out_idx[i], out_dist[i] = cand_i[:k], cand_d[:k]
+    is_self = idx == np.arange(n)[:, None]
+    valid = m - np.count_nonzero(is_self, axis=1)
+    # self goes last; the others by distance, then index
+    dist = np.where(is_self, np.inf, dist)
+    order = np.lexsort((idx, dist))
+    idx = np.take_along_axis(idx, order, axis=1)
+    dist = np.take_along_axis(dist, order, axis=1)
+    out_idx = np.ascontiguousarray(idx[:, :k], dtype=np.int64)
+    out_dist = np.ascontiguousarray(dist[:, :k])
+    tied = (valid < k) | ((valid > k) & (dist[:, k] - dist[:, k - 1] <= 1e-12 * scale))
+    for i in np.flatnonzero(tied):
+        d2 = np.sum((points - points[i]) ** 2, axis=1)
+        d2[i] = np.inf
+        order = np.lexsort((np.arange(n), d2))[:k]
+        out_idx[i], out_dist[i] = order, np.sqrt(d2[order])
     return NeighborList(out_idx, out_dist)
 
 

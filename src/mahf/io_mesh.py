@@ -492,33 +492,45 @@ def write_mesh(path: str | Path, mesh: Mesh, fmt: str | None = None) -> None:
         raise MeshFormatError(f"unsupported mesh format {fmt!r}")
 
 
+def _rows_text(row_fmt: str, rows: np.ndarray) -> str:
+    """Every row of a 2-D array through the one-row %-format ``row_fmt``."""
+    return (row_fmt * rows.shape[0]) % tuple(rows.ravel().tolist())
+
+
+def _floats_fmt(count: int) -> str:
+    return " ".join([_FMT] * count)
+
+
 def _write_off(path: Path, mesh: Mesh) -> None:
+    rows = mesh.vertices if mesh.colors is None else np.hstack([mesh.vertices, mesh.colors])
     with open(path, "w") as fh:
         fh.write("COFF\n" if mesh.colors is not None else "OFF\n")
         fh.write(f"{mesh.n_vertices} {mesh.n_faces} 0\n")
-        rows = mesh.vertices if mesh.colors is None else np.hstack([mesh.vertices, mesh.colors])
-        for row in rows:
-            fh.write(" ".join(_FMT % v for v in row) + "\n")
-        for f in mesh.faces:
-            fh.write(f"3 {f[0]} {f[1]} {f[2]}\n")
+        fh.write(_rows_text(_floats_fmt(rows.shape[1]) + "\n", rows))
+        fh.write(_rows_text("3 %d %d %d\n", mesh.faces))
 
 
 def _write_obj(path: Path, mesh: Mesh) -> None:
+    rows = mesh.vertices if mesh.colors is None else np.hstack([mesh.vertices, mesh.colors])
     with open(path, "w") as fh:
-        rows = mesh.vertices if mesh.colors is None else np.hstack([mesh.vertices, mesh.colors])
-        for row in rows:
-            fh.write("v " + " ".join(_FMT % v for v in row) + "\n")
+        fh.write(_rows_text("v " + _floats_fmt(rows.shape[1]) + "\n", rows))
         if mesh.normals is not None:
-            for row in mesh.normals:
-                fh.write("vn " + " ".join(_FMT % v for v in row) + "\n")
-            for f in mesh.faces:
-                fh.write(f"f {f[0]+1}//{f[0]+1} {f[1]+1}//{f[1]+1} {f[2]+1}//{f[2]+1}\n")
+            fh.write(_rows_text("vn " + _floats_fmt(3) + "\n", mesh.normals))
+            fh.write(_rows_text("f %d//%d %d//%d %d//%d\n",
+                                np.repeat(mesh.faces + 1, 2, axis=1)))
         else:
-            for f in mesh.faces:
-                fh.write(f"f {f[0]+1} {f[1]+1} {f[2]+1}\n")
+            fh.write(_rows_text("f %d %d %d\n", mesh.faces + 1))
 
 
 def _write_ply(path: Path, mesh: Mesh, field: VertexSignal | None) -> None:
+    columns = [_vertex_rows(mesh)]
+    row_fmt = _floats_fmt(columns[0].shape[1])
+    if mesh.colors is not None:
+        columns.append(np.rint(mesh.colors * 255.0))
+        row_fmt += " %d %d %d"
+    if field is not None:
+        columns.append(field.values[:, None])
+        row_fmt += " " + _FMT
     with open(path, "w") as fh:
         fh.write("ply\nformat ascii 1.0\n")
         fh.write(f"element vertex {mesh.n_vertices}\n")
@@ -532,19 +544,8 @@ def _write_ply(path: Path, mesh: Mesh, field: VertexSignal | None) -> None:
         fh.write(f"element face {mesh.n_faces}\n")
         fh.write("property list uchar int vertex_indices\n")
         fh.write("end_header\n")
-        base = _vertex_rows(mesh)
-        colors = None
-        if mesh.colors is not None:
-            colors = np.rint(mesh.colors * 255.0).astype(int)
-        for i in range(mesh.n_vertices):
-            toks = [_FMT % v for v in base[i]]
-            if colors is not None:
-                toks.extend(str(c) for c in colors[i])
-            if field is not None:
-                toks.append(_FMT % field.values[i])
-            fh.write(" ".join(toks) + "\n")
-        for f in mesh.faces:
-            fh.write(f"3 {f[0]} {f[1]} {f[2]}\n")
+        fh.write(_rows_text(row_fmt + "\n", np.hstack(columns)))
+        fh.write(_rows_text("3 %d %d %d\n", mesh.faces))
 
 
 def write_response(path: str | Path, mesh: Mesh, field: VertexSignal,
@@ -570,8 +571,7 @@ def write_response(path: str | Path, mesh: Mesh, field: VertexSignal,
 def write_signal_csv(path: str | Path, field: VertexSignal) -> None:
     """One decimal value per line, in vertex order."""
     with open(path, "w") as fh:
-        for v in field.values:
-            fh.write(_FMT % v + "\n")
+        fh.write(_rows_text(_FMT + "\n", field.values.reshape(-1, 1)))
 
 
 def rgb_to_luminance(mesh: Mesh, weights=REC601_WEIGHTS) -> VertexSignal:

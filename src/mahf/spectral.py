@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 from numpy.polynomial import chebyshev as npcheb
-from scipy.linalg.blas import daxpy
+from scipy.linalg.blas import dasum, daxpy
 from scipy.sparse import _sparsetools
 
 from .errors import NumericalError, OperatorError
@@ -204,7 +204,8 @@ def shared_order(op: SparseOperator, params, fns) -> int:
     """Recurrence steps of one fused Chebyshev pass.
 
     ``params`` holds one spec per function of ``fns``, each with a diffusion
-    time ``t`` and a ``chebyshev_order``; all share that order setting.
+    time ``t`` and a ``chebyshev_order``; all share that order setting, and
+    specs may repeat a time.
     ``None`` gives the largest certified order of the pass.  An explicit
     order caps every expansion, and one ``RuntimeWarning`` names each ``t``
     whose tail at that order exceeds :data:`CHEB_TOL`.
@@ -219,8 +220,8 @@ def shared_order(op: SparseOperator, params, fns) -> int:
     needed = max(_first_certified(tail) for tail in tails)
     if order is None:
         return needed
-    short = [(p.t, tail[order]) for p, tail in zip(params, tails)
-             if order < tail.shape[0] and tail[order] > CHEB_TOL]
+    short = dict.fromkeys((p.t, tail[order]) for p, tail in zip(params, tails)
+                          if order < tail.shape[0] and tail[order] > CHEB_TOL)
     if short:
         warnings.warn(
             f"Chebyshev order {order} leaves a relative coefficient tail above "
@@ -251,7 +252,36 @@ def _reach(a) -> tuple[np.ndarray, np.ndarray]:
     return first, last
 
 
-def chebyshev_apply(op: SparseOperator, fn, x: np.ndarray, order: int):
+def _widen(reach, lo: int, hi: int) -> tuple[int, int]:
+    """The range of rows one recurrence step can make non-zero from the
+    non-zero rows ``[lo, hi)``."""
+    if hi <= lo:
+        return lo, hi
+    first, last = reach
+    return int(first[lo:hi].min()), int(last[lo:hi].max()) + 1
+
+
+def reached_rows(op: SparseOperator, bounds, order: int) -> list[tuple[int, int]]:
+    """For each ``(lo, hi)`` range of rows in :attr:`~SparseOperator.ordering`,
+    the range of rows that ``order`` steps of :func:`chebyshev_apply` can make
+    non-zero from an input that is non-zero only on it.
+
+    Outside that range the outputs of the recurrence are exact zeros.
+    """
+    b = _interval(op)
+    if b <= 0:
+        return [(int(lo), int(hi)) for lo, hi in bounds]
+    reach = _reach(op.affine(2.0 / b))
+    out = []
+    for lo, hi in bounds:
+        lo, hi = int(lo), int(hi)
+        for _ in range(order):
+            lo, hi = _widen(reach, lo, hi)
+        out.append((lo, hi))
+    return out
+
+
+def chebyshev_apply(op: SparseOperator, fn, x: np.ndarray, order: int, *, out=None):
     """Evaluate ``fn`` of the generalized Laplacian on a vector or block.
 
     Maps the spectral interval [0, 1.01 * lambda_max] to [-1, 1] and runs
@@ -263,11 +293,17 @@ def chebyshev_apply(op: SparseOperator, fn, x: np.ndarray, order: int):
     ``order``), so its output does not depend on the other functions of
     the pass.
 
-    The recurrence runs in the operator's :attr:`~SparseOperator.ordering`.
-    ``T_j`` is non-zero only on rows within ``j`` steps of the non-zero rows
-    of ``x``; in that order they form a range of rows, which each step
-    widens and outside which the blocks stay exact zeros.  Each step is one
-    in-place call of scipy's CSR block product kernel on that range.
+    Rows of ``x`` and of the outputs follow the operator's
+    :attr:`~SparseOperator.ordering`: row ``p`` belongs to vertex
+    ``op.ordering[p]``.  ``T_j`` is non-zero only on rows within ``j`` steps
+    of the non-zero rows of ``x``; in that order they form a range of rows,
+    which each step widens (see :func:`reached_rows`) and outside which the
+    blocks stay exact zeros.  Each step is one in-place call of scipy's CSR
+    block product kernel on that range.
+
+    ``out``, if given, receives the outputs and is returned: a C-contiguous
+    float64 array shaped like ``x``, or one per function for a sequence.
+    Its previous contents are overwritten.
     """
     if order < 1:
         raise ValueError(f"order must be at least 1, got {order}")
@@ -275,49 +311,63 @@ def chebyshev_apply(op: SparseOperator, fn, x: np.ndarray, order: int):
     x = np.asarray(x, dtype=np.float64)
     if x.shape[0] != op.n:
         raise ValueError(f"input has {x.shape[0]} rows for {op.n} vertices")
+    if out is None:
+        outs = [np.zeros(x.shape) for _ in fns]
+    else:
+        outs = [out] if callable(fn) else list(out)
+        if len(outs) != len(fns):
+            raise ValueError(f"{len(outs)} outputs for {len(fns)} functions")
+        if not all(o.shape == x.shape and o.dtype == np.float64 and o.flags.c_contiguous
+                   for o in outs):
+            raise ValueError("outputs must be C-contiguous float64 arrays shaped like the input")
+        for o in outs:
+            o.fill(0.0)
     b = _interval(op)
     if b <= 0:
-        outs = [float(f(np.zeros(1))[0]) * x for f in fns]
+        for f, o in zip(fns, outs):
+            np.multiply(x, float(f(np.zeros(1))[0]), out=o)
         return outs[0] if callable(fn) else outs
     coeffs = [_truncated_coefficients(f, b, order) for f in fns]
     a = op.affine(2.0 / b)
-    perm = op.ordering
-    first, last = _reach(a)
+    reach = _reach(a)
     n = op.n
+    x2 = x.reshape(n, -1)
+    width = x2.shape[1]
+    nonzero = np.flatnonzero(x2.any(axis=1))
+    lo, hi = (int(nonzero[0]), int(nonzero[-1]) + 1) if nonzero.size else (0, 0)
 
     # S_j = sigma_j T_j with sigma = +, +, -, -, +, ... turns each step into
     # a pure accumulate into S_{j-1}'s buffer: S_{j+1} = S_{j-1} + 2A S_j
     # for even j and S_{j-1} - 2A S_j for odd j
     signed = (2.0 * a.data, -2.0 * a.data)
-    older = x.reshape(n, -1)[perm]
-    width = older.shape[1]
-    nonzero = np.flatnonzero(older.any(axis=1))
-    lo, hi = (int(nonzero[0]), int(nonzero[-1]) + 1) if nonzero.size else (0, 0)
-    accs = [(0.5 * c[0]) * older for c in coeffs]
-    newer, older = older, np.zeros_like(older)
+    newer, older = np.zeros((n, width)), np.zeros((n, width))
+    newer[lo:hi] = x2[lo:hi]
+    accs = [o.reshape(n, width) for o in outs]
+    for acc, c in zip(accs, coeffs):
+        np.multiply(newer[lo:hi], 0.5 * c[0], out=acc[lo:hi])
     for jj in range(1, order + 1):
-        if hi > lo:
-            lo, hi = int(first[lo:hi].min()), int(last[lo:hi].max()) + 1
+        lo, hi = _widen(reach, lo, hi)
         _sparsetools.csr_matvecs(hi - lo, n, width, a.indptr[lo:hi + 1], a.indices,
                                  a.data if jj == 1 else signed[1 - jj % 2],
                                  newer.reshape(-1), older[lo:hi].reshape(-1))
         active = older[lo:hi].reshape(-1)
-        if jj > 1 and not np.isfinite(active.sum()):
+        # a NaN or an infinity anywhere makes the sum of magnitudes
+        # non-finite; BLAS reads the block once, numpy's pairwise sum slower
+        if jj > 1 and not np.isfinite(dasum(active)):
             raise NumericalError(f"non-finite Chebyshev intermediate at iteration {jj}")
         sigma = 1.0 if jj % 4 < 2 else -1.0
         for acc, c in zip(accs, coeffs):
             if c[jj]:
                 daxpy(active, acc[lo:hi].reshape(-1), a=sigma * c[jj])
         newer, older = older, newer
-
-    # back to vertex order, each output into a block the pass no longer needs
-    free, outs = [older, newer], []
-    for acc in accs:
-        out = free.pop()
-        out[perm] = acc
-        outs.append(out.reshape(x.shape))
-        free.append(acc)
     return outs[0] if callable(fn) else outs
+
+
+def to_vertex_order(op: SparseOperator, y: np.ndarray) -> np.ndarray:
+    """Rows of ``y`` from :attr:`~SparseOperator.ordering` back to vertex order."""
+    out = np.empty_like(y)
+    out[op.ordering] = y
+    return out
 
 
 def _signal_values(s) -> np.ndarray:
@@ -334,41 +384,60 @@ def heat_apply_chebyshev(op: SparseOperator, params: HeatParams, s):
     """
     values = _signal_values(s)
     fn = heat_function(params.t)
-    out = chebyshev_apply(op, fn, values, shared_order(op, [params], [fn]))
+    out = to_vertex_order(op, chebyshev_apply(op, fn, values[op.ordering],
+                                              shared_order(op, [params], [fn])))
     if isinstance(s, VertexSignal):
         return VertexSignal(out, name=s.name)
     return out
 
 
 def threshold_row(row: np.ndarray, threshold: float):
-    """Zero entries below ``threshold`` times their column's maximum.
+    """Keep entries at or above ``threshold`` times their column's maximum.
 
-    ``row`` is a vector or an (N, C) block of kernel columns, each with its
-    own cutoff.  Returns the thresholded copy and the flat (row-major)
-    indices of the kept entries; threshold 0 keeps everything, zero and
-    negative entries included.
+    ``row`` is a vector or a (rows, C) block of kernel columns, each with its
+    own cutoff.  Returns the boolean keep mask, shaped like ``row``, and the
+    flat (row-major) indices of the kept entries; threshold 0 keeps
+    everything, zero and negative entries included.
     """
     if threshold <= 0:
-        return row.copy(), np.arange(row.size)
-    keep = row >= threshold * row.max(axis=0)
-    return np.where(keep, row, 0.0), np.flatnonzero(keep)
+        return np.ones(row.shape, dtype=bool), np.arange(row.size)
+    keep = row >= threshold * _column_max(row)
+    return keep, np.flatnonzero(keep)
+
+
+def _column_max(block: np.ndarray) -> np.ndarray:
+    """``block.max(axis=0)`` by folding the rows in halves.
+
+    On a column slice of a wider block, numpy's axis-0 reduction runs about
+    three times slower than these elementwise maxima of whole rows.
+    """
+    top = block
+    while top.shape[0] > 1:
+        half = top.shape[0] // 2
+        folded = np.maximum(top[:half], top[half:2 * half])
+        if top.shape[0] % 2:
+            np.maximum(folded[:1], top[-1:], out=folded[:1])
+        top = folded
+    return top[0]
 
 
 def heat_kernel_row(op: SparseOperator, params: HeatParams, i: int):
     """Row ``i`` of the heat kernel with entries below the cutoff zeroed.
 
-    Returns the ``(values, support)`` pair of :func:`threshold_row`: the
-    length-N row and the indices of its kept entries.  The mass-weighted
-    indicator makes the Chebyshev result match row ``i`` of the dense
-    spectral-sum kernel; for identity mass the input is the plain indicator.
+    Returns the length-N row and the indices of its kept entries (see
+    :func:`threshold_row`).  The mass-weighted indicator makes the Chebyshev
+    result match row ``i`` of the dense spectral-sum kernel; for identity
+    mass the input is the plain indicator.
     """
     if not 0 <= i < op.n:
         raise IndexError(f"vertex index {i} out of range for {op.n} vertices")
     x = np.zeros(op.n)
-    x[i] = 1.0 / op.mass[i]
+    x[op.ordering == i] = 1.0 / op.mass[i]
     fn = heat_function(params.t)
-    row = chebyshev_apply(op, fn, x, shared_order(op, [params], [fn]))
-    return threshold_row(row, params.support_threshold)
+    row = to_vertex_order(op, chebyshev_apply(op, fn, x, shared_order(op, [params], [fn])))
+    keep, support = threshold_row(row, params.support_threshold)
+    row[~keep] = 0.0
+    return row, support
 
 
 def semigroup_compose(k_t1: np.ndarray, k_t2: np.ndarray, mass: np.ndarray) -> np.ndarray:

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from mahf.baselines import MhwSpec, mhw_apply, mhw_normal_variation
+from mahf.geometry import vertex_normals
 from mahf.io_mesh import Mesh, VertexSignal
+from mahf.laplacian import cotan_operator
 
 
 def test_mhw_two_node_closed_form(two_node_op):
@@ -29,6 +31,20 @@ def test_mhw_matches_dense_oracle(ico162_op):
     exact = (phi * (w * np.exp(-10.0 * w))[None, :]) @ (phi.T @ (ico162_op.mass * s))
     got = mhw_apply(ico162_op, MhwSpec(10.0, 50), s)
     assert np.abs(got - exact).max() < 1e-7
+
+
+def test_mhw_normal_variation_matches_dense_oracle(ico162):
+    # an ellipsoid: the normal field varies from vertex to vertex
+    mesh = Mesh(ico162.vertices * [1.0, 1.0, 0.4], ico162.faces)
+    op = cotan_operator(mesh)
+    normals = vertex_normals(mesh)
+    inv = 1.0 / np.sqrt(op.mass)
+    w, v = np.linalg.eigh(inv[:, None] * op.stiffness.toarray() * inv[None, :])
+    phi = inv[:, None] * v
+    exact = (phi * (w * np.exp(-10.0 * w))[None, :]) @ (phi.T @ (op.mass[:, None] * normals))
+    field = mhw_normal_variation(mesh, op, MhwSpec(10.0, 50))
+    expected = np.sum(exact ** 2, axis=1)
+    assert np.abs(field.values - expected).max() < 1e-7 * expected.max()
 
 
 def test_mhw_mean_orthogonal_to_constants(path4_op):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import mahf.filters as filters
 from mahf.errors import NumericalError
@@ -9,7 +10,7 @@ from mahf.geometry import FrameField, build_frames, vertex_normals
 from mahf.io_mesh import Mesh, VertexSignal
 from mahf.laplacian import cotan_operator, gaussian_knn_operator
 from mahf.spectral import (HeatParams, chebyshev_apply, heat_apply_chebyshev,
-                           threshold_row)
+                           heat_function, shared_order, threshold_row)
 
 from conftest import (GRID_SPACING, dense_heat_oracle, grid_columns_rows,
                       grid_interior_mask)
@@ -21,41 +22,45 @@ def z_frames(n, y_axis=(0.0, 1, 0)):
                       np.tile(y_axis, (n, 1)))
 
 
-# --- azimuths ---
+# --- unit tangents and filter rows ---
 
-def azimuth(p_i, p_j, frames=None):
-    """Azimuth of ``p_j`` seen from ``p_i`` in the frame of ``p_i``."""
+def tangent(p_i, p_j, frames=None):
+    """Cosine and sine of the azimuth of ``p_j`` seen from ``p_i`` in the frame of ``p_i``."""
     positions = np.array([p_i, p_j], dtype=float)
     frames = z_frames(2) if frames is None else frames
-    return filters._azimuths(positions, frames, np.array([0]), np.array([1]))[0]
+    c, s = filters._unit_tangents(positions, frames, np.array([0]), np.array([1]))
+    return c[0], s[0]
 
 
 def test_azimuth_along_x():
-    assert azimuth(np.zeros(3), [1.0, 0, 0]) == 0.0
+    assert tangent(np.zeros(3), [1.0, 0, 0]) == (1.0, 0.0)
 
 
 def test_azimuth_projects_out_normal():
-    theta = azimuth(np.zeros(3), [0.0, 2.0, 0.5])
-    assert theta == pytest.approx(np.pi / 2, abs=1e-15)
+    c, s = tangent(np.zeros(3), [0.0, 2.0, 0.5])
+    assert abs(c) <= 1e-15
+    assert s == pytest.approx(1.0, abs=1e-15)
 
 
 def test_azimuth_degenerate_cases():
-    assert np.isnan(azimuth(np.zeros(3), [0.0, 0, 1.0]))
-    assert np.isnan(azimuth(np.ones(3), np.ones(3)))
+    assert tangent(np.zeros(3), [0.0, 0, 1.0]) == (0.0, 0.0)
+    assert tangent(np.ones(3), np.ones(3)) == (0.0, 0.0)
 
 
 def test_azimuth_half_open_range():
-    theta = azimuth(np.zeros(3), [-1.0, -0.0, 0.0])
-    assert theta == pytest.approx(np.pi)
-    assert theta > 0
-    # negative zeros in the frame as well as the displacement
+    # the tangent has no branch cut: a negative zero in the displacement or
+    # in the frame changes no harmonic of the azimuth pi
+    assert tangent(np.zeros(3), [-1.0, -0.0, 0.0]) == (-1.0, 0.0)
     frames = z_frames(2, y_axis=(-0.0, -1.0, -0.0))
-    assert azimuth(np.zeros(3), [-1.0, 0.0, -0.0], frames) == np.pi
+    assert tangent(np.zeros(3), [-1.0, 0.0, -0.0], frames) == (-1.0, 0.0)
+    for k in (1, 2, 3):
+        h_r, h_i = filter_rows([0.0, 0.5], k, positions=((0.0, 0, 0), (-1.0, -0.0, 0.0)),
+                               frames=frames)
+        assert h_r[1] == 0.5 * (-1) ** k and h_i[1] == 0.0
 
 
-# --- filter rows ---
-
-def filter_rows(values, k, positions=((0.0, 0, 0), (0.0, 1, 0), (1.0, 0, 0))):
+def filter_rows(values, k, positions=((0.0, 0, 0), (0.0, 1, 0), (1.0, 0, 0)),
+                frames=None):
     """Real and imaginary filter rows of vertex 0 for its kernel column ``values``.
 
     In a z-up frame at the origin vertex 1 sits at azimuth pi/2 and vertex 2
@@ -65,8 +70,10 @@ def filter_rows(values, k, positions=((0.0, 0, 0), (0.0, 1, 0), (1.0, 0, 0))):
     cols = np.asarray(values, dtype=float).reshape(-1, 1)
     n = cols.shape[0]
     positions = np.asarray(positions[:n], dtype=float)
-    h_real, h_imag = filters._contract(cols, np.array([0]), k, 0.0, z_frames(n), positions,
-                                       np.ones(n), np.eye(n))
+    frames = z_frames(n) if frames is None else frames
+    [(h_real, h_imag)] = filters._contract([cols], np.arange(n), np.array([0]),
+                                           [(0, k, 0.0)], frames, positions,
+                                           np.ones(n), np.eye(n))
     return h_real[0], h_imag[0]
 
 
@@ -93,6 +100,27 @@ def test_filter_rows_degenerate_and_self_zero():
     # vertex 0 is the centre itself and vertex 1 lies along its normal
     h_r, h_i = filter_rows([0.5, 0.3], k=1, positions=((0.0, 0, 0), (0.0, 0, 1)))
     assert not h_r.any() and not h_i.any()
+
+
+def test_filter_rows_match_azimuth_reference():
+    # cos/sin of k theta come from the unit tangent by angle addition; they
+    # match the angle functions of the azimuth up to rounding
+    rng = np.random.default_rng(4)
+    positions = np.vstack([np.zeros(3), rng.standard_normal((40, 3))])
+    normal = rng.standard_normal(3)
+    normal /= np.linalg.norm(normal)
+    x_axis = np.cross(normal, rng.standard_normal(3))
+    x_axis /= np.linalg.norm(x_axis)
+    frames = FrameField(np.tile(normal, (41, 1)), np.tile(x_axis, (41, 1)),
+                        np.tile(np.cross(normal, x_axis), (41, 1)))
+    values = rng.uniform(0.1, 1.0, 41)
+    d = positions - positions[0]
+    theta = np.arctan2(d @ frames.y_axis[0], d @ frames.x_axis[0])
+    for k in range(1, 6):
+        h_r, h_i = filter_rows(values, k, positions=positions, frames=frames)
+        assert np.abs(h_r[1:] - values[1:] * np.cos(k * theta[1:])).max() <= 1e-14
+        assert np.abs(h_i[1:] - values[1:] * np.sin(k * theta[1:])).max() <= 1e-14
+        assert h_r[0] == h_i[0] == 0.0
 
 
 # --- applying filters ---
@@ -295,9 +323,9 @@ def test_chunk_width_shrinks_with_scale_count(monkeypatch, grid20, grid20_op,
                                               grid20_frames):
     widths = []
 
-    def recording(op, fn, x, order):
+    def recording(op, fn, x, order, **kwargs):
         widths.append((len(fn), x.shape[1]))
-        return chebyshev_apply(op, fn, x, order)
+        return chebyshev_apply(op, fn, x, order, **kwargs)
 
     monkeypatch.setattr(filters, "_CHUNK", 8)
     monkeypatch.setattr(filters, "chebyshev_apply", recording)
@@ -315,16 +343,30 @@ def test_chunk_width_shrinks_with_scale_count(monkeypatch, grid20, grid20_op,
     assert set(single) == {8} and set(triple) == {4}
 
 
+def reached_rows_reference(op, lo, hi, order):
+    """Rows ``order`` recurrence steps can reach from the ordered rows [lo, hi):
+    each step widens the range to every row with a non-zero entry in one of
+    its columns of the ordered stiffness, the diagonal included."""
+    perm = op.ordering
+    pattern = (abs(op.stiffness[perm][:, perm]) + sp.identity(op.n)).tocsc()
+    pattern.eliminate_zeros()
+    for _ in range(order):
+        rows = pattern[:, lo:hi].indices
+        lo, hi = int(rows.min()), int(rows.max()) + 1
+    return lo, hi
+
+
 def test_contraction_slices_bound_pair_count(monkeypatch, grid20, grid20_op,
                                               grid20_frames):
-    # every pair is kept at threshold 0; the contraction still sees at most
-    # N * ceil(width / 8) of them at once, and each pair exactly once per scale
+    # every reached pair is kept at threshold 0; the contraction still sees
+    # at most N * ceil(width / 8) of them at once, and each pair the
+    # recurrence reached from a slice exactly once per scale
     kept = []
 
     def recording(block, threshold):
-        values, flat = threshold_row(block, threshold)
+        keep, flat = threshold_row(block, threshold)
         kept.append(flat.shape[0])
-        return values, flat
+        return keep, flat
 
     monkeypatch.setattr(filters, "threshold_row", recording)
     s = step_signal(grid20)
@@ -334,8 +376,70 @@ def test_contraction_slices_bound_pair_count(monkeypatch, grid20, grid20_op,
         multiscale_apply(grid20_op, grid20_frames, grid20.vertices, 1, ts, s,
                          support_threshold=0.0)
         width = 2 * filters._CHUNK // (len(ts) + 1)
-        assert max(kept) <= n * -(-width // 8)
-        assert sum(kept) == len(ts) * n * n
+        step = -(-width // 8)
+        order = shared_order(grid20_op, [HeatParams(t) for t in ts],
+                             [heat_function(t) for t in ts])
+        reached = 0
+        for start in range(0, n, width):
+            for lo in range(start, min(start + width, n), step):
+                hi = min(lo + step, start + width, n)
+                r_lo, r_hi = reached_rows_reference(grid20_op, lo, hi, order)
+                reached += (r_hi - r_lo) * (hi - lo)
+        assert max(kept) <= n * step
+        assert sum(kept) == len(ts) * reached
+
+
+def test_mixed_specs_share_one_contraction(monkeypatch, ico642, ico642_op):
+    frames = build_frames(vertex_normals(ico642))
+    s = np.random.default_rng(8).standard_normal(ico642_op.n)
+    specs = [FilterSpec(0, HeatParams(5.0)), FilterSpec(1, HeatParams(10.0, None, 1e-3)),
+             FilterSpec(2, HeatParams(20.0, None, 0.0)), FilterSpec(3, HeatParams(10.0))]
+    calls = []
+
+    def recording(op, fn, x, order, **kwargs):
+        calls.append(len(fn))
+        return chebyshev_apply(op, fn, x, order, **kwargs)
+
+    monkeypatch.setattr(filters, "chebyshev_apply", recording)
+    fused = apply_filter(ico642_op, frames, ico642.vertices, specs, s)
+    # one recurrence function per distinct diffusion time, one call per chunk
+    width = 2 * filters._CHUNK // 4
+    assert calls == [3] * -(-ico642_op.n // width)
+    for spec, got in zip(specs, fused):
+        alone = apply_filter(ico642_op, frames, ico642.vertices, spec, s)
+        scale = np.abs(alone.r_real).max() + np.abs(alone.r_imag).max()
+        assert got.spec == spec
+        assert np.abs(got.r_real - alone.r_real).max() <= 1e-13 * scale
+        assert np.abs(got.r_imag - alone.r_imag).max() <= 1e-13 * scale
+
+
+def relabelled(mesh, perm):
+    """``mesh`` with new vertex ``q`` the old vertex ``perm[q]``."""
+    inverse = np.empty_like(perm)
+    inverse[perm] = np.arange(perm.shape[0])
+    return Mesh(mesh.vertices[perm], inverse[mesh.faces])
+
+
+def test_vertex_permutation_equivariance(ico642):
+    perm = np.random.default_rng(17).permutation(ico642.n_vertices)
+    meshes = (ico642, relabelled(ico642, perm))
+    ops = [cotan_operator(m) for m in meshes]
+    frames = [build_frames(vertex_normals(m)) for m in meshes]
+    s = np.random.default_rng(18).standard_normal(ico642.n_vertices)
+    signals = (s, s[perm])
+    ts = [5.0, 10.0, 20.0]
+    for k in (0, 1, 2):
+        ref, got = (multiscale_apply(op, fr, m.vertices, k, ts, sig)
+                    for op, fr, m, sig in zip(ops, frames, meshes, signals))
+        for a, b in zip(ref, got):
+            for field in ("r_real", "r_imag", "r2"):
+                want, have = getattr(a, field)[perm], getattr(b, field)
+                assert np.abs(have - want).max() <= 1e-12 * np.abs(want).max()
+    specs = [FilterSpec(1, HeatParams(t)) for t in ts]
+    ref, got = (normal_variation(m, op, fr, specs)
+                for op, fr, m in zip(ops, frames, meshes))
+    for a, b in zip(ref, got):
+        assert np.abs(b.values - a.values[perm]).max() <= 1e-12 * np.abs(a.values).max()
 
 
 def test_fused_pass_validates_specs(grid20, grid20_op, grid20_frames):

@@ -259,3 +259,18 @@ def test_knn_accelerated_path_tie_break():
     indices, distances = _oracle_knn(pts, 3)
     assert np.array_equal(nbrs.indices, indices)
     assert np.array_equal(nbrs.distances, distances)
+
+
+def test_knn_integer_lattice_ties():
+    # on a lattice most rows tie at the k-th neighbour: 6 at distance 1,
+    # 12 at sqrt(2), 8 at sqrt(3); duplicated points tie at distance 0
+    axes = np.arange(5.0), np.arange(4.0), np.arange(3.0)
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    pts = np.concatenate([pts, pts[::7]])
+    rng = np.random.default_rng(3)
+    pts = pts[rng.permutation(len(pts))]
+    for k in (1, 2, 5, 6, 7, 12):
+        nbrs = knn(pts, k)
+        indices, distances = _oracle_knn(pts, k)
+        assert np.array_equal(nbrs.indices, indices)
+        assert np.array_equal(nbrs.distances, distances)

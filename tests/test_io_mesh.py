@@ -237,3 +237,73 @@ def test_mesh_invariants_enforced():
         Mesh(verts, [(0, 1, 2)], colors=np.full((3, 3), 1.5))
     with pytest.raises(ValueError, match="non-finite"):
         VertexSignal([1.0, np.nan])
+
+
+# --- writers against a per-line reference ---
+
+_REF = "%.17g"
+
+
+def _reference_text(kind, mesh, field=None):
+    """Writer output, one formatted line at a time."""
+    lines = []
+    if kind == "off":
+        lines.append("COFF" if mesh.colors is not None else "OFF")
+        lines.append(f"{mesh.n_vertices} {mesh.n_faces} 0")
+        rows = mesh.vertices if mesh.colors is None else np.hstack([mesh.vertices, mesh.colors])
+        lines += [" ".join(_REF % v for v in row) for row in rows]
+        lines += [f"3 {f[0]} {f[1]} {f[2]}" for f in mesh.faces]
+    elif kind == "obj":
+        rows = mesh.vertices if mesh.colors is None else np.hstack([mesh.vertices, mesh.colors])
+        lines += ["v " + " ".join(_REF % v for v in row) for row in rows]
+        if mesh.normals is not None:
+            lines += ["vn " + " ".join(_REF % v for v in row) for row in mesh.normals]
+            lines += [f"f {f[0]+1}//{f[0]+1} {f[1]+1}//{f[1]+1} {f[2]+1}//{f[2]+1}"
+                      for f in mesh.faces]
+        else:
+            lines += [f"f {f[0]+1} {f[1]+1} {f[2]+1}" for f in mesh.faces]
+    elif kind == "ply":
+        lines += ["ply", "format ascii 1.0", f"element vertex {mesh.n_vertices}",
+                  "property float x", "property float y", "property float z"]
+        if mesh.normals is not None:
+            lines += ["property float nx", "property float ny", "property float nz"]
+        if mesh.colors is not None:
+            lines += ["property uchar red", "property uchar green", "property uchar blue"]
+        if field is not None:
+            lines.append("property float quality")
+        lines += [f"element face {mesh.n_faces}", "property list uchar int vertex_indices",
+                  "end_header"]
+        base = mesh.vertices if mesh.normals is None else np.hstack([mesh.vertices,
+                                                                     mesh.normals])
+        for i in range(mesh.n_vertices):
+            toks = [_REF % v for v in base[i]]
+            if mesh.colors is not None:
+                toks += [str(c) for c in np.rint(mesh.colors[i] * 255.0).astype(int)]
+            if field is not None:
+                toks.append(_REF % field.values[i])
+            lines.append(" ".join(toks))
+        lines += [f"3 {f[0]} {f[1]} {f[2]}" for f in mesh.faces]
+    else:
+        lines += [_REF % v for v in field.values]
+    return "".join(line + "\n" for line in lines)
+
+
+def test_writers_match_per_line_reference(tmp_path):
+    vertices = np.array([[-0.0, 1e-300, 1e17], [1.0, -2.5e-7, 0.1],
+                         [0.3333333333333333, -1e17, -0.0], [2.0, 2.0, 5e-324]])
+    faces = np.array([[0, 1, 2], [1, 3, 2]])
+    colors = np.array([[-0.0, 1e-300, 1.0], [0.5, 0.25, 0.1], [1.0, 0.0, 0.7],
+                       [0.9999, 0.002, 0.5]])
+    normals = np.array([[-0.0, 0.0, 1.0], [1.0, -0.0, 0.0], [0.6, 0.8, -0.0],
+                        [0.0, -1.0, 0.0]])
+    field = VertexSignal([-0.0, 1e-300, 1e17, -3.0000000000000004])
+    full = Mesh(vertices, faces, colors=colors, normals=normals)
+    for mesh in (full, Mesh(vertices, faces), Mesh(vertices, np.zeros((0, 3)))):
+        for kind in ("off", "obj", "ply"):
+            out = tmp_path / f"m.{kind}"
+            write_mesh(out, mesh)
+            assert out.read_bytes() == _reference_text(kind, mesh).encode(), kind
+        for kind in ("ply", "csv"):
+            out = tmp_path / f"r.{kind}"
+            write_response(out, mesh, field)
+            assert out.read_bytes() == _reference_text(kind, mesh, field).encode(), kind

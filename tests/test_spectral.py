@@ -203,11 +203,34 @@ def test_chebyshev_matches_reference_recurrence(request, which):
     specs = [HeatParams(5.0), HeatParams(20.0), MhwSpec(10.0)]
     fns = [heat_function(5.0), heat_function(20.0), lambda x: x * np.exp(-10.0 * x)]
     order = shared_order(op, specs, fns)
+    perm = op.ordering
     for x in (rng.standard_normal(op.n), indicators, rng.standard_normal((op.n, 4))):
-        for got, ref in zip(chebyshev_apply(op, fns, x, order),
+        # the engine's rows follow the ordering; the reference's the vertices
+        for got, ref in zip(chebyshev_apply(op, fns, x[perm], order),
                             reference_chebyshev(op, fns, x, order)):
             assert got.shape == x.shape
-            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+            assert np.abs(got - ref[perm]).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_chebyshev_writes_into_out(ico162_op):
+    rng = np.random.default_rng(14)
+    fns = [heat_function(5.0), heat_function(20.0)]
+    x = np.zeros((ico162_op.n, 3))
+    x[10:13] = np.eye(3)
+    fresh = chebyshev_apply(ico162_op, fns, x, 30)
+    # stale contents of the outputs do not leak into the result
+    out = [rng.standard_normal(x.shape) for _ in fns]
+    got = chebyshev_apply(ico162_op, fns, x, 30, out=out)
+    assert all(g is o for g, o in zip(got, out))
+    for g, f in zip(got, fresh):
+        assert np.array_equal(g, f)
+    alone = rng.standard_normal(x.shape)
+    assert chebyshev_apply(ico162_op, fns[0], x, 30, out=alone) is alone
+    assert np.array_equal(alone, fresh[0])
+    with pytest.raises(ValueError, match="outputs"):
+        chebyshev_apply(ico162_op, fns, x, 30, out=out[:1])
+    with pytest.raises(ValueError, match="C-contiguous"):
+        chebyshev_apply(ico162_op, fns, x, 30, out=[o.T.copy().T for o in out])
 
 
 def test_csr_matvecs_row_slice_accumulates_in_place():
@@ -343,23 +366,24 @@ def test_threshold_row_block():
                       [1e-5, 0.0005],
                       [0.5, 0.0],
                       [0.0, 0.01]])
-    values, kept = threshold_row(block, 0.1)
+    keep, kept = threshold_row(block, 0.1)
     # each column keeps entries of at least 0.1 times its own maximum, so the
     # small second column keeps 0.002 and 0.01; indices are flat, row-major
     assert kept.tolist() == [0, 1, 4, 7]
-    assert np.array_equal(values, [[1.0, 0.002], [0.0, 0.0], [0.5, 0.0], [0.0, 0.01]])
-    # threshold 0 keeps every entry, zero and negative ones included, in a copy
+    assert np.array_equal(keep, [[True, True], [False, False], [True, False],
+                                 [False, True]])
+    # threshold 0 keeps every entry, zero and negative ones included
     block = np.array([[0.5, -1.0], [0.0, 2.0]])
-    values, kept = threshold_row(block, 0.0)
-    assert np.array_equal(values, block) and values is not block
+    keep, kept = threshold_row(block, 0.0)
+    assert keep.shape == block.shape and keep.all()
     assert kept.tolist() == [0, 1, 2, 3]
     # vectors keep their single cutoff
     row = np.array([2.0, 1e-5, 0.5, -1.0, 2e-4])
-    values, kept = threshold_row(row, 1e-4)
+    keep, kept = threshold_row(row, 1e-4)
     assert kept.tolist() == [0, 2, 4]
-    assert np.array_equal(values, [2.0, 0.0, 0.5, 0.0, 2e-4])
-    values, kept = threshold_row(row, 0.0)
-    assert np.array_equal(values, row) and values is not row
+    assert np.array_equal(keep, [True, False, True, False, True])
+    keep, kept = threshold_row(row, 0.0)
+    assert keep.shape == row.shape and keep.all()
     assert kept.tolist() == [0, 1, 2, 3, 4]
 
 
