@@ -302,8 +302,8 @@ def chebyshev_apply(op: SparseOperator, fn, x: np.ndarray, order: int, *, out=No
     block product kernel on that range.
 
     ``out``, if given, receives the outputs and is returned: a C-contiguous
-    float64 array shaped like ``x``, or one per function for a sequence.
-    Its previous contents are overwritten.
+    float64 array shaped like ``x`` and apart from it, or one per function
+    for a sequence.  Its previous contents are overwritten.
     """
     if order < 1:
         raise ValueError(f"order must be at least 1, got {order}")
@@ -320,6 +320,8 @@ def chebyshev_apply(op: SparseOperator, fn, x: np.ndarray, order: int, *, out=No
         if not all(o.shape == x.shape and o.dtype == np.float64 and o.flags.c_contiguous
                    for o in outs):
             raise ValueError("outputs must be C-contiguous float64 arrays shaped like the input")
+        if any(np.may_share_memory(o, x) for o in outs):
+            raise ValueError("outputs must not overlap the input")
         for o in outs:
             o.fill(0.0)
     b = _interval(op)

@@ -231,6 +231,8 @@ def test_chebyshev_writes_into_out(ico162_op):
         chebyshev_apply(ico162_op, fns, x, 30, out=out[:1])
     with pytest.raises(ValueError, match="C-contiguous"):
         chebyshev_apply(ico162_op, fns, x, 30, out=[o.T.copy().T for o in out])
+    with pytest.raises(ValueError, match="overlap"):
+        chebyshev_apply(ico162_op, fns[0], x, 30, out=x)
 
 
 def test_csr_matvecs_row_slice_accumulates_in_place():
