@@ -17,7 +17,7 @@ import numpy as np
 from .geometry import effective_normals
 from .io_mesh import Mesh, VertexSignal
 from .laplacian import SparseOperator
-from .spectral import chebyshev_apply, check_order, shared_order, to_vertex_order
+from .spectral import chebyshev_apply, check_order, shared_order
 
 
 @dataclass(frozen=True)
@@ -42,8 +42,7 @@ def mhw_apply(op: SparseOperator, spec: MhwSpec, s):
     """Apply ``L exp(-t L)`` to a signal; constants are annihilated."""
     values = s.values if isinstance(s, VertexSignal) else np.asarray(s, dtype=np.float64)
     fn = _mhw_function(spec.t)
-    out = to_vertex_order(op, chebyshev_apply(op, fn, values[op.ordering],
-                                              shared_order(op, [spec], [fn])))
+    out = chebyshev_apply(op, fn, values, shared_order(op, [spec], [fn]))
     if isinstance(s, VertexSignal):
         return VertexSignal(out, name=s.name)
     return out
@@ -58,9 +57,7 @@ def mhw_normal_variation(mesh: Mesh, op: SparseOperator,
     """
     specs = [spec] if isinstance(spec, MhwSpec) else list(spec)
     fns = [_mhw_function(sp.t) for sp in specs]
-    filtered = chebyshev_apply(op, fns, effective_normals(mesh)[op.ordering],
-                               shared_order(op, specs, fns))
-    fields = [VertexSignal(to_vertex_order(op, np.sum(f ** 2, axis=1)),
-                           name="mhw_normal_variation")
+    filtered = chebyshev_apply(op, fns, effective_normals(mesh), shared_order(op, specs, fns))
+    fields = [VertexSignal(np.sum(f ** 2, axis=1), name="mhw_normal_variation")
               for f in filtered]
     return fields[0] if isinstance(spec, MhwSpec) else fields

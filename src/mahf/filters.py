@@ -24,7 +24,7 @@ import numpy as np
 from .errors import NumericalError
 from .geometry import FrameField, effective_normals
 from .io_mesh import Mesh, VertexSignal
-from .laplacian import SparseOperator
+from .laplacian import SparseOperator, breadth_first
 from .spectral import (HeatParams, chebyshev_apply, heat_function, reached_rows,
                        shared_order, threshold_row)
 
@@ -126,18 +126,31 @@ def _contract(cols, neighbours, centres, terms, frames: FrameField, positions, m
     return results
 
 
+def _chunks(op: SparseOperator, width: int):
+    """Compact chunks of ``width`` vertices (the last may have fewer) that
+    partition the vertices: each grows breadth-first through unassigned
+    vertices from the lowest one, again from the next when it is cut off."""
+    assigned = np.zeros(op.n, dtype=bool)
+    for start in range(0, op.n, width):
+        parts, size = [], min(width, op.n - start)
+        while size > 0:
+            parts.append(breadth_first(op.stiffness, [int(np.argmin(assigned))], assigned,
+                                       size=size))
+            size -= parts[-1].shape[0]
+        yield np.concatenate(parts)
+
+
 def _response_block(op: SparseOperator, frames: FrameField, positions: np.ndarray,
                     specs: list[FilterSpec], signals: np.ndarray):
     """Responses for a block of signals: one (N, C) real/imaginary pair per spec.
 
     One Chebyshev recurrence per chunk of kernel columns serves every spec,
-    with one function per distinct diffusion time.  A chunk is a run of
-    consecutive positions of the operator's ordering, so its columns stay
-    non-zero on few rows for the first steps, and its indicator block and
-    kernel columns stay in that order.  The chunk narrows as diffusion times
-    are added, so the live (N, width) blocks of the recurrence stay within
-    those of a single-time chunk.  Each chunk is contracted in slices of
-    ``1 / _SLICES`` of its width, on the rows the recurrence reached from
+    with one function per distinct diffusion time.  It runs on the chunk's
+    ball: the operator restricted to the breadth-first levels around the
+    chunk, as deep as the pass's order, chunk first.  The chunk narrows as
+    diffusion times are added, so the live blocks of the recurrence stay
+    within those of a single-time chunk.  Each chunk is contracted in slices
+    of ``1 / _SLICES`` of its width, on the rows the recurrence reached from
     the slice.
     """
     times = {}
@@ -152,30 +165,26 @@ def _response_block(op: SparseOperator, frames: FrameField, positions: np.ndarra
     responses = [(np.zeros_like(signals), np.zeros_like(signals)) for _ in specs]
     width = max(1, 2 * _CHUNK // (len(fns) + 1))
     step = -(-width // _SLICES)
-    chunks = []
-    for start in range(0, n, width):
-        stop = min(start + width, n)
-        chunks.append([(lo, min(lo + step, stop)) for lo in range(start, stop, step)])
-    reached = iter(reached_rows(op, [bounds for chunk in chunks for bounds in chunk], order))
 
-    # the pass's blocks, reused by every chunk; the last chunk may be narrower
+    # the pass's blocks, reused by every chunk; a ball may have fewer rows
+    # and the last chunk fewer columns
     indicator = np.zeros(n * min(width, n))
     kernels = [np.empty(n * min(width, n)) for _ in fns]
-    for chunk in chunks:
-        start, stop = chunk[0][0], chunk[-1][1]
-        w = stop - start
-        x = indicator[:n * w].reshape(n, w)
-        diagonal = (np.arange(start, stop), np.arange(w))
-        x[diagonal] = 1.0 / mass[op.ordering[start:stop]]
-        blocks = chebyshev_apply(op, fns, x, order,
-                                 out=[buf[:n * w].reshape(n, w) for buf in kernels])
+    for chunk in _chunks(op, width):
+        ball = breadth_first(op.stiffness, chunk, np.zeros(n, dtype=bool), levels=order)
+        sub = op.restricted(ball)
+        w = chunk.shape[0]
+        x = indicator[:ball.shape[0] * w].reshape(-1, w)
+        diagonal = np.diag_indices(w)
+        x[diagonal] = 1.0 / mass[chunk]
+        blocks = chebyshev_apply(sub, fns, x, order,
+                                 out=[buf[:x.size].reshape(x.shape) for buf in kernels])
         x[diagonal] = 0.0
-        for lo, hi in chunk:
-            rows = slice(*next(reached))
-            centres = op.ordering[lo:hi]
-            parts = _contract([blk[rows, lo - start:hi - start] for blk in blocks],
-                              op.ordering[rows], centres, terms, frames, positions,
-                              mass, signals)
+        slices = [(lo, min(lo + step, w)) for lo in range(0, w, step)]
+        for (lo, hi), (r_lo, r_hi) in zip(slices, reached_rows(sub, slices, order)):
+            centres = chunk[lo:hi]
+            parts = _contract([blk[r_lo:r_hi, lo:hi] for blk in blocks], ball[r_lo:r_hi],
+                              centres, terms, frames, positions, mass, signals)
             for (r_real, r_imag), (h_real, h_imag) in zip(responses, parts):
                 r_real[centres], r_imag[centres] = h_real, h_imag
 

@@ -29,7 +29,9 @@ class SparseOperator:
     Attributes
     ----------
     stiffness : csr_matrix
-        Symmetric N x N matrix with zero row sums.
+        Symmetric N x N matrix.  An assembled operator's rows sum to zero;
+        a :meth:`restricted` one's do not at its boundary, where the
+        entries of edges leaving the vertex set are dropped.
     mass : (N,) array
         Positive diagonal entries; all ones for graph operators.
     """
@@ -39,7 +41,6 @@ class SparseOperator:
     _lambda_max: float | None = field(default=None, repr=False)
     _affine: tuple[float, sparse.csr_matrix] | None = field(default=None, repr=False,
                                                             compare=False)
-    _ordering: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.mass = np.ascontiguousarray(np.asarray(self.mass, dtype=np.float64)).reshape(-1)
@@ -60,68 +61,55 @@ class SparseOperator:
             self._lambda_max = estimate_lambda_max(self)
         return self._lambda_max
 
-    @property
-    def ordering(self) -> np.ndarray:
-        """Cached breadth-first level order of the vertices (see :func:`_level_order`).
-
-        Position ``p`` of the order holds vertex ``ordering[p]``.
-        """
-        if self._ordering is None:
-            self._ordering = _level_order(self.stiffness)
-        return self._ordering
-
     def affine(self, scale: float) -> sparse.csr_matrix:
-        """Cached ``scale * mass^-1 stiffness - I`` as one CSR matrix.
-
-        Rows and columns are in :attr:`ordering`, and each row's column
-        indices are sorted.
-        """
+        """Cached ``scale * mass^-1 stiffness - I`` as one CSR matrix with
+        sorted column indices in each row."""
         if self._affine is None or self._affine[0] != scale:
-            perm = self.ordering
-            mapped = (sparse.diags(scale / self.mass[perm]) @ self.stiffness[perm][:, perm]
-                      - sparse.identity(self.n))
-            mapped = sparse.csr_matrix(mapped)
+            mapped = sparse.csr_matrix(sparse.diags(scale / self.mass) @ self.stiffness
+                                       - sparse.identity(self.n))
             mapped.sort_indices()
             self._affine = (scale, mapped)
         return self._affine[1]
 
+    def restricted(self, vertices: np.ndarray) -> "SparseOperator":
+        """Principal submatrix and mass on ``vertices``, in that order.  It
+        keeps :attr:`lambda_max`: by Cauchy interlacing, the eigenvalues of a
+        principal submatrix of ``mass^-1/2 stiffness mass^-1/2`` stay in the
+        whole matrix's range."""
+        return SparseOperator(self.stiffness[vertices][:, vertices], self.mass[vertices],
+                              _lambda_max=self.lambda_max)
 
-def _level_order(pattern: sparse.csr_matrix) -> np.ndarray:
-    """Breadth-first level order of a sparsity pattern, one component after another.
 
-    Each component is swept twice.  The second sweep starts from the last
-    vertex the first one reached, a pseudo-peripheral vertex, so the levels
-    are narrow (Cuthill & McKee, 1969).  Each level lists its vertices in
-    the order the previous level discovered them.  A degree-``j``
-    polynomial of the matrix carries a set of vertices only ``j`` levels
-    further, so a run of consecutive positions stays within a narrow range
-    of positions.
+def breadth_first(pattern: sparse.csr_matrix, sources, seen: np.ndarray, *,
+                  levels: int | None = None, size: int | None = None) -> np.ndarray:
+    """``sources``, then each level of vertices not yet ``seen`` that the
+    pattern reaches from them, in the order the previous level found them.
+
+    Marks every listed vertex in ``seen``.  Stops after ``levels`` levels,
+    or at ``size`` vertices, cutting the last level short.  A degree-``j``
+    polynomial of the matrix is non-zero only on the first ``j + 1`` levels.
     """
     indptr, indices = pattern.indptr, pattern.indices
-    n = pattern.shape[0]
-    seen = np.zeros(n, dtype=bool)
-
-    def sweep(root: int) -> list[np.ndarray]:
-        levels = [np.array([root])]
-        seen[root] = True
-        while True:
-            starts = indptr[levels[-1]]
-            counts = indptr[levels[-1] + 1] - starts
-            gather = np.repeat(starts - np.cumsum(counts) + counts, counts)
-            reached = indices[gather + np.arange(gather.shape[0])]
-            fresh, found = np.unique(reached[~seen[reached]], return_index=True)
-            if fresh.size == 0:
-                return levels
-            levels.append(fresh[np.argsort(found, kind="stable")])
-            seen[levels[-1]] = True
-
-    parts = []
-    for root in range(n):
-        if not seen[root]:
-            first = np.concatenate(sweep(root))
-            seen[first] = False
-            parts.extend(sweep(int(first[-1])))
-    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.intp)
+    found = [np.asarray(sources, dtype=np.intp)]
+    seen[found[0]] = True
+    count = found[0].shape[0]
+    for _ in range(pattern.shape[0] if levels is None else levels):
+        if size is not None and count >= size:
+            break
+        starts = indptr[found[-1]]
+        counts = indptr[found[-1] + 1] - starts
+        gather = np.repeat(starts - np.cumsum(counts) + counts, counts)
+        reached = indices[gather + np.arange(gather.shape[0])]
+        fresh, first = np.unique(reached[~seen[reached]], return_index=True)
+        if fresh.size == 0:
+            break
+        level = fresh[np.argsort(first, kind="stable")]
+        if size is not None:
+            level = level[:size - count]
+        seen[level] = True
+        found.append(level)
+        count += level.shape[0]
+    return np.concatenate(found)
 
 
 def _stiffness_from_edges(n: int, edge_i: np.ndarray, edge_j: np.ndarray,

@@ -25,7 +25,7 @@ from scipy.sparse import _sparsetools
 
 from .errors import NumericalError, OperatorError
 from .io_mesh import VertexSignal
-from .laplacian import SparseOperator
+from .laplacian import SparseOperator, breadth_first
 
 DENSE_LIMIT_DEFAULT = 3000
 
@@ -262,9 +262,9 @@ def _widen(reach, lo: int, hi: int) -> tuple[int, int]:
 
 
 def reached_rows(op: SparseOperator, bounds, order: int) -> list[tuple[int, int]]:
-    """For each ``(lo, hi)`` range of rows in :attr:`~SparseOperator.ordering`,
-    the range of rows that ``order`` steps of :func:`chebyshev_apply` can make
-    non-zero from an input that is non-zero only on it.
+    """For each ``(lo, hi)`` range of the operator's rows, the range of rows
+    that ``order`` steps of :func:`chebyshev_apply` can make non-zero from an
+    input that is non-zero only on it.
 
     Outside that range the outputs of the recurrence are exact zeros.
     """
@@ -293,13 +293,13 @@ def chebyshev_apply(op: SparseOperator, fn, x: np.ndarray, order: int, *, out=No
     ``order``), so its output does not depend on the other functions of
     the pass.
 
-    Rows of ``x`` and of the outputs follow the operator's
-    :attr:`~SparseOperator.ordering`: row ``p`` belongs to vertex
-    ``op.ordering[p]``.  ``T_j`` is non-zero only on rows within ``j`` steps
-    of the non-zero rows of ``x``; in that order they form a range of rows,
+    ``T_j`` is non-zero only on rows within ``j`` steps of the non-zero rows
+    of ``x``.  The recurrence runs on the range of rows that holds them,
     which each step widens (see :func:`reached_rows`) and outside which the
-    blocks stay exact zeros.  Each step is one in-place call of scipy's CSR
-    block product kernel on that range.
+    blocks stay exact zeros: one in-place call of scipy's CSR block product
+    kernel per step.  On an operator :meth:`~SparseOperator.restricted` to
+    a breadth-first ball (see :func:`~mahf.laplacian.breadth_first`) whose
+    first rows hold the input, the range is the levels reached so far.
 
     ``out``, if given, receives the outputs and is returned: a C-contiguous
     float64 array shaped like ``x`` and apart from it, or one per function
@@ -365,13 +365,6 @@ def chebyshev_apply(op: SparseOperator, fn, x: np.ndarray, order: int, *, out=No
     return outs[0] if callable(fn) else outs
 
 
-def to_vertex_order(op: SparseOperator, y: np.ndarray) -> np.ndarray:
-    """Rows of ``y`` from :attr:`~SparseOperator.ordering` back to vertex order."""
-    out = np.empty_like(y)
-    out[op.ordering] = y
-    return out
-
-
 def _signal_values(s) -> np.ndarray:
     if isinstance(s, VertexSignal):
         return s.values
@@ -386,8 +379,7 @@ def heat_apply_chebyshev(op: SparseOperator, params: HeatParams, s):
     """
     values = _signal_values(s)
     fn = heat_function(params.t)
-    out = to_vertex_order(op, chebyshev_apply(op, fn, values[op.ordering],
-                                              shared_order(op, [params], [fn])))
+    out = chebyshev_apply(op, fn, values, shared_order(op, [params], [fn]))
     if isinstance(s, VertexSignal):
         return VertexSignal(out, name=s.name)
     return out
@@ -429,14 +421,19 @@ def heat_kernel_row(op: SparseOperator, params: HeatParams, i: int):
     Returns the length-N row and the indices of its kept entries (see
     :func:`threshold_row`).  The mass-weighted indicator makes the Chebyshev
     result match row ``i`` of the dense spectral-sum kernel; for identity
-    mass the input is the plain indicator.
+    mass the input is the plain indicator.  The recurrence runs on the ball
+    of vertices within its order of steps of ``i``, and the row is zero
+    outside it.
     """
     if not 0 <= i < op.n:
         raise IndexError(f"vertex index {i} out of range for {op.n} vertices")
-    x = np.zeros(op.n)
-    x[op.ordering == i] = 1.0 / op.mass[i]
     fn = heat_function(params.t)
-    row = to_vertex_order(op, chebyshev_apply(op, fn, x, shared_order(op, [params], [fn])))
+    order = shared_order(op, [params], [fn])
+    ball = breadth_first(op.stiffness, [i], np.zeros(op.n, dtype=bool), levels=order)
+    x = np.zeros(ball.shape[0])
+    x[0] = 1.0 / op.mass[i]
+    row = np.zeros(op.n)
+    row[ball] = chebyshev_apply(op.restricted(ball), fn, x, order)
     keep, support = threshold_row(row, params.support_threshold)
     row[~keep] = 0.0
     return row, support

@@ -276,7 +276,7 @@ def test_usage_error_exits_2():
 
 def test_cli_import_does_not_load_scipy_spatial():
     # only point-cloud commands build a kNN tree; mesh commands skip its
-    # import, and the vertex ordering needs no graph package
+    # import, and the breadth-first balls need no graph package
     src = str(Path(mahf.filters.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     code = ("import sys, mahf.cli; sys.exit('scipy.spatial' in sys.modules "

@@ -8,7 +8,7 @@ from mahf.filters import (FilterSpec, apply_filter, fuse, multiscale_apply,
                           normal_variation)
 from mahf.geometry import FrameField, build_frames, vertex_normals
 from mahf.io_mesh import Mesh, VertexSignal
-from mahf.laplacian import cotan_operator, gaussian_knn_operator
+from mahf.laplacian import SparseOperator, cotan_operator, gaussian_knn_operator
 from mahf.spectral import (HeatParams, chebyshev_apply, heat_apply_chebyshev,
                            heat_function, shared_order, threshold_row)
 
@@ -255,6 +255,46 @@ def test_scaling_equivariance_power_of_two(grid20, grid20_op, grid20_frames):
     assert np.allclose(eight.r2, 64.0 * one.r2, rtol=1e-14)
 
 
+def mesh_responses(mesh, k, ts, s):
+    """R^2 of a ``k``-th order multiscale filter of ``s``, everything built from ``mesh``."""
+    op = cotan_operator(mesh)
+    frames = build_frames(vertex_normals(mesh))
+    return [r.r2 for r in multiscale_apply(op, frames, mesh.vertices, k, ts, s)]
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_rigid_motion_invariance(ico642, k):
+    # a rotation plus a translation of the mesh changes the tangent frames
+    # only by an in-plane rotation per vertex, which R^2 does not see
+    rng = np.random.default_rng(23)
+    rotation, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    rotation *= np.sign(np.linalg.det(rotation))
+    moved = Mesh(ico642.vertices @ rotation.T + rng.uniform(-100.0, 100.0, 3), ico642.faces)
+    s = rng.standard_normal(ico642.n_vertices)
+    ts = [5.0, 10.0, 20.0]
+    for want, have in zip(mesh_responses(ico642, k, ts, s), mesh_responses(moved, k, ts, s)):
+        assert np.abs(have - want).max() <= 1e-12 * want.max()
+
+
+def test_length_squared_scaling_of_t(ico642):
+    # scaling the mesh by c scales the mass by c^2 and leaves the cotangent
+    # stiffness alone, so exp(-c^2 t L_c) = exp(-t L); the kernel column
+    # exp(-t L) e_i / m_i scales by 1/c^2 and the neighbour mass by c^2, so
+    # propagator entries times neighbour mass, and R^2, do not depend on c
+    s = np.random.default_rng(24).standard_normal(ico642.n_vertices)
+    ts = [5.0, 10.0, 20.0]
+    base = mesh_responses(ico642, 1, ts, s)
+    for c, exact in ((2.0, True), (3.0, False)):
+        scaled = mesh_responses(Mesh(c * ico642.vertices, ico642.faces), 1,
+                                [c * c * t for t in ts], s)
+        for want, have in zip(base, scaled):
+            if exact:
+                # powers of two scale every intermediate exactly
+                assert np.array_equal(have, want)
+            else:
+                assert np.abs(have - want).max() <= 1e-12 * want.max()
+
+
 def test_threshold_consistency(grid20, grid20_op, grid20_frames):
     # holds at scales where the kernel spans a few cells; at t=5 the kernel
     # radius sits at the resolution limit and the truncated tail is ~1.4e-3
@@ -319,36 +359,56 @@ def test_multiscale_one_pass_matches_separate_calls(ico162, ico162_op, ico162_fr
         assert np.abs(a.r_imag - b.r_imag).max() <= 1e-13 * scale
 
 
+def within_steps(op, sources, steps):
+    """Vertices ``steps`` or fewer edges of the stiffness pattern from ``sources``."""
+    s = op.stiffness
+    hops = sp.csr_matrix((np.ones(s.nnz), s.indices, s.indptr), shape=s.shape)
+    near = np.zeros(op.n)
+    near[sources] = 1.0
+    for _ in range(steps):
+        near += hops @ near
+    return np.flatnonzero(near)
+
+
 def test_chunk_width_shrinks_with_scale_count(monkeypatch, grid20, grid20_op,
                                               grid20_frames):
-    widths = []
+    balls, widths = [], []
+    restricted = SparseOperator.restricted
+
+    def recording_ball(op, vertices):
+        balls.append(vertices)
+        return restricted(op, vertices)
 
     def recording(op, fn, x, order, **kwargs):
         widths.append((len(fn), x.shape[1]))
         return chebyshev_apply(op, fn, x, order, **kwargs)
 
     monkeypatch.setattr(filters, "_CHUNK", 8)
+    monkeypatch.setattr(SparseOperator, "restricted", recording_ball)
     monkeypatch.setattr(filters, "chebyshev_apply", recording)
     s = step_signal(grid20)
-    multiscale_apply(grid20_op, grid20_frames, grid20.vertices, 1, [5.0], s,
-                     chebyshev_order=5)
-    multiscale_apply(grid20_op, grid20_frames, grid20.vertices, 1, [5.0, 10.0, 20.0],
-                     s, chebyshev_order=5)
-    single = [w for m, w in widths if m == 1]
-    triple = [w for m, w in widths if m == 3]
-    # one recurrence per chunk serves every scale; the chunk narrows to
-    # 2 * _CHUNK / (scales + 1) so the live blocks never outgrow one scale's
-    assert len(single) + len(triple) == len(widths)
-    assert sum(single) == sum(triple) == grid20_op.n
-    assert set(single) == {8} and set(triple) == {4}
+    for ts in ([5.0], [5.0, 10.0, 20.0]):
+        balls.clear()
+        widths.clear()
+        multiscale_apply(grid20_op, grid20_frames, grid20.vertices, 1, ts, s,
+                         chebyshev_order=5)
+        # one recurrence per chunk serves every scale; the chunk narrows to
+        # 2 * _CHUNK / (scales + 1) so the live blocks never outgrow one
+        # scale's, and its ball starts with it
+        assert len(balls) == len(widths) and {m for m, _ in widths} == {len(ts)}
+        chunks = [ball[:w] for ball, (_, w) in zip(balls, widths)]
+        assert np.array_equal(np.sort(np.concatenate(chunks)), np.arange(grid20_op.n))
+        assert max(w for _, w in widths) <= 2 * 8 // (len(ts) + 1)
+        # the ball holds every vertex within the pass's 5 steps of the chunk
+        for chunk, ball in zip(chunks, balls):
+            assert np.array_equal(np.sort(ball), within_steps(grid20_op, chunk, 5))
 
 
 def reached_rows_reference(op, lo, hi, order):
-    """Rows ``order`` recurrence steps can reach from the ordered rows [lo, hi):
-    each step widens the range to every row with a non-zero entry in one of
-    its columns of the ordered stiffness, the diagonal included."""
-    perm = op.ordering
-    pattern = (abs(op.stiffness[perm][:, perm]) + sp.identity(op.n)).tocsc()
+    """Rows ``order`` recurrence steps can reach from the rows [lo, hi) of
+    ``op``: each step widens the range to every row with a non-zero entry in
+    one of its columns of the stiffness, the diagonal included."""
+    pattern = (abs(op.stiffness) + sp.identity(op.n)).tocsc()
     pattern.eliminate_zeros()
     for _ in range(order):
         rows = pattern[:, lo:hi].indices
@@ -360,19 +420,25 @@ def test_contraction_slices_bound_pair_count(monkeypatch, grid20, grid20_op,
                                               grid20_frames):
     # every reached pair is kept at threshold 0; the contraction still sees
     # at most N * ceil(width / 8) of them at once, and each pair the
-    # recurrence reached from a slice exactly once per scale
-    kept = []
+    # recurrence reached from a slice on its chunk's ball exactly once per scale
+    kept, passes = [], []
 
     def recording(block, threshold):
         keep, flat = threshold_row(block, threshold)
         kept.append(flat.shape[0])
         return keep, flat
 
+    def recording_pass(op, fn, x, order, **kwargs):
+        passes.append((op, x.shape[1], order))
+        return chebyshev_apply(op, fn, x, order, **kwargs)
+
     monkeypatch.setattr(filters, "threshold_row", recording)
+    monkeypatch.setattr(filters, "chebyshev_apply", recording_pass)
     s = step_signal(grid20)
     n = grid20_op.n
     for ts in ([5.0], [5.0, 10.0, 20.0]):
         kept.clear()
+        passes.clear()
         multiscale_apply(grid20_op, grid20_frames, grid20.vertices, 1, ts, s,
                          support_threshold=0.0)
         width = 2 * filters._CHUNK // (len(ts) + 1)
@@ -380,10 +446,11 @@ def test_contraction_slices_bound_pair_count(monkeypatch, grid20, grid20_op,
         order = shared_order(grid20_op, [HeatParams(t) for t in ts],
                              [heat_function(t) for t in ts])
         reached = 0
-        for start in range(0, n, width):
-            for lo in range(start, min(start + width, n), step):
-                hi = min(lo + step, start + width, n)
-                r_lo, r_hi = reached_rows_reference(grid20_op, lo, hi, order)
+        for sub, w, sub_order in passes:
+            assert sub_order == order
+            for lo in range(0, w, step):
+                hi = min(lo + step, w)
+                r_lo, r_hi = reached_rows_reference(sub, lo, hi, order)
                 reached += (r_hi - r_lo) * (hi - lo)
         assert max(kept) <= n * step
         assert sum(kept) == len(ts) * reached

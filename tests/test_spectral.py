@@ -5,18 +5,20 @@ import pytest
 import scipy.sparse as sp
 from numpy.polynomial import chebyshev as npcheb
 from scipy.sparse import _sparsetools
+from scipy.sparse.linalg import expm_multiply
 
 from mahf.baselines import MhwSpec
 from mahf.errors import NumericalError, OperatorError
 from mahf.io_mesh import VertexSignal
-from mahf.laplacian import SparseOperator
+from mahf.laplacian import SparseOperator, breadth_first, cotan_operator
 from mahf.spectral import (CHEB_TOL, HeatParams, certified_order, chebyshev_apply,
                            chebyshev_coefficients, eigendecompose,
                            heat_apply_chebyshev, heat_function, heat_kernel_dense,
                            heat_kernel_row, semigroup_compose, shared_order,
                            threshold_row, _truncated_coefficients)
+from mahf.synthetic import icosphere
 
-from conftest import dense_heat_oracle
+from conftest import SPHERE_RADIUS, dense_heat_oracle
 
 
 @pytest.fixture(scope="module")
@@ -194,8 +196,6 @@ def scattered_components_op():
 def test_chebyshev_matches_reference_recurrence(request, which):
     op = (scattered_components_op() if which == "components"
           else request.getfixturevalue(f"{which}_op"))
-    assert np.array_equal(np.sort(op.ordering), np.arange(op.n))
-    assert np.array_equal(SparseOperator(op.stiffness, op.mass).ordering, op.ordering)
     rng = np.random.default_rng(13)
     centres = rng.choice(op.n, 5, replace=False)
     indicators = np.zeros((op.n, 5))
@@ -203,13 +203,24 @@ def test_chebyshev_matches_reference_recurrence(request, which):
     specs = [HeatParams(5.0), HeatParams(20.0), MhwSpec(10.0)]
     fns = [heat_function(5.0), heat_function(20.0), lambda x: x * np.exp(-10.0 * x)]
     order = shared_order(op, specs, fns)
-    perm = op.ordering
     for x in (rng.standard_normal(op.n), indicators, rng.standard_normal((op.n, 4))):
-        # the engine's rows follow the ordering; the reference's the vertices
-        for got, ref in zip(chebyshev_apply(op, fns, x[perm], order),
+        for got, ref in zip(chebyshev_apply(op, fns, x, order),
                             reference_chebyshev(op, fns, x, order)):
             assert got.shape == x.shape
-            assert np.abs(got - ref[perm]).max() <= 1e-13 * np.abs(ref).max()
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+    # a degree-j polynomial carries the centres j levels: on their ball of
+    # that depth the restricted operator gives the same columns, and the
+    # full operator's are zero off it; depth 3 leaves vertices out, the
+    # pass order's ball holds every vertex reachable, in breadth-first order
+    for depth in (3, order):
+        ball = breadth_first(op.stiffness, centres, np.zeros(op.n, dtype=bool), levels=depth)
+        assert np.array_equal(ball[:5], centres)
+        off = np.setdiff1d(np.arange(op.n), ball)
+        assert off.size > 0 or depth == order
+        for got, full in zip(chebyshev_apply(op.restricted(ball), fns, indicators[ball], depth),
+                             chebyshev_apply(op, fns, indicators, depth)):
+            assert not full[off].any()
+            assert np.abs(got - full[ball]).max() <= 1e-13 * np.abs(full).max()
 
 
 def test_chebyshev_writes_into_out(ico162_op):
@@ -361,6 +372,38 @@ def test_kernel_row_threshold_zeroes_tail(ico642_op):
     off = np.setdiff1d(np.arange(ico642_op.n), support)
     assert not values[off].any()
     assert values[support].min() >= 1e-4 * values.max()
+
+
+def test_kernel_row_is_non_zero_on_its_ball(ico642_op):
+    # the recurrence runs on the vertices within its order of steps of the
+    # vertex, and the row is non-zero on exactly those
+    params = HeatParams(0.05, None, 0.0)
+    order = shared_order(ico642_op, [params], [heat_function(0.05)])
+    s = ico642_op.stiffness
+    hops = sp.csr_matrix((np.ones(s.nnz), s.indices, s.indptr), shape=s.shape)
+    near = np.zeros(ico642_op.n)
+    near[7] = 1.0
+    for _ in range(order):
+        near += hops @ near
+    values, _ = heat_kernel_row(ico642_op, params, 7)
+    assert 0 < np.count_nonzero(near) < ico642_op.n
+    assert np.array_equal(np.flatnonzero(values), np.flatnonzero(near))
+
+
+def test_kernel_row_matches_expm_multiply_beyond_dense_limit():
+    # above the dense oracle's size the reference is scipy's action of the
+    # matrix exponential on the mass-weighted indicator
+    op = cotan_operator(icosphere(5, SPHERE_RADIUS))
+    assert op.n == 10242
+    laplacian = (sp.diags(1.0 / op.mass) @ op.stiffness).tocsc()
+    for i in (0, 5000):
+        indicator = np.zeros(op.n)
+        indicator[i] = 1.0 / op.mass[i]
+        for t in (5.0, 20.0):
+            values, support = heat_kernel_row(op, HeatParams(t, None, 0.0), i)
+            ref = expm_multiply(-t * laplacian, indicator)
+            assert support.shape[0] == op.n
+            assert np.abs(values - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
 def test_threshold_row_block():
