@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import effective_normals
-from .io_mesh import Mesh, VertexSignal
+from .io_mesh import Mesh, VertexSignal, signal_values
 from .laplacian import SparseOperator
 from .spectral import chebyshev_apply, check_order, shared_order
 
@@ -40,7 +40,7 @@ def _mhw_function(t: float):
 
 def mhw_apply(op: SparseOperator, spec: MhwSpec, s):
     """Apply ``L exp(-t L)`` to a signal; constants are annihilated."""
-    values = s.values if isinstance(s, VertexSignal) else np.asarray(s, dtype=np.float64)
+    values = signal_values(s)
     fn = _mhw_function(spec.t)
     out = chebyshev_apply(op, fn, values, shared_order(op, [spec], [fn]))
     if isinstance(s, VertexSignal):

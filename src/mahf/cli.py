@@ -301,9 +301,9 @@ def cmd_kernel(args) -> int:
     ts_raw, ts_eff = _effective_ts(args, op)
     out = Path(args.out)
     outputs = []
-    for t_raw, t_eff in zip(ts_raw, ts_eff):
-        values, _ = heat_kernel_row(op, HeatParams(t_eff, args.order,
-                                                   args.support_threshold), args.vertex)
+    rows = heat_kernel_row(op, [HeatParams(t, args.order, args.support_threshold)
+                                for t in ts_eff], args.vertex)
+    for t_raw, (values, _) in zip(ts_raw, rows):
         path = _suffixed(out, f"_v{args.vertex}_t{t_raw:g}")
         _write_field(path, mesh, VertexSignal(values, name="kernel"))
         outputs.append(path)

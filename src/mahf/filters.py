@@ -23,10 +23,10 @@ import numpy as np
 
 from .errors import NumericalError
 from .geometry import FrameField, effective_normals
-from .io_mesh import Mesh, VertexSignal
+from .io_mesh import Mesh, VertexSignal, signal_values
 from .laplacian import SparseOperator, breadth_first
-from .spectral import (HeatParams, chebyshev_apply, heat_function, reached_rows,
-                       shared_order, threshold_row)
+from .spectral import (HeatParams, chebyshev_apply, heat_function, shared_order,
+                       threshold_row)
 
 _DEGENERATE_RTOL = 1e-9
 _CHUNK = 512
@@ -150,8 +150,8 @@ def _response_block(op: SparseOperator, frames: FrameField, positions: np.ndarra
     chunk, as deep as the pass's order, chunk first.  The chunk narrows as
     diffusion times are added, so the live blocks of the recurrence stay
     within those of a single-time chunk.  Each chunk is contracted in slices
-    of ``1 / _SLICES`` of its width, on the rows the recurrence reached from
-    the slice.
+    of ``1 / _SLICES`` of its width, on all of its ball's rows: those a
+    slice never reached are exact zeros, which no positive threshold keeps.
     """
     times = {}
     for spec in specs:
@@ -172,18 +172,16 @@ def _response_block(op: SparseOperator, frames: FrameField, positions: np.ndarra
     kernels = [np.empty(n * min(width, n)) for _ in fns]
     for chunk in _chunks(op, width):
         ball = breadth_first(op.stiffness, chunk, np.zeros(n, dtype=bool), levels=order)
-        sub = op.restricted(ball)
         w = chunk.shape[0]
         x = indicator[:ball.shape[0] * w].reshape(-1, w)
         diagonal = np.diag_indices(w)
         x[diagonal] = 1.0 / mass[chunk]
-        blocks = chebyshev_apply(sub, fns, x, order,
+        blocks = chebyshev_apply(op.restricted(ball), fns, x, order,
                                  out=[buf[:x.size].reshape(x.shape) for buf in kernels])
         x[diagonal] = 0.0
-        slices = [(lo, min(lo + step, w)) for lo in range(0, w, step)]
-        for (lo, hi), (r_lo, r_hi) in zip(slices, reached_rows(sub, slices, order)):
-            centres = chunk[lo:hi]
-            parts = _contract([blk[r_lo:r_hi, lo:hi] for blk in blocks], ball[r_lo:r_hi],
+        for lo in range(0, w, step):
+            centres = chunk[lo:lo + step]
+            parts = _contract([blk[:, lo:lo + step] for blk in blocks], ball,
                               centres, terms, frames, positions, mass, signals)
             for (r_real, r_imag), (h_real, h_imag) in zip(responses, parts):
                 r_real[centres], r_imag[centres] = h_real, h_imag
@@ -214,7 +212,7 @@ def apply_filter(op: SparseOperator, frames: FrameField, positions,
     """
     specs = [spec] if isinstance(spec, FilterSpec) else list(spec)
     positions = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
-    values = s.values if isinstance(s, VertexSignal) else np.asarray(s, dtype=np.float64)
+    values = signal_values(s)
     if values.shape[0] != op.n:
         raise ValueError(f"signal has {values.shape[0]} values for {op.n} vertices")
     bad = np.flatnonzero(~np.isfinite(values))
@@ -261,8 +259,7 @@ def fuse(r_l2, r_n2, beta: float) -> VertexSignal:
     """Weighted sum of a luminance-response field and a normal-response field."""
     if beta < 0:
         raise ValueError(f"beta must be nonnegative, got {beta}")
-    a = r_l2.values if isinstance(r_l2, VertexSignal) else np.asarray(r_l2, dtype=np.float64)
-    b = r_n2.values if isinstance(r_n2, VertexSignal) else np.asarray(r_n2, dtype=np.float64)
+    a, b = signal_values(r_l2), signal_values(r_n2)
     if a.shape != b.shape:
         raise ValueError(f"field lengths differ: {a.shape[0]} vs {b.shape[0]}")
     return VertexSignal(a + beta * b, name="fused")

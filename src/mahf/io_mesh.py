@@ -114,6 +114,13 @@ class VertexSignal:
         return self.values.shape[0]
 
 
+def signal_values(s) -> np.ndarray:
+    """The values of a :class:`VertexSignal`, or ``s`` as a float64 array."""
+    if isinstance(s, VertexSignal):
+        return s.values
+    return np.asarray(s, dtype=np.float64)
+
+
 def _meaningful_lines(text: str) -> list[str]:
     """Non-empty lines with '#' comments stripped (OFF/OBJ convention)."""
     out = []

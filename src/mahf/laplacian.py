@@ -39,8 +39,6 @@ class SparseOperator:
     stiffness: sparse.csr_matrix
     mass: np.ndarray
     _lambda_max: float | None = field(default=None, repr=False)
-    _affine: tuple[float, sparse.csr_matrix] | None = field(default=None, repr=False,
-                                                            compare=False)
 
     def __post_init__(self):
         self.mass = np.ascontiguousarray(np.asarray(self.mass, dtype=np.float64)).reshape(-1)
@@ -60,16 +58,6 @@ class SparseOperator:
         if self._lambda_max is None:
             self._lambda_max = estimate_lambda_max(self)
         return self._lambda_max
-
-    def affine(self, scale: float) -> sparse.csr_matrix:
-        """Cached ``scale * mass^-1 stiffness - I`` as one CSR matrix with
-        sorted column indices in each row."""
-        if self._affine is None or self._affine[0] != scale:
-            mapped = sparse.csr_matrix(sparse.diags(scale / self.mass) @ self.stiffness
-                                       - sparse.identity(self.n))
-            mapped.sort_indices()
-            self._affine = (scale, mapped)
-        return self._affine[1]
 
     def restricted(self, vertices: np.ndarray) -> "SparseOperator":
         """Principal submatrix and mass on ``vertices``, in that order.  It
@@ -117,7 +105,9 @@ def _stiffness_from_edges(n: int, edge_i: np.ndarray, edge_j: np.ndarray,
     """Assemble D - W from one weight per undirected edge.
 
     Both triangle entries of an edge receive the identical float, so the
-    matrix is symmetric entry-wise by construction.
+    matrix is symmetric entry-wise by construction.  An edge of weight
+    exactly 0, such as the diagonal of a square split into two right
+    triangles, stores no entry, so the pattern holds only coupled vertices.
     """
     diag = np.zeros(n)
     np.add.at(diag, edge_i, weights)
@@ -125,7 +115,9 @@ def _stiffness_from_edges(n: int, edge_i: np.ndarray, edge_j: np.ndarray,
     rows = np.concatenate([edge_i, edge_j, np.arange(n)])
     cols = np.concatenate([edge_j, edge_i, np.arange(n)])
     vals = np.concatenate([-weights, -weights, diag])
-    return sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    stiffness = sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    stiffness.eliminate_zeros()
+    return stiffness
 
 
 def cotan_operator(mesh: Mesh) -> SparseOperator:

@@ -16,15 +16,17 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg
 from numpy.polynomial import chebyshev as npcheb
+from scipy import sparse
 from scipy.linalg.blas import dasum, daxpy
 from scipy.sparse import _sparsetools
 
 from .errors import NumericalError, OperatorError
-from .io_mesh import VertexSignal
+from .io_mesh import VertexSignal, signal_values
 from .laplacian import SparseOperator, breadth_first
 
 DENSE_LIMIT_DEFAULT = 3000
@@ -200,6 +202,15 @@ def _interval(op: SparseOperator) -> float:
     return 1.01 * op.lambda_max
 
 
+def _mapped(op: SparseOperator, b: float) -> sparse.csr_matrix:
+    """``(2/b) mass^-1 stiffness - I``, which maps [0, b] to [-1, 1], as one
+    CSR matrix with sorted column indices in each row."""
+    a = sparse.csr_matrix(sparse.diags((2.0 / b) / op.mass) @ op.stiffness
+                          - sparse.identity(op.n))
+    a.sort_indices()
+    return a
+
+
 def shared_order(op: SparseOperator, params, fns) -> int:
     """Recurrence steps of one fused Chebyshev pass.
 
@@ -239,54 +250,24 @@ def _truncated_coefficients(fn, b: float, order: int) -> np.ndarray:
     return c
 
 
-def _reach(a) -> tuple[np.ndarray, np.ndarray]:
-    """For each column ``c`` of ``a``, the lowest and highest row with an
-    entry in it, ``c`` itself included: the rows of ``a @ y`` that row ``c``
-    of ``y`` can make non-zero, plus the row it carries over itself."""
+def _reach_ends(a) -> np.ndarray:
+    """For each row ``r``, one past the last row of ``a @ y`` that rows
+    ``0 .. r`` of ``y`` can make non-zero, row ``r`` itself included: the
+    running maximum of the last row with an entry in each column."""
     csc = a.tocsc()
     csc.sort_indices()
-    first, last = np.arange(a.shape[0]), np.arange(a.shape[0])
+    last = np.arange(a.shape[0])
     filled = np.flatnonzero(np.diff(csc.indptr))
-    first[filled] = np.minimum(filled, csc.indices[csc.indptr[filled]])
     last[filled] = np.maximum(filled, csc.indices[csc.indptr[filled + 1] - 1])
-    return first, last
-
-
-def _widen(reach, lo: int, hi: int) -> tuple[int, int]:
-    """The range of rows one recurrence step can make non-zero from the
-    non-zero rows ``[lo, hi)``."""
-    if hi <= lo:
-        return lo, hi
-    first, last = reach
-    return int(first[lo:hi].min()), int(last[lo:hi].max()) + 1
-
-
-def reached_rows(op: SparseOperator, bounds, order: int) -> list[tuple[int, int]]:
-    """For each ``(lo, hi)`` range of the operator's rows, the range of rows
-    that ``order`` steps of :func:`chebyshev_apply` can make non-zero from an
-    input that is non-zero only on it.
-
-    Outside that range the outputs of the recurrence are exact zeros.
-    """
-    b = _interval(op)
-    if b <= 0:
-        return [(int(lo), int(hi)) for lo, hi in bounds]
-    reach = _reach(op.affine(2.0 / b))
-    out = []
-    for lo, hi in bounds:
-        lo, hi = int(lo), int(hi)
-        for _ in range(order):
-            lo, hi = _widen(reach, lo, hi)
-        out.append((lo, hi))
-    return out
+    return np.maximum.accumulate(last) + 1
 
 
 def chebyshev_apply(op: SparseOperator, fn, x: np.ndarray, order: int, *, out=None):
     """Evaluate ``fn`` of the generalized Laplacian on a vector or block.
 
     Maps the spectral interval [0, 1.01 * lambda_max] to [-1, 1] and runs
-    ``order`` steps of the three-term recurrence on the operator's cached
-    mapped CSR.  ``fn`` may also be a sequence of functions: the blocks
+    ``order`` steps of the three-term recurrence on the mapped CSR, built
+    once per call.  ``fn`` may also be a sequence of functions: the blocks
     ``T_j`` do not depend on the function, only the coefficients do, so one
     recurrence fills one output per function and a list is returned.  Each
     function keeps only the terms up to its own certified order (at most
@@ -294,12 +275,14 @@ def chebyshev_apply(op: SparseOperator, fn, x: np.ndarray, order: int, *, out=No
     the pass.
 
     ``T_j`` is non-zero only on rows within ``j`` steps of the non-zero rows
-    of ``x``.  The recurrence runs on the range of rows that holds them,
-    which each step widens (see :func:`reached_rows`) and outside which the
-    blocks stay exact zeros: one in-place call of scipy's CSR block product
-    kernel per step.  On an operator :meth:`~SparseOperator.restricted` to
-    a breadth-first ball (see :func:`~mahf.laplacian.breadth_first`) whose
-    first rows hold the input, the range is the levels reached so far.
+    of ``x``.  The recurrence runs on a prefix of the rows that holds them,
+    which each step extends to one past the last row its rows reach, and
+    past which the blocks stay exact zeros: one in-place call of scipy's CSR
+    block product kernel per step.  On an operator
+    :meth:`~SparseOperator.restricted` to a breadth-first ball (see
+    :func:`~mahf.laplacian.breadth_first`) whose first rows hold the input,
+    the prefix is exactly the levels reached so far; a dense input covers
+    every row from the start.
 
     ``out``, if given, receives the outputs and is returned: a C-contiguous
     float64 array shaped like ``x`` and apart from it, or one per function
@@ -330,29 +313,29 @@ def chebyshev_apply(op: SparseOperator, fn, x: np.ndarray, order: int, *, out=No
             np.multiply(x, float(f(np.zeros(1))[0]), out=o)
         return outs[0] if callable(fn) else outs
     coeffs = [_truncated_coefficients(f, b, order) for f in fns]
-    a = op.affine(2.0 / b)
-    reach = _reach(a)
+    a = _mapped(op, b)
+    ends = _reach_ends(a)
     n = op.n
     x2 = x.reshape(n, -1)
     width = x2.shape[1]
     nonzero = np.flatnonzero(x2.any(axis=1))
-    lo, hi = (int(nonzero[0]), int(nonzero[-1]) + 1) if nonzero.size else (0, 0)
+    hi = int(nonzero[-1]) + 1 if nonzero.size else 0
 
     # S_j = sigma_j T_j with sigma = +, +, -, -, +, ... turns each step into
     # a pure accumulate into S_{j-1}'s buffer: S_{j+1} = S_{j-1} + 2A S_j
     # for even j and S_{j-1} - 2A S_j for odd j
     signed = (2.0 * a.data, -2.0 * a.data)
     newer, older = np.zeros((n, width)), np.zeros((n, width))
-    newer[lo:hi] = x2[lo:hi]
+    newer[:hi] = x2[:hi]
     accs = [o.reshape(n, width) for o in outs]
     for acc, c in zip(accs, coeffs):
-        np.multiply(newer[lo:hi], 0.5 * c[0], out=acc[lo:hi])
+        np.multiply(newer[:hi], 0.5 * c[0], out=acc[:hi])
     for jj in range(1, order + 1):
-        lo, hi = _widen(reach, lo, hi)
-        _sparsetools.csr_matvecs(hi - lo, n, width, a.indptr[lo:hi + 1], a.indices,
+        hi = int(ends[hi - 1]) if hi else 0
+        _sparsetools.csr_matvecs(hi, n, width, a.indptr[:hi + 1], a.indices,
                                  a.data if jj == 1 else signed[1 - jj % 2],
-                                 newer.reshape(-1), older[lo:hi].reshape(-1))
-        active = older[lo:hi].reshape(-1)
+                                 newer.reshape(-1), older[:hi].reshape(-1))
+        active = older[:hi].reshape(-1)
         # a NaN or an infinity anywhere makes the sum of magnitudes
         # non-finite; BLAS reads the block once, numpy's pairwise sum slower
         if jj > 1 and not np.isfinite(dasum(active)):
@@ -360,15 +343,9 @@ def chebyshev_apply(op: SparseOperator, fn, x: np.ndarray, order: int, *, out=No
         sigma = 1.0 if jj % 4 < 2 else -1.0
         for acc, c in zip(accs, coeffs):
             if c[jj]:
-                daxpy(active, acc[lo:hi].reshape(-1), a=sigma * c[jj])
+                daxpy(active, acc[:hi].reshape(-1), a=sigma * c[jj])
         newer, older = older, newer
     return outs[0] if callable(fn) else outs
-
-
-def _signal_values(s) -> np.ndarray:
-    if isinstance(s, VertexSignal):
-        return s.values
-    return np.asarray(s, dtype=np.float64)
 
 
 def heat_apply_chebyshev(op: SparseOperator, params: HeatParams, s):
@@ -377,7 +354,7 @@ def heat_apply_chebyshev(op: SparseOperator, params: HeatParams, s):
     At ``t = 0`` the expansion of the constant function is exact, so the
     input returns unchanged up to rounding.
     """
-    values = _signal_values(s)
+    values = signal_values(s)
     fn = heat_function(params.t)
     out = chebyshev_apply(op, fn, values, shared_order(op, [params], [fn]))
     if isinstance(s, VertexSignal):
@@ -415,7 +392,7 @@ def _column_max(block: np.ndarray) -> np.ndarray:
     return top[0]
 
 
-def heat_kernel_row(op: SparseOperator, params: HeatParams, i: int):
+def heat_kernel_row(op: SparseOperator, params: HeatParams | Sequence[HeatParams], i: int):
     """Row ``i`` of the heat kernel with entries below the cutoff zeroed.
 
     Returns the length-N row and the indices of its kept entries (see
@@ -423,20 +400,28 @@ def heat_kernel_row(op: SparseOperator, params: HeatParams, i: int):
     result match row ``i`` of the dense spectral-sum kernel; for identity
     mass the input is the plain indicator.  The recurrence runs on the ball
     of vertices within its order of steps of ``i``, and the row is zero
-    outside it.
+    outside it.  A sequence of params, sharing the Chebyshev order setting,
+    returns one such pair per spec from one recurrence, with one function
+    per distinct time, on the ball of the pass's order.
     """
     if not 0 <= i < op.n:
         raise IndexError(f"vertex index {i} out of range for {op.n} vertices")
-    fn = heat_function(params.t)
-    order = shared_order(op, [params], [fn])
+    specs = [params] if isinstance(params, HeatParams) else list(params)
+    fns = {p.t: heat_function(p.t) for p in specs}
+    order = shared_order(op, specs, [fns[p.t] for p in specs])
     ball = breadth_first(op.stiffness, [i], np.zeros(op.n, dtype=bool), levels=order)
     x = np.zeros(ball.shape[0])
     x[0] = 1.0 / op.mass[i]
-    row = np.zeros(op.n)
-    row[ball] = chebyshev_apply(op.restricted(ball), fn, x, order)
-    keep, support = threshold_row(row, params.support_threshold)
-    row[~keep] = 0.0
-    return row, support
+    columns = dict(zip(fns, chebyshev_apply(op.restricted(ball), list(fns.values()), x,
+                                            order)))
+    rows = []
+    for p in specs:
+        row = np.zeros(op.n)
+        row[ball] = columns[p.t]
+        keep, support = threshold_row(row, p.support_threshold)
+        row[~keep] = 0.0
+        rows.append((row, support))
+    return rows[0] if isinstance(params, HeatParams) else rows
 
 
 def semigroup_compose(k_t1: np.ndarray, k_t2: np.ndarray, mass: np.ndarray) -> np.ndarray:

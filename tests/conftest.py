@@ -109,3 +109,14 @@ def grid_interior_mask(mesh: Mesh, margin: int = 4, spacing: float = GRID_SPACIN
     cmax, rmax = cols.max(), rows.max()
     return ((cols >= margin) & (cols <= cmax - margin) &
             (rows >= margin) & (rows <= rmax - margin))
+
+
+def within_steps(op, sources, steps):
+    """Vertices ``steps`` or fewer edges of the stiffness pattern from ``sources``."""
+    s = op.stiffness
+    hops = sp.csr_matrix((np.ones(s.nnz), s.indices, s.indptr), shape=s.shape)
+    near = np.zeros(op.n)
+    near[sources] = 1.0
+    for _ in range(steps):
+        near += hops @ near
+    return np.flatnonzero(near)

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mahf.cli
 import mahf.filters
 from mahf.cli import main
 from mahf.geometry import vertex_normals
@@ -171,6 +172,32 @@ def test_kernel_support_growth(tmp_path):
         vals = parse_signal(tmp_path / f"row_v0_t{t}.csv").values
         sizes.append(int(np.count_nonzero(vals > 0.01 * vals.max())))
     assert all(a <= b for a, b in zip(sizes, sizes[1:]))
+
+
+def test_kernel_several_times_match_single_runs(tmp_path, sphere_ply, monkeypatch):
+    # one kernel-row pass serves every --t, and each response file is byte
+    # for byte the one a run with that --t alone writes
+    _, mesh_path = sphere_ply
+    calls = []
+    row = mahf.cli.heat_kernel_row
+
+    def recording(op, params, i):
+        calls.append(len(params))
+        return row(op, params, i)
+
+    monkeypatch.setattr(mahf.cli, "heat_kernel_row", recording)
+    base = ["kernel", "--mesh", str(mesh_path), "--vertex", "7"]
+    ts = ("5", "25", "50")
+    (tmp_path / "multi").mkdir()
+    assert main(base + [a for t in ts for a in ("--t", t)]
+                + ["--out", str(tmp_path / "multi" / "row.ply")]) == 0
+    assert calls == [3]
+    for t in ts:
+        (tmp_path / t).mkdir()
+        assert main(base + ["--t", t, "--out", str(tmp_path / t / "row.ply")]) == 0
+        name = f"row_v7_t{t}.ply"
+        assert (tmp_path / "multi" / name).read_bytes() == (tmp_path / t / name).read_bytes()
+    assert calls == [3, 1, 1, 1]
 
 
 def test_kernel_order_default_and_explicit_ceiling(tmp_path, grid_inputs):

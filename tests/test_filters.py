@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 import mahf.filters as filters
 from mahf.errors import NumericalError
@@ -13,7 +12,7 @@ from mahf.spectral import (HeatParams, chebyshev_apply, heat_apply_chebyshev,
                            heat_function, shared_order, threshold_row)
 
 from conftest import (GRID_SPACING, dense_heat_oracle, grid_columns_rows,
-                      grid_interior_mask)
+                      grid_interior_mask, within_steps)
 
 
 def z_frames(n, y_axis=(0.0, 1, 0)):
@@ -359,17 +358,6 @@ def test_multiscale_one_pass_matches_separate_calls(ico162, ico162_op, ico162_fr
         assert np.abs(a.r_imag - b.r_imag).max() <= 1e-13 * scale
 
 
-def within_steps(op, sources, steps):
-    """Vertices ``steps`` or fewer edges of the stiffness pattern from ``sources``."""
-    s = op.stiffness
-    hops = sp.csr_matrix((np.ones(s.nnz), s.indices, s.indptr), shape=s.shape)
-    near = np.zeros(op.n)
-    near[sources] = 1.0
-    for _ in range(steps):
-        near += hops @ near
-    return np.flatnonzero(near)
-
-
 def test_chunk_width_shrinks_with_scale_count(monkeypatch, grid20, grid20_op,
                                               grid20_frames):
     balls, widths = [], []
@@ -404,23 +392,11 @@ def test_chunk_width_shrinks_with_scale_count(monkeypatch, grid20, grid20_op,
             assert np.array_equal(np.sort(ball), within_steps(grid20_op, chunk, 5))
 
 
-def reached_rows_reference(op, lo, hi, order):
-    """Rows ``order`` recurrence steps can reach from the rows [lo, hi) of
-    ``op``: each step widens the range to every row with a non-zero entry in
-    one of its columns of the stiffness, the diagonal included."""
-    pattern = (abs(op.stiffness) + sp.identity(op.n)).tocsc()
-    pattern.eliminate_zeros()
-    for _ in range(order):
-        rows = pattern[:, lo:hi].indices
-        lo, hi = int(rows.min()), int(rows.max()) + 1
-    return lo, hi
-
-
 def test_contraction_slices_bound_pair_count(monkeypatch, grid20, grid20_op,
                                               grid20_frames):
-    # every reached pair is kept at threshold 0; the contraction still sees
-    # at most N * ceil(width / 8) of them at once, and each pair the
-    # recurrence reached from a slice on its chunk's ball exactly once per scale
+    # every pair is kept at threshold 0; the contraction still sees at most
+    # N * ceil(width / 8) of them at once, and each pair of a slice's centres
+    # with its chunk's ball exactly once per scale
     kept, passes = [], []
 
     def recording(block, threshold):
@@ -445,15 +421,12 @@ def test_contraction_slices_bound_pair_count(monkeypatch, grid20, grid20_op,
         step = -(-width // 8)
         order = shared_order(grid20_op, [HeatParams(t) for t in ts],
                              [heat_function(t) for t in ts])
-        reached = 0
+        pairs = 0
         for sub, w, sub_order in passes:
             assert sub_order == order
-            for lo in range(0, w, step):
-                hi = min(lo + step, w)
-                r_lo, r_hi = reached_rows_reference(sub, lo, hi, order)
-                reached += (r_hi - r_lo) * (hi - lo)
+            pairs += sub.n * w
         assert max(kept) <= n * step
-        assert sum(kept) == len(ts) * reached
+        assert sum(kept) == len(ts) * pairs
 
 
 def test_mixed_specs_share_one_contraction(monkeypatch, ico642, ico642_op):

@@ -7,6 +7,7 @@ from numpy.polynomial import chebyshev as npcheb
 from scipy.sparse import _sparsetools
 from scipy.sparse.linalg import expm_multiply
 
+import mahf.spectral as spectral
 from mahf.baselines import MhwSpec
 from mahf.errors import NumericalError, OperatorError
 from mahf.io_mesh import VertexSignal
@@ -18,7 +19,7 @@ from mahf.spectral import (CHEB_TOL, HeatParams, certified_order, chebyshev_appl
                            threshold_row, _truncated_coefficients)
 from mahf.synthetic import icosphere
 
-from conftest import SPHERE_RADIUS, dense_heat_oracle
+from conftest import SPHERE_RADIUS, dense_heat_oracle, within_steps
 
 
 @pytest.fixture(scope="module")
@@ -223,6 +224,32 @@ def test_chebyshev_matches_reference_recurrence(request, which):
             assert np.abs(got - full[ball]).max() <= 1e-13 * np.abs(full).max()
 
 
+@pytest.mark.parametrize("which", ["ico162", "grid20", "components"])
+def test_recurrence_rows_are_the_reached_levels(monkeypatch, request, which):
+    # on a breadth-first ball, step j of the recurrence runs on exactly the
+    # rows of the first j + 1 levels: none it cannot reach, none it skips
+    op = (scattered_components_op() if which == "components"
+          else request.getfixturevalue(f"{which}_op"))
+    centres = np.random.default_rng(13).choice(op.n, 5, replace=False)
+    fn = heat_function(5.0)
+    order = shared_order(op, [HeatParams(5.0)], [fn])
+    rows = []
+    matvecs = spectral._sparsetools.csr_matvecs
+
+    def recording(n_row, *args):
+        rows.append(n_row)
+        return matvecs(n_row, *args)
+
+    monkeypatch.setattr(spectral._sparsetools, "csr_matvecs", recording)
+    for depth in (3, order):
+        ball = breadth_first(op.stiffness, centres, np.zeros(op.n, dtype=bool), levels=depth)
+        x = np.zeros((ball.shape[0], 5))
+        x[np.arange(5), np.arange(5)] = 1.0 / op.mass[centres]
+        rows.clear()
+        chebyshev_apply(op.restricted(ball), fn, x, depth)
+        assert rows == [within_steps(op, centres, j).shape[0] for j in range(1, depth + 1)]
+
+
 def test_chebyshev_writes_into_out(ico162_op):
     rng = np.random.default_rng(14)
     fns = [heat_function(5.0), heat_function(20.0)]
@@ -379,15 +406,26 @@ def test_kernel_row_is_non_zero_on_its_ball(ico642_op):
     # vertex, and the row is non-zero on exactly those
     params = HeatParams(0.05, None, 0.0)
     order = shared_order(ico642_op, [params], [heat_function(0.05)])
-    s = ico642_op.stiffness
-    hops = sp.csr_matrix((np.ones(s.nnz), s.indices, s.indptr), shape=s.shape)
-    near = np.zeros(ico642_op.n)
-    near[7] = 1.0
-    for _ in range(order):
-        near += hops @ near
+    near = within_steps(ico642_op, [7], order)
     values, _ = heat_kernel_row(ico642_op, params, 7)
-    assert 0 < np.count_nonzero(near) < ico642_op.n
-    assert np.array_equal(np.flatnonzero(values), np.flatnonzero(near))
+    assert 0 < near.shape[0] < ico642_op.n
+    assert np.array_equal(np.flatnonzero(values), near)
+
+
+def test_kernel_rows_of_many_times_match_separate_calls(ico642_op):
+    # one recurrence on the ball of the largest order gives every row bit for
+    # bit as its own call on its own ball does
+    specs = [HeatParams(20.0), HeatParams(5.0, None, 0.0), HeatParams(50.0, None, 1e-3),
+             HeatParams(5.0)]
+    for i in (0, 321):
+        rows = heat_kernel_row(ico642_op, specs, i)
+        assert len(rows) == len(specs)
+        for spec, (values, support) in zip(specs, rows):
+            alone, alone_support = heat_kernel_row(ico642_op, spec, i)
+            assert np.array_equal(values, alone)
+            assert np.array_equal(support, alone_support)
+    with pytest.raises(ValueError, match="same order"):
+        heat_kernel_row(ico642_op, [HeatParams(5.0, 30), HeatParams(10.0, 40)], 0)
 
 
 def test_kernel_row_matches_expm_multiply_beyond_dense_limit():
