@@ -20,7 +20,7 @@ from .baselines import MhwSpec, mhw_normal_variation
 from .errors import (GeometryError, MahfError, MeshFormatError, NumericalError,
                      OperatorError, SignalFormatError)
 from .filters import FilterSpec, apply_filter, fuse, normal_variation
-from .geometry import build_frames, pca_normals, vertex_normals
+from .geometry import _sharing_knn, build_frames, pca_normals, vertex_normals
 from .io_mesh import (REC601_WEIGHTS, Mesh, VertexSignal, parse_mesh,
                       parse_signal, rgb_to_luminance, write_response,
                       write_signal_csv)
@@ -321,7 +321,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        return int(args.func(args) or 0)
+        # a point cloud's operator and normals share one kNN graph
+        with _sharing_knn():
+            return int(args.func(args) or 0)
     except (FileNotFoundError, IsADirectoryError, PermissionError,
             MeshFormatError, SignalFormatError, GeometryError, OperatorError,
             ValueError, OSError) as exc:

@@ -29,7 +29,7 @@ from .spectral import (HeatParams, chebyshev_apply, heat_function, shared_order,
                        threshold_row)
 
 _DEGENERATE_RTOL = 1e-9
-_CHUNK = 512
+_CHUNK = 256
 # Each chunk of kernel columns is contracted in this many column slices, so
 # the per-pair temporaries of the contraction stay a fraction of the chunk's.
 _SLICES = 8
@@ -147,11 +147,20 @@ def _response_block(op: SparseOperator, frames: FrameField, positions: np.ndarra
     One Chebyshev recurrence per chunk of kernel columns serves every spec,
     with one function per distinct diffusion time.  It runs on the chunk's
     ball: the operator restricted to the breadth-first levels around the
-    chunk, as deep as the pass's order, chunk first.  The chunk narrows as
-    diffusion times are added, so the live blocks of the recurrence stay
-    within those of a single-time chunk.  Each chunk is contracted in slices
-    of ``1 / _SLICES`` of its width, on all of its ball's rows: those a
-    slice never reached are exact zeros, which no positive threshold keeps.
+    chunk, as deep as the pass's order, chunk first.  Each chunk is
+    contracted in slices of ``1 / _SLICES`` of its width, on all of its
+    ball's rows: those a slice never reached are exact zeros, which no
+    positive threshold keeps.
+
+    Memory: with ``n_t`` distinct times a chunk is ``w = 2 _CHUNK / (n_t + 1)``
+    columns wide.  While it runs, at most ``(2 + n_t)`` float64 blocks of
+    ``|ball| x w`` hold data: the recurrence's two and one kernel block per
+    time.  The input indicator beside them holds only the chunk's ``w``
+    diagonal entries.  The indicator and the kernel buffers are reserved
+    once per pass, ``N x w`` each, and a chunk writes only their first
+    ``|ball| x w``, so their pages past the largest ball are never touched.
+    Each recurrence allocates its own two blocks and arrays the size of the
+    ball's operator.
     """
     times = {}
     for spec in specs:
@@ -166,8 +175,8 @@ def _response_block(op: SparseOperator, frames: FrameField, positions: np.ndarra
     width = max(1, 2 * _CHUNK // (len(fns) + 1))
     step = -(-width // _SLICES)
 
-    # the pass's blocks, reused by every chunk; a ball may have fewer rows
-    # and the last chunk fewer columns
+    # the pass's input and kernel buffers, reused by every chunk; a ball may
+    # have fewer rows and the last chunk fewer columns
     indicator = np.zeros(n * min(width, n))
     kernels = [np.empty(n * min(width, n)) for _ in fns]
     for chunk in _chunks(op, width):

@@ -8,6 +8,7 @@ deterministic regardless of threading.
 from __future__ import annotations
 
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,6 +156,39 @@ def knn(points: np.ndarray, k: int) -> NeighborList:
     return _tree_knn(points, k)
 
 
+# Graphs built while a _sharing_knn block is open: (copy of points, k, graph).
+_shared_graphs: list | None = None
+
+
+@contextmanager
+def _sharing_knn():
+    """Within the block, a kNN graph is built once per (points, k).
+
+    A point-cloud command builds its operator and its normals from the same
+    cloud and, by default, the same ``k``; inside the block they share one
+    graph (see :func:`_knn_graph`).
+    """
+    global _shared_graphs
+    outer, _shared_graphs = _shared_graphs, []
+    try:
+        yield
+    finally:
+        _shared_graphs = outer
+
+
+def _knn_graph(points: np.ndarray, k: int, build) -> NeighborList:
+    """``build(points, k)``, or inside a :func:`_sharing_knn` block the graph
+    an earlier call built for equal points and ``k``."""
+    if _shared_graphs is None:
+        return build(points, k)
+    for seen, seen_k, graph in _shared_graphs:
+        if seen_k == k and np.array_equal(seen, points):
+            return graph
+    graph = build(points, k)
+    _shared_graphs.append((points.copy(), k, graph))
+    return graph
+
+
 def pca_normals(points: np.ndarray, k: int) -> np.ndarray:
     """Point-cloud normals from local covariance, consistently oriented.
 
@@ -175,7 +209,7 @@ def pca_normals(points: np.ndarray, k: int) -> np.ndarray:
         raise ValueError(f"k must be at least 3 for a plane fit, got {k}")
     if k >= n:
         raise ValueError(f"k={k} requires more than k points, got {n}")
-    nbrs = knn(points, k)
+    nbrs = _knn_graph(points, k, knn)
     # coincident points share one id, so a sorted row of ids counts the
     # distinct positions among a point's neighbours
     ids = np.unique(points, axis=0, return_inverse=True)[1].reshape(-1)

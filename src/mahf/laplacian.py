@@ -16,7 +16,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import OperatorError
-from .geometry import knn, vertex_areas
+from .geometry import _knn_graph, knn, vertex_areas
 from .io_mesh import Mesh
 
 _COT_CLAMP = 1e6
@@ -185,7 +185,7 @@ def gaussian_knn_operator(points: np.ndarray, k: int,
     """
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     n = points.shape[0]
-    nbrs = knn(points, k)
+    nbrs = _knn_graph(points, k, knn)
     if isinstance(sigma, str):
         if sigma != "auto":
             raise ValueError(f"sigma must be positive or 'auto', got {sigma!r}")

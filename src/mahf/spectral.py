@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -47,6 +48,11 @@ _REFERENCE_NODES = (64, 8192)
 # the ends of the interval alone loses up to ~1e-11 at thousands of terms.
 _PROBES = np.append(2.0 ** -np.arange(64), 0.0)
 _PROBE_TOL = 1e-6
+# Tails and coefficients kept per (function, interval, order): a pass calls
+# the engine once per chunk with the same functions, so each is derived once
+# per pass.  Functions are keyed by identity, so the entries of earlier passes
+# only age out.
+_MEMO_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -182,6 +188,15 @@ def _coefficient_tails(fn, b: float) -> np.ndarray:
         "for this operator")
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
+def _tails(fn, b: float) -> np.ndarray:
+    """:func:`_coefficient_tails`, derived once per function and interval and
+    returned read-only, since every caller shares it."""
+    tails = _coefficient_tails(fn, b)
+    tails.flags.writeable = False
+    return tails
+
+
 def _first_certified(tails: np.ndarray) -> int:
     return max(1, int(np.argmax(tails <= CHEB_TOL)))
 
@@ -189,7 +204,7 @@ def _first_certified(tails: np.ndarray) -> int:
 def certified_order(fn, b: float) -> int:
     """Smallest order (at least 1) whose relative coefficient tail is at most
     :data:`CHEB_TOL` for ``fn`` on [0, b]."""
-    return _first_certified(_coefficient_tails(fn, b))
+    return _first_certified(_tails(fn, b))
 
 
 def heat_function(t: float):
@@ -227,7 +242,7 @@ def shared_order(op: SparseOperator, params, fns) -> int:
         raise ValueError("a fused Chebyshev pass needs at least one spec, "
                          "all with the same order")
     order = distinct.pop()
-    tails = [_coefficient_tails(fn, _interval(op)) for fn in fns]
+    tails = [_tails(fn, _interval(op)) for fn in fns]
     needed = max(_first_certified(tail) for tail in tails)
     if order is None:
         return needed
@@ -241,12 +256,15 @@ def shared_order(op: SparseOperator, params, fns) -> int:
     return min(order, needed)
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def _truncated_coefficients(fn, b: float, order: int) -> np.ndarray:
     """Coefficients of ``fn`` at its certified order (at most ``order``),
-    zero-padded to ``order + 1`` terms."""
+    zero-padded to ``order + 1`` terms; derived once per ``(fn, b, order)``
+    and returned read-only."""
     m = min(order, certified_order(fn, b))
     c = np.zeros(order + 1)
     c[:m + 1] = chebyshev_coefficients(fn, b, m)
+    c.flags.writeable = False
     return c
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import os
 import subprocess
@@ -10,6 +11,8 @@ import pytest
 
 import mahf.cli
 import mahf.filters
+import mahf.geometry
+import mahf.laplacian
 from mahf.cli import main
 from mahf.geometry import vertex_normals
 from mahf.io_mesh import Mesh, parse_signal, write_mesh
@@ -276,6 +279,40 @@ def test_gaussian_knn_point_cloud_runs(tmp_path):
                  "--knn", "6", "--k", "1", "--t", "2", "--out", str(out)])
     assert code == 0
     assert (tmp_path / "r_k1_t2.csv").exists()
+
+
+def test_point_cloud_command_builds_one_knn_graph(tmp_path, monkeypatch):
+    pts = np.random.default_rng(4).uniform(0, 30, (80, 3))
+    cloud = tmp_path / "cloud.ply"
+    write_mesh(cloud, Mesh(pts, np.zeros((0, 3))))
+    calls = []
+    knn = mahf.geometry.knn
+
+    def recording(points, k):
+        calls.append(k)
+        return knn(points, k)
+
+    monkeypatch.setattr(mahf.geometry, "knn", recording)
+    monkeypatch.setattr(mahf.laplacian, "knn", recording)
+
+    def run(name, knn_args):
+        out = tmp_path / f"{name}.ply"
+        calls.clear()
+        assert main(["normal-variation", "--mesh", str(cloud), *knn_args,
+                     "--k", "1", "--t", "2", "--out", str(out)]) == 0
+        return out.read_bytes(), list(calls)
+
+    # operator and normals share one graph when their k agree
+    shared, built = run("shared", ["--knn", "6"])
+    assert built == [6]
+    assert mahf.geometry._shared_graphs is None
+    # the normals need k >= 3, so --knn 2 builds two graphs
+    assert run("two", ["--knn", "2"])[1] == [2, 3]
+    # and the shared graph changes no output byte
+    monkeypatch.setattr(mahf.cli, "_sharing_knn", contextlib.nullcontext)
+    alone, built = run("alone", ["--knn", "6"])
+    assert built == [6, 6]
+    assert alone == shared
 
 
 def test_bad_sigma_exits_2(tmp_path, grid_inputs):

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import mahf.filters as filters
+import mahf.spectral as spectral
 from mahf.errors import NumericalError
 from mahf.filters import (FilterSpec, apply_filter, fuse, multiscale_apply,
                           normal_variation)
@@ -390,6 +393,62 @@ def test_chunk_width_shrinks_with_scale_count(monkeypatch, grid20, grid20_op,
         # the ball holds every vertex within the pass's 5 steps of the chunk
         for chunk, ball in zip(chunks, balls):
             assert np.array_equal(np.sort(ball), within_steps(grid20_op, chunk, 5))
+
+
+def test_coefficients_derived_once_per_pass(monkeypatch, grid20, grid20_op,
+                                            grid20_frames):
+    # each scale's tails come once per pass, however many chunks call the engine
+    calls = []
+    tails = spectral._coefficient_tails
+
+    def counting(fn, b):
+        calls.append(b)
+        return tails(fn, b)
+
+    monkeypatch.setattr(spectral, "_coefficient_tails", counting)
+    s = step_signal(grid20)
+    counts = []
+    for chunk in (16, 512):
+        monkeypatch.setattr(filters, "_CHUNK", chunk)
+        calls.clear()
+        multiscale_apply(grid20_op, grid20_frames, grid20.vertices, 1, [5.0, 10.0, 20.0], s)
+        counts.append(len(calls))
+    assert counts == [3, 3]
+
+
+def test_pass_memory_within_documented_bound(monkeypatch, ico642, ico642_op):
+    # tracemalloc counts every numpy buffer: the pass reserves its input and
+    # one kernel buffer per time at N x w, each recurrence adds its two
+    # |ball| x w blocks, and the rest is the size of the operator
+    frames = build_frames(vertex_normals(ico642))
+    s = np.random.default_rng(3).standard_normal(ico642_op.n)
+    ts = [5.0, 10.0, 20.0]
+    runs = []
+
+    def recording(op, fn, x, order, **kwargs):
+        runs.append((op.n, x.shape[1]))
+        return chebyshev_apply(op, fn, x, order, **kwargs)
+
+    monkeypatch.setattr(filters, "chebyshev_apply", recording)
+    multiscale_apply(ico642_op, frames, ico642.vertices, 1, ts, s)
+    peaks = []
+    for chunk in (256, 128):
+        monkeypatch.setattr(filters, "_CHUNK", chunk)
+        runs.clear()
+        tracemalloc.start()
+        try:
+            multiscale_apply(ico642_op, frames, ico642.vertices, 1, ts, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        width = max(w for _, w in runs)
+        assert width == 2 * chunk // (len(ts) + 1)
+        blocks = 8 * ((1 + len(ts)) * ico642_op.n * width
+                      + 2 * max(rows * w for rows, w in runs))
+        assert peak <= blocks + 128 * ico642_op.stiffness.nnz
+        peaks.append(peak)
+    # halving the chunk halves the blocks
+    assert peaks[1] < 0.6 * peaks[0]
 
 
 def test_contraction_slices_bound_pair_count(monkeypatch, grid20, grid20_op,

@@ -337,6 +337,20 @@ def test_certified_order_meets_tolerance():
             assert err <= 2 * CHEB_TOL * np.abs(f).max()
 
 
+def test_coefficients_are_memoized_read_only(ico162_op):
+    fn, b = heat_function(5.0), 1.01 * ico162_op.lambda_max
+    tails = spectral._tails(fn, b)
+    coeffs = _truncated_coefficients(fn, b, 40)
+    assert spectral._tails(fn, b) is tails
+    assert _truncated_coefficients(fn, b, 40) is coeffs
+    # every later pass reads these arrays, so none may write into them
+    for shared in (tails, coeffs):
+        with pytest.raises(ValueError, match="read-only"):
+            shared[0] = 1.0
+    # another order is its own entry
+    assert _truncated_coefficients(fn, b, 41).shape == (42,)
+
+
 def test_certified_order_bounded_search():
     with pytest.raises(NumericalError, match="too large"):
         certified_order(heat_function(1e7), 1.0)
