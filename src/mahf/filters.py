@@ -152,10 +152,15 @@ def _response_block(op: SparseOperator, frames: FrameField, positions: np.ndarra
     ball's rows: those a slice never reached are exact zeros, which no
     positive threshold keeps.
 
-    Memory: with ``n_t`` distinct times a chunk is ``w = 2 _CHUNK / (n_t + 1)``
-    columns wide.  While it runs, at most ``(2 + n_t)`` float64 blocks of
+    Memory: with ``n_t`` distinct times a chunk is
+    ``w = 2 _CHUNK / (max(n_t, 3) + 1)`` columns wide, 128 at the default
+    ``_CHUNK``.  One and two times get the three-time width: scipy's block
+    product kernel costs about the same per column from 128 columns up and
+    loses efficiency below, so the narrower chunk saves memory for free.
+    While a chunk runs, at most ``(2 + n_t)`` float64 blocks of
     ``|ball| x w`` hold data: the recurrence's two and one kernel block per
-    time.  The input indicator beside them holds only the chunk's ``w``
+    time, at most 3 KiB per ball row for one time and 5 KiB for three or
+    more.  The input indicator beside them holds only the chunk's ``w``
     diagonal entries.  The indicator and the kernel buffers are reserved
     once per pass, ``N x w`` each, and a chunk writes only their first
     ``|ball| x w``, so their pages past the largest ball are never touched.
@@ -172,7 +177,7 @@ def _response_block(op: SparseOperator, frames: FrameField, positions: np.ndarra
     n = op.n
     mass = op.mass
     responses = [(np.zeros_like(signals), np.zeros_like(signals)) for _ in specs]
-    width = max(1, 2 * _CHUNK // (len(fns) + 1))
+    width = max(1, 2 * _CHUNK // (max(len(fns), 3) + 1))
     step = -(-width // _SLICES)
 
     # the pass's input and kernel buffers, reused by every chunk; a ball may

@@ -1,4 +1,6 @@
-"""Per-vertex normals, lumped areas, k-nearest neighbors and tangent frames.
+"""Per-vertex normals, lumped areas, k-nearest neighbors and tangent frames,
+and the breadth-first level search that normal orientation and the
+operators' vertex balls share.
 
 All operations are pure functions of immutable inputs.  Per-vertex
 accumulations run in a fixed incident-face order, so results are
@@ -7,11 +9,11 @@ deterministic regardless of threading.
 
 from __future__ import annotations
 
-from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .errors import GeometryError
 from .io_mesh import Mesh
@@ -189,13 +191,34 @@ def _knn_graph(points: np.ndarray, k: int, build) -> NeighborList:
     return graph
 
 
+def next_level(pattern: sparse.csr_matrix, level: np.ndarray, seen: np.ndarray):
+    """The next level of a breadth-first search: the vertices not yet
+    ``seen`` that ``pattern`` links to ``level``, and for each the vertex of
+    ``level`` that found it.
+
+    The vertices of ``level`` scan their rows of the pattern in turn, each
+    in stored order; a vertex is found by the first scan that reaches it,
+    and the level lists vertices in the order they are found.  Marks
+    nothing in ``seen``.
+    """
+    indptr, indices = pattern.indptr, pattern.indices
+    starts = indptr[level]
+    counts = indptr[level + 1] - starts
+    ends = np.cumsum(counts)
+    gather = np.repeat(starts - ends + counts, counts)
+    reached = indices[gather + np.arange(gather.shape[0])]
+    fresh = np.flatnonzero(~seen[reached])
+    first = fresh[np.sort(np.unique(reached[fresh], return_index=True)[1])]
+    return reached[first], level[np.searchsorted(ends, first, side="right")]
+
+
 def pca_normals(points: np.ndarray, k: int) -> np.ndarray:
     """Point-cloud normals from local covariance, consistently oriented.
 
     The normal at each point is the least-variance direction of its k
     nearest neighbors.  Signs are fixed by breadth-first propagation over
-    the kNN graph from the highest point, each normal flipped to agree
-    with the neighbor it was reached from.
+    the kNN graph from the highest point, level by level, each normal
+    flipped to agree with the neighbor it was reached from.
 
     Parameters
     ----------
@@ -223,30 +246,26 @@ def pca_normals(points: np.ndarray, k: int) -> np.ndarray:
     _w, vecs = np.linalg.eigh(np.matmul(centered.transpose(0, 2, 1), centered))
     normals = np.ascontiguousarray(vecs[:, :, 0])
 
-    # undirected kNN graph for the orientation sweep
-    adjacency = [set() for _ in range(n)]
-    for i in range(n):
-        for j in nbrs.indices[i]:
-            adjacency[i].add(int(j))
-            adjacency[int(j)].add(i)
-    visited = np.zeros(n, dtype=bool)
-    by_height = np.lexsort((np.arange(n), -points[:, 2]))
-    for seed in by_height:
-        if visited[seed]:
+    # undirected kNN graph for the orientation sweep; the conversion from
+    # COO sorts each row, so a level scans its neighbours in index order
+    rows = np.repeat(np.arange(n), k)
+    cols = nbrs.indices.reshape(-1)
+    pattern = sparse.csr_matrix((np.ones(2 * rows.shape[0]),
+                                 (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
+                                shape=(n, n))
+    seen = np.zeros(n, dtype=bool)
+    for seed in np.lexsort((np.arange(n), -points[:, 2])):
+        if seen[seed]:
             continue
         if normals[seed, 2] < 0:
             normals[seed] = -normals[seed]
-        visited[seed] = True
-        queue = deque([int(seed)])
-        while queue:
-            u = queue.popleft()
-            for v in sorted(adjacency[u]):
-                if visited[v]:
-                    continue
-                if normals[v] @ normals[u] < 0:
-                    normals[v] = -normals[v]
-                visited[v] = True
-                queue.append(v)
+        seen[seed] = True
+        level = np.array([seed])
+        while level.size:
+            level, found_by = next_level(pattern, level, seen)
+            flip = level[np.einsum("pc,pc->p", normals[level], normals[found_by]) < 0]
+            normals[flip] = -normals[flip]
+            seen[level] = True
     return normals
 
 

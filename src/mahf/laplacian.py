@@ -16,7 +16,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import OperatorError
-from .geometry import _knn_graph, knn, vertex_areas
+from .geometry import _knn_graph, knn, next_level, vertex_areas
 from .io_mesh import Mesh
 
 _COT_CLAMP = 1e6
@@ -77,21 +77,15 @@ def breadth_first(pattern: sparse.csr_matrix, sources, seen: np.ndarray, *,
     or at ``size`` vertices, cutting the last level short.  A degree-``j``
     polynomial of the matrix is non-zero only on the first ``j + 1`` levels.
     """
-    indptr, indices = pattern.indptr, pattern.indices
     found = [np.asarray(sources, dtype=np.intp)]
     seen[found[0]] = True
     count = found[0].shape[0]
     for _ in range(pattern.shape[0] if levels is None else levels):
         if size is not None and count >= size:
             break
-        starts = indptr[found[-1]]
-        counts = indptr[found[-1] + 1] - starts
-        gather = np.repeat(starts - np.cumsum(counts) + counts, counts)
-        reached = indices[gather + np.arange(gather.shape[0])]
-        fresh, first = np.unique(reached[~seen[reached]], return_index=True)
-        if fresh.size == 0:
+        level = next_level(pattern, found[-1], seen)[0]
+        if level.size == 0:
             break
-        level = fresh[np.argsort(first, kind="stable")]
         if size is not None:
             level = level[:size - count]
         seen[level] = True

@@ -219,10 +219,21 @@ def _interval(op: SparseOperator) -> float:
 
 def _mapped(op: SparseOperator, b: float) -> sparse.csr_matrix:
     """``(2/b) mass^-1 stiffness - I``, which maps [0, b] to [-1, 1], as one
-    CSR matrix with sorted column indices in each row."""
-    a = sparse.csr_matrix(sparse.diags((2.0 / b) / op.mass) @ op.stiffness
-                          - sparse.identity(op.n))
-    a.sort_indices()
+    CSR matrix with sorted column indices in each row.
+
+    Each stored stiffness entry becomes ``(2/b) / mass_r * s_rc``, minus 1 on
+    the diagonal, and each row stores its diagonal, so the pattern is the
+    stiffness pattern plus the diagonal.
+    """
+    s = op.stiffness
+    data = np.repeat((2.0 / b) / op.mass, np.diff(s.indptr))
+    data *= s.data
+    # a -1 appended to each row adds to the row's diagonal entry, if stored
+    a = sparse.csr_matrix((np.insert(data, s.indptr[1:], -1.0),
+                           np.insert(s.indices, s.indptr[1:], np.arange(op.n)),
+                           s.indptr + np.arange(op.n + 1, dtype=s.indptr.dtype)),
+                          shape=s.shape)
+    a.sum_duplicates()
     return a
 
 
@@ -271,13 +282,13 @@ def _truncated_coefficients(fn, b: float, order: int) -> np.ndarray:
 def _reach_ends(a) -> np.ndarray:
     """For each row ``r``, one past the last row of ``a @ y`` that rows
     ``0 .. r`` of ``y`` can make non-zero, row ``r`` itself included: the
-    running maximum of the last row with an entry in each column."""
-    csc = a.tocsc()
-    csc.sort_indices()
-    last = np.arange(a.shape[0])
-    filled = np.flatnonzero(np.diff(csc.indptr))
-    last[filled] = np.maximum(filled, csc.indices[csc.indptr[filled + 1] - 1])
-    return np.maximum.accumulate(last) + 1
+    running maximum of the last row with an entry in each column.
+
+    ``a`` is a :func:`_mapped` matrix: its pattern is symmetric, so the last
+    row of column ``r`` is the last column of row ``r``, and every row
+    stores its diagonal, so that column is at least ``r``.
+    """
+    return np.maximum.accumulate(a.indices[a.indptr[1:] - 1]) + 1
 
 
 def chebyshev_apply(op: SparseOperator, fn, x: np.ndarray, order: int, *, out=None):
@@ -296,7 +307,10 @@ def chebyshev_apply(op: SparseOperator, fn, x: np.ndarray, order: int, *, out=No
     of ``x``.  The recurrence runs on a prefix of the rows that holds them,
     which each step extends to one past the last row its rows reach, and
     past which the blocks stay exact zeros: one in-place call of scipy's CSR
-    block product kernel per step.  On an operator
+    block product kernel per step.  How far row ``r`` of a block reaches, the
+    last entry of column ``r`` of the mapped CSR, is read from the end of
+    its sorted row ``r``: this relies on the stiffness pattern being
+    symmetric.  On an operator
     :meth:`~SparseOperator.restricted` to a breadth-first ball (see
     :func:`~mahf.laplacian.breadth_first`) whose first rows hold the input,
     the prefix is exactly the levels reached so far; a dense input covers

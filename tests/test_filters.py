@@ -378,18 +378,19 @@ def test_chunk_width_shrinks_with_scale_count(monkeypatch, grid20, grid20_op,
     monkeypatch.setattr(SparseOperator, "restricted", recording_ball)
     monkeypatch.setattr(filters, "chebyshev_apply", recording)
     s = step_signal(grid20)
-    for ts in ([5.0], [5.0, 10.0, 20.0]):
+    for ts in ([5.0], [5.0, 10.0, 20.0], [5.0, 10.0, 20.0, 40.0]):
         balls.clear()
         widths.clear()
         multiscale_apply(grid20_op, grid20_frames, grid20.vertices, 1, ts, s,
                          chebyshev_order=5)
-        # one recurrence per chunk serves every scale; the chunk narrows to
-        # 2 * _CHUNK / (scales + 1) so the live blocks never outgrow one
-        # scale's, and its ball starts with it
+        # one recurrence per chunk serves every scale; the chunk is
+        # 2 * _CHUNK / (max(scales, 3) + 1) wide, narrowing past three scales
+        # so the live blocks never outgrow three scales', and its ball starts
+        # with it
         assert len(balls) == len(widths) and {m for m, _ in widths} == {len(ts)}
         chunks = [ball[:w] for ball, (_, w) in zip(balls, widths)]
         assert np.array_equal(np.sort(np.concatenate(chunks)), np.arange(grid20_op.n))
-        assert max(w for _, w in widths) <= 2 * 8 // (len(ts) + 1)
+        assert max(w for _, w in widths) == 2 * 8 // (max(len(ts), 3) + 1)
         # the ball holds every vertex within the pass's 5 steps of the chunk
         for chunk, ball in zip(chunks, balls):
             assert np.array_equal(np.sort(ball), within_steps(grid20_op, chunk, 5))
@@ -422,7 +423,6 @@ def test_pass_memory_within_documented_bound(monkeypatch, ico642, ico642_op):
     # |ball| x w blocks, and the rest is the size of the operator
     frames = build_frames(vertex_normals(ico642))
     s = np.random.default_rng(3).standard_normal(ico642_op.n)
-    ts = [5.0, 10.0, 20.0]
     runs = []
 
     def recording(op, fn, x, order, **kwargs):
@@ -430,9 +430,11 @@ def test_pass_memory_within_documented_bound(monkeypatch, ico642, ico642_op):
         return chebyshev_apply(op, fn, x, order, **kwargs)
 
     monkeypatch.setattr(filters, "chebyshev_apply", recording)
-    multiscale_apply(ico642_op, frames, ico642.vertices, 1, ts, s)
+    multiscale_apply(ico642_op, frames, ico642.vertices, 1, [5.0, 10.0, 20.0], s)
     peaks = []
-    for chunk in (256, 128):
+    # one and two times get the three-time width, 128 at the default _CHUNK
+    for ts, chunk, expected in (([5.0, 10.0, 20.0], 256, 128), ([5.0, 10.0, 20.0], 128, 64),
+                                ([5.0], 256, 128), ([5.0, 10.0], 256, 128)):
         monkeypatch.setattr(filters, "_CHUNK", chunk)
         runs.clear()
         tracemalloc.start()
@@ -442,7 +444,7 @@ def test_pass_memory_within_documented_bound(monkeypatch, ico642, ico642_op):
         finally:
             tracemalloc.stop()
         width = max(w for _, w in runs)
-        assert width == 2 * chunk // (len(ts) + 1)
+        assert width == expected
         blocks = 8 * ((1 + len(ts)) * ico642_op.n * width
                       + 2 * max(rows * w for rows, w in runs))
         assert peak <= blocks + 128 * ico642_op.stiffness.nnz
@@ -476,7 +478,7 @@ def test_contraction_slices_bound_pair_count(monkeypatch, grid20, grid20_op,
         passes.clear()
         multiscale_apply(grid20_op, grid20_frames, grid20.vertices, 1, ts, s,
                          support_threshold=0.0)
-        width = 2 * filters._CHUNK // (len(ts) + 1)
+        width = 2 * filters._CHUNK // (max(len(ts), 3) + 1)
         step = -(-width // 8)
         order = shared_order(grid20_op, [HeatParams(t) for t in ts],
                              [heat_function(t) for t in ts])

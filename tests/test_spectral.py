@@ -225,6 +225,32 @@ def test_chebyshev_matches_reference_recurrence(request, which):
 
 
 @pytest.mark.parametrize("which", ["ico162", "grid20", "components"])
+def test_mapped_operator_and_reach_match_column_scan(request, which):
+    # the one-step mapped CSR holds scipy's (2/b) M^-1 S - I entry for entry,
+    # and the reach read from its sorted rows is the one a column scan gives;
+    # a restricted ball has unsorted stiffness rows, the components operator
+    # an isolated vertex with no stored diagonal
+    op = (scattered_components_op() if which == "components"
+          else request.getfixturevalue(f"{which}_op"))
+    b = 1.01 * op.lambda_max
+    ball = breadth_first(op.stiffness, [0, op.n - 1], np.zeros(op.n, dtype=bool), levels=3)
+    for sub in (op, op.restricted(ball)):
+        a = spectral._mapped(sub, b)
+        ref = sp.csr_matrix(sp.diags((2.0 / b) / sub.mass) @ sub.stiffness
+                            - sp.identity(sub.n))
+        ref.sort_indices()
+        assert np.array_equal(a.indptr, ref.indptr)
+        assert np.array_equal(a.indices, ref.indices)
+        assert np.array_equal(a.data, ref.data)
+        csc = ref.tocsc()
+        csc.sort_indices()
+        last = np.arange(sub.n)
+        filled = np.flatnonzero(np.diff(csc.indptr))
+        last[filled] = np.maximum(filled, csc.indices[csc.indptr[filled + 1] - 1])
+        assert np.array_equal(spectral._reach_ends(a), np.maximum.accumulate(last) + 1)
+
+
+@pytest.mark.parametrize("which", ["ico162", "grid20", "components"])
 def test_recurrence_rows_are_the_reached_levels(monkeypatch, request, which):
     # on a breadth-first ball, step j of the recurrence runs on exactly the
     # rows of the first j + 1 levels: none it cannot reach, none it skips
