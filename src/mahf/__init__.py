@@ -20,9 +20,7 @@ from .io_mesh import (Mesh, VertexSignal, parse_mesh, parse_signal,
                       rgb_to_luminance, write_mesh, write_response, write_signal_csv)
 from .laplacian import (SparseOperator, cotan_operator, estimate_lambda_max,
                         gaussian_knn_operator)
-from .spectral import (HeatParams, SpectralBasis, eigendecompose,
-                       heat_apply_chebyshev, heat_kernel_dense, heat_kernel_row,
-                       semigroup_compose)
+from .spectral import HeatParams, heat_apply_chebyshev, heat_kernel_row
 
 __all__ = [
     "__version__",
@@ -31,8 +29,7 @@ __all__ = [
     "FrameField", "NeighborList", "vertex_normals", "pca_normals",
     "vertex_areas", "build_frames", "knn",
     "SparseOperator", "cotan_operator", "gaussian_knn_operator", "estimate_lambda_max",
-    "SpectralBasis", "HeatParams", "eigendecompose",
-    "heat_kernel_dense", "heat_apply_chebyshev", "heat_kernel_row", "semigroup_compose",
+    "HeatParams", "heat_apply_chebyshev", "heat_kernel_row",
     "FilterSpec", "FilterResponse", "apply_filter", "multiscale_apply",
     "normal_variation", "fuse",
     "MhwSpec", "mhw_apply", "mhw_normal_variation",

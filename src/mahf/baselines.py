@@ -29,8 +29,8 @@ class MhwSpec:
     chebyshev_order: int | None = None
 
     def __post_init__(self):
-        if self.t <= 0:
-            raise ValueError(f"MHW scale must be positive, got {self.t}")
+        if not (np.isfinite(self.t) and self.t > 0):
+            raise ValueError(f"MHW scale must be finite and positive, got {self.t}")
         check_order(self.chebyshev_order)
 
 

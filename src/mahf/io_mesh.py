@@ -92,10 +92,6 @@ class Mesh:
     def n_faces(self) -> int:
         return self.faces.shape[0]
 
-    @property
-    def is_point_cloud(self) -> bool:
-        return self.faces.shape[0] == 0
-
 
 @dataclass(frozen=True)
 class VertexSignal:

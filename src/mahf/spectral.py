@@ -1,15 +1,11 @@
-"""Heat-kernel actions: dense eigendecomposition oracle and Chebyshev path.
+"""Heat-kernel actions by Chebyshev expansion.
 
-The dense route solves the symmetric generalized eigenproblem
-``stiffness @ phi = lambda * mass * phi`` and reconstructs the kernel
-``K_t = Phi exp(-t lambda) Phi^T`` from mass-orthonormal eigenvectors; it is
-exact but limited to small meshes.  The Chebyshev route approximates
-``exp(-t mass^-1 stiffness) @ s`` with a three-term recurrence that touches
-the operator only through matrix-vector products, so it scales to meshes the
-dense path cannot handle.  Kernel rows are defined so that identity-mass
-graphs reproduce the spectral-sum kernel exactly; for general mass the row
-convention is ``exp(-t L) @ (indicator / mass)``, which downstream filters
-use consistently.
+The Chebyshev route approximates ``exp(-t mass^-1 stiffness) @ s`` with a
+three-term recurrence that touches the operator only through matrix-vector
+products, so it never forms a dense N x N object.  Kernel rows are defined
+so that identity-mass graphs reproduce the spectral-sum kernel exactly; for
+general mass the row convention is ``exp(-t L) @ (indicator / mass)``, which
+downstream filters use consistently.
 """
 
 from __future__ import annotations
@@ -20,17 +16,14 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 from numpy.polynomial import chebyshev as npcheb
 from scipy import sparse
 from scipy.linalg.blas import dasum, daxpy
 from scipy.sparse import _sparsetools
 
-from .errors import NumericalError, OperatorError
+from .errors import NumericalError
 from .io_mesh import VertexSignal, signal_values
 from .laplacian import SparseOperator, breadth_first
-
-DENSE_LIMIT_DEFAULT = 3000
 
 # Certified truncation: each expansion keeps the fewest terms whose
 # coefficient tail is at most CHEB_TOL * max|f| on the spectral interval.
@@ -68,48 +61,11 @@ class HeatParams:
     support_threshold: float = 1e-4
 
     def __post_init__(self):
-        if self.t < 0:
-            raise ValueError(f"diffusion time must be nonnegative, got {self.t}")
+        if not (np.isfinite(self.t) and self.t >= 0):
+            raise ValueError(f"diffusion time must be finite and nonnegative, got {self.t}")
         check_order(self.chebyshev_order)
         if not (0 <= self.support_threshold < 1):
             raise ValueError("support_threshold must lie in [0, 1)")
-
-
-@dataclass(frozen=True)
-class SpectralBasis:
-    """Eigenpairs of the generalized problem, eigenvectors mass-orthonormal."""
-
-    eigenvalues: np.ndarray   # (N,) ascending
-    eigenvectors: np.ndarray  # (N, N), columns
-
-
-def eigendecompose(op: SparseOperator, dense_limit: int = DENSE_LIMIT_DEFAULT) -> SpectralBasis:
-    """Full dense solution of the symmetric generalized eigenproblem.
-
-    The diagonal mass makes the similarity transform
-    ``mass^-1/2 stiffness mass^-1/2`` cheap; its orthonormal eigenvectors map
-    back to mass-orthonormal generalized eigenvectors.
-    """
-    if op.n > dense_limit:
-        raise OperatorError(
-            f"dense eigendecomposition limited to {dense_limit} vertices "
-            f"(got {op.n}); use the Chebyshev path for large problems")
-    dense = op.stiffness.toarray()
-    if not np.all(np.isfinite(dense)):
-        raise OperatorError("operator contains non-finite entries")
-    inv_sqrt = 1.0 / np.sqrt(op.mass)
-    sym = inv_sqrt[:, None] * dense * inv_sqrt[None, :]
-    sym = 0.5 * (sym + sym.T)
-    eigenvalues, vecs = scipy.linalg.eigh(sym)
-    return SpectralBasis(eigenvalues, inv_sqrt[:, None] * vecs)
-
-
-def heat_kernel_dense(basis: SpectralBasis, t: float) -> np.ndarray:
-    """Spectral-sum heat kernel sum_s exp(-t lambda_s) phi_s phi_s^T."""
-    if t < 0:
-        raise ValueError(f"diffusion time must be nonnegative, got {t}")
-    phi = basis.eigenvectors
-    return (phi * np.exp(-t * basis.eigenvalues)[None, :]) @ phi.T
 
 
 def check_order(order: int | None) -> None:
@@ -428,11 +384,11 @@ def heat_kernel_row(op: SparseOperator, params: HeatParams | Sequence[HeatParams
     """Row ``i`` of the heat kernel with entries below the cutoff zeroed.
 
     Returns the length-N row and the indices of its kept entries (see
-    :func:`threshold_row`).  The mass-weighted indicator makes the Chebyshev
-    result match row ``i`` of the dense spectral-sum kernel; for identity
-    mass the input is the plain indicator.  The recurrence runs on the ball
-    of vertices within its order of steps of ``i``, and the row is zero
-    outside it.  A sequence of params, sharing the Chebyshev order setting,
+    :func:`threshold_row`).  The indicator divided by the vertex's mass
+    makes the Chebyshev result match row ``i`` of the dense spectral-sum
+    kernel; for identity mass the input is the plain indicator.  The
+    recurrence runs on the ball of vertices within its order of steps of
+    ``i``, and the row is zero outside it.  A sequence of params, sharing the Chebyshev order setting,
     returns one such pair per spec from one recurrence, with one function
     per distinct time, on the ball of the pass's order.
     """
@@ -454,18 +410,4 @@ def heat_kernel_row(op: SparseOperator, params: HeatParams | Sequence[HeatParams
         row[~keep] = 0.0
         rows.append((row, support))
     return rows[0] if isinstance(params, HeatParams) else rows
-
-
-def semigroup_compose(k_t1: np.ndarray, k_t2: np.ndarray, mass: np.ndarray) -> np.ndarray:
-    """Compose two dense kernels through the mass pairing: K_t1 M K_t2.
-
-    Equals the kernel at the summed time up to numerical error; with identity
-    mass it reduces to the plain matrix product.
-    """
-    k_t1 = np.asarray(k_t1, dtype=np.float64)
-    k_t2 = np.asarray(k_t2, dtype=np.float64)
-    mass = np.asarray(mass, dtype=np.float64).reshape(-1)
-    if k_t1.shape[1] != mass.shape[0] or k_t2.shape[0] != mass.shape[0]:
-        raise ValueError("kernel and mass dimensions do not conform")
-    return k_t1 @ (mass[:, None] * k_t2)
 

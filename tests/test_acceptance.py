@@ -16,11 +16,10 @@ from mahf.filters import FilterSpec, apply_filter, multiscale_apply, normal_vari
 from mahf.geometry import build_frames, vertex_normals
 from mahf.io_mesh import Mesh, parse_mesh, write_mesh
 from mahf.laplacian import cotan_operator, gaussian_knn_operator
-from mahf.spectral import (HeatParams, eigendecompose, heat_apply_chebyshev,
-                           heat_kernel_dense, heat_kernel_row, semigroup_compose)
+from mahf.spectral import HeatParams, heat_apply_chebyshev, heat_kernel_row
 from mahf.synthetic import flat_grid, icosphere
 
-from conftest import (CUBE_DIVISIONS, CUBE_EDGE, GRID_SPACING,
+from conftest import (CUBE_DIVISIONS, CUBE_EDGE, GRID_SPACING, DenseOracle,
                       grid_columns_rows, grid_interior_mask)
 
 
@@ -40,10 +39,10 @@ def test_criterion_01_oracle_equivalence(two_node_op, path4_op, grid20_op,
         (ico642_op, (5.0, 30.0)),
     ]
     for op, ts in cases:
-        basis = eigendecompose(op)
+        oracle = DenseOracle(op.stiffness, op.mass)
         s = rng.standard_normal(op.n)
         for t in ts:
-            exact = heat_kernel_dense(basis, t) @ (op.mass * s)
+            exact = oracle.kernel(t) @ (op.mass * s)
             approx = heat_apply_chebyshev(op, HeatParams(t, 50), s)
             assert np.abs(approx - exact).max() < 1e-7 * np.abs(s).max()
     elapsed = time.perf_counter() - start
@@ -52,10 +51,9 @@ def test_criterion_01_oracle_equivalence(two_node_op, path4_op, grid20_op,
 
 
 def test_criterion_02_semigroup(ico162_op):
-    basis = eigendecompose(ico162_op)
-    k5 = heat_kernel_dense(basis, 5.0)
-    k10 = heat_kernel_dense(basis, 10.0)
-    composed = semigroup_compose(k5, k5, ico162_op.mass)
+    oracle = DenseOracle(ico162_op.stiffness, ico162_op.mass)
+    k5, k10 = oracle.kernel(5.0), oracle.kernel(10.0)
+    composed = k5 @ (ico162_op.mass[:, None] * k5)
     assert np.abs(composed - k10).max() < 1e-8
     _report(2, "semigroup recursion")
 

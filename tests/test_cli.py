@@ -223,6 +223,16 @@ def test_kernel_vertex_out_of_range(tmp_path, grid_inputs):
     assert code == 2
 
 
+def test_kernel_infinite_time_exits_2(tmp_path, grid_inputs, capsys):
+    _, mesh_path, _ = grid_inputs
+    out = tmp_path / "r.csv"
+    code = main(["kernel", "--mesh", str(mesh_path), "--vertex", "0",
+                 "--t", "inf", "--out", str(out)])
+    assert code == 2
+    assert "finite" in capsys.readouterr().err
+    assert not list(tmp_path.glob("r*.csv"))
+
+
 def test_fuse_beta_zero_returns_first(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

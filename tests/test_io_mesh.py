@@ -157,7 +157,7 @@ def test_ply_point_cloud(tmp_path):
             "property float x\nproperty float y\nproperty float z\n"
             "end_header\n0 0 0\n1 2 3\n")
     mesh = parse_mesh(_write(tmp_path, "pc.ply", text))
-    assert mesh.is_point_cloud
+    assert mesh.n_faces == 0
     assert mesh.n_vertices == 2
 
 

@@ -9,49 +9,48 @@ from scipy.sparse.linalg import expm_multiply
 
 import mahf.spectral as spectral
 from mahf.baselines import MhwSpec
-from mahf.errors import NumericalError, OperatorError
+from mahf.errors import NumericalError
 from mahf.io_mesh import VertexSignal
 from mahf.laplacian import SparseOperator, breadth_first, cotan_operator
 from mahf.spectral import (CHEB_TOL, HeatParams, certified_order, chebyshev_apply,
-                           chebyshev_coefficients, eigendecompose,
-                           heat_apply_chebyshev, heat_function, heat_kernel_dense,
-                           heat_kernel_row, semigroup_compose, shared_order,
-                           threshold_row, _truncated_coefficients)
+                           chebyshev_coefficients, heat_apply_chebyshev, heat_function,
+                           heat_kernel_row, shared_order, threshold_row,
+                           _truncated_coefficients)
 from mahf.synthetic import icosphere
 
-from conftest import SPHERE_RADIUS, dense_heat_oracle, within_steps
+from conftest import SPHERE_RADIUS, DenseOracle, dense_heat_oracle, within_steps
 
 
 @pytest.fixture(scope="module")
-def ico162_basis(ico162_op):
-    return eigendecompose(ico162_op)
+def ico162_oracle(ico162_op):
+    return DenseOracle(ico162_op.stiffness, ico162_op.mass)
 
 
-# --- eigendecomposition ---
+# --- eigendecomposition of the dense oracle ---
 
 def test_eigendecompose_two_node(two_node_op):
-    basis = eigendecompose(two_node_op)
-    assert np.allclose(basis.eigenvalues, [0.0, 2.0], atol=1e-12)
-    phi0, phi1 = basis.eigenvectors[:, 0], basis.eigenvectors[:, 1]
+    oracle = DenseOracle(two_node_op.stiffness, two_node_op.mass)
+    assert np.allclose(oracle.eigenvalues, [0.0, 2.0], atol=1e-12)
+    phi0, phi1 = oracle.phi[:, 0], oracle.phi[:, 1]
     assert abs(phi0[0] - phi0[1]) < 1e-12     # constant mode
     assert abs(phi1[0] + phi1[1]) < 1e-12     # difference mode
 
 
 def test_eigendecompose_path_graph_matches_oracle(path4_op):
-    basis = eigendecompose(path4_op)
-    oracle = np.linalg.eigvalsh(path4_op.stiffness.toarray())
-    assert np.abs(basis.eigenvalues - oracle).max() < 1e-10
+    oracle = DenseOracle(path4_op.stiffness, path4_op.mass)
+    expected = np.linalg.eigvalsh(path4_op.stiffness.toarray())
+    assert np.abs(oracle.eigenvalues - expected).max() < 1e-10
 
 
-def test_eigendecompose_connected_graph_zero_mode(ico162_op, ico162_basis):
-    lam = ico162_basis.eigenvalues
+def test_eigendecompose_connected_graph_zero_mode(ico162_oracle):
+    lam = ico162_oracle.eigenvalues
     assert lam[0] == pytest.approx(0.0, abs=1e-8 * lam[-1])
-    phi0 = ico162_basis.eigenvectors[:, 0]
+    phi0 = ico162_oracle.phi[:, 0]
     assert np.abs(phi0 - phi0[0]).max() < 1e-8 * np.abs(phi0[0])
 
 
-def test_basis_invariants(ico162_op, ico162_basis):
-    lam, phi = ico162_basis.eigenvalues, ico162_basis.eigenvectors
+def test_basis_invariants(ico162_op, ico162_oracle):
+    lam, phi = ico162_oracle.eigenvalues, ico162_oracle.phi
     assert (np.diff(lam) >= -1e-12 * lam[-1]).all()
     assert lam[0] >= -1e-8 * lam[-1]
     gram = phi.T @ (ico162_op.mass[:, None] * phi)
@@ -61,41 +60,24 @@ def test_basis_invariants(ico162_op, ico162_basis):
     assert np.abs(residual).max() < 1e-6 * stiffness_norm
 
 
-def test_eigendecompose_dense_limit(ico162_op):
-    with pytest.raises(OperatorError, match="Chebyshev"):
-        eigendecompose(ico162_op, dense_limit=100)
-
-
-def test_eigendecompose_rejects_nonfinite():
-    stiffness = sp.csr_matrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-    with pytest.raises(OperatorError, match="non-finite"):
-        eigendecompose(SparseOperator(stiffness, np.ones(2)))
-
-
 # --- dense kernel ---
 
 def test_heat_kernel_dense_identity_at_zero(path4_op):
-    basis = eigendecompose(path4_op)
-    assert np.allclose(heat_kernel_dense(basis, 0.0), np.eye(4), atol=1e-12)
+    kernel = DenseOracle(path4_op.stiffness, path4_op.mass).kernel(0.0)
+    assert np.allclose(kernel, np.eye(4), atol=1e-12)
 
 
 def test_heat_kernel_dense_two_node_closed_form(two_node_op):
-    basis = eigendecompose(two_node_op)
+    oracle = DenseOracle(two_node_op.stiffness, two_node_op.mass)
     for t in (0.3, 1.0, 4.0):
         e = np.exp(-2.0 * t)
         expected = 0.5 * np.array([[1 + e, 1 - e], [1 - e, 1 + e]])
-        assert np.allclose(heat_kernel_dense(basis, t), expected, atol=1e-12)
+        assert np.allclose(oracle.kernel(t), expected, atol=1e-12)
 
 
 def test_heat_kernel_dense_row_sums_identity_mass(path4_op):
-    basis = eigendecompose(path4_op)
-    kernel = heat_kernel_dense(basis, 2.5)
+    kernel = DenseOracle(path4_op.stiffness, path4_op.mass).kernel(2.5)
     assert np.allclose(kernel.sum(axis=1), 1.0, atol=1e-12)
-
-
-def test_heat_kernel_dense_rejects_negative_time(two_node_op):
-    with pytest.raises(ValueError):
-        heat_kernel_dense(eigendecompose(two_node_op), -1.0)
 
 
 # --- Chebyshev heat application ---
@@ -410,6 +392,9 @@ def test_large_tb_default_order_matches_oracle(grid20_op):
 def test_heat_params_validation():
     with pytest.raises(ValueError):
         HeatParams(-1.0)
+    for t in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            HeatParams(t)
     with pytest.raises(ValueError):
         HeatParams(1.0, chebyshev_order=0)
     with pytest.raises(ValueError):
@@ -517,30 +502,36 @@ def test_kernel_row_index_out_of_range(two_node_op):
 
 # --- semigroup ---
 
-def test_semigroup_compose_icosphere(ico162_op, ico162_basis):
-    k5 = heat_kernel_dense(ico162_basis, 5.0)
-    k10 = heat_kernel_dense(ico162_basis, 10.0)
-    composed = semigroup_compose(k5, k5, ico162_op.mass)
-    assert np.abs(composed - k10).max() < 1e-9
+def test_semigroup_compose_icosphere(ico162_op, ico162_oracle):
+    k5, k10 = ico162_oracle.kernel(5.0), ico162_oracle.kernel(10.0)
+    mass = ico162_op.mass[:, None]
+    assert np.abs(k5 @ (mass * k5) - k10).max() < 1e-9
 
 
-def test_semigroup_identity_time(ico162_op, ico162_basis):
-    k5 = heat_kernel_dense(ico162_basis, 5.0)
-    k0 = heat_kernel_dense(ico162_basis, 0.0)
-    assert np.abs(semigroup_compose(k5, k0, ico162_op.mass) - k5).max() < 1e-12
+def test_semigroup_identity_time(ico162_op, ico162_oracle):
+    k5, k0 = ico162_oracle.kernel(5.0), ico162_oracle.kernel(0.0)
+    assert np.abs(k5 @ (ico162_op.mass[:, None] * k0) - k5).max() < 1e-12
 
 
-def test_semigroup_commutes(ico162_op, ico162_basis):
-    k5 = heat_kernel_dense(ico162_basis, 5.0)
-    k7 = heat_kernel_dense(ico162_basis, 7.0)
-    ab = semigroup_compose(k5, k7, ico162_op.mass)
-    ba = semigroup_compose(k7, k5, ico162_op.mass)
+def test_semigroup_commutes(ico162_op, ico162_oracle):
+    k5, k7 = ico162_oracle.kernel(5.0), ico162_oracle.kernel(7.0)
+    mass = ico162_op.mass[:, None]
+    ab = k5 @ (mass * k7)
+    ba = k7 @ (mass * k5)
     assert np.abs(ab - ba).max() < 1e-12
 
 
-def test_semigroup_dimension_mismatch(two_node_op):
-    with pytest.raises(ValueError):
-        semigroup_compose(np.eye(2), np.eye(3), two_node_op.mass)
+@pytest.mark.parametrize("t1, t2", [(5.0, 5.0), (5.0, 25.0)])
+@pytest.mark.parametrize("name", ["grid20_op", "ico162_op", "ico642_op"])
+def test_semigroup_chebyshev(request, name, t1, t2):
+    # two certified heat actions in a row equal one at the summed time; the
+    # six cases measure at most 6.9e-13 * max|s|
+    op = request.getfixturevalue(name)
+    s = np.random.default_rng(6).standard_normal(op.n)
+    twice = heat_apply_chebyshev(op, HeatParams(t1),
+                                 heat_apply_chebyshev(op, HeatParams(t2), s))
+    once = heat_apply_chebyshev(op, HeatParams(t1 + t2), s)
+    assert np.abs(twice - once).max() < 1e-10 * np.abs(s).max()
 
 
 # --- global heat properties ---
