@@ -18,8 +18,7 @@ from .geometry import (FrameField, NeighborList, build_frames, knn, pca_normals,
                        vertex_areas, vertex_normals)
 from .io_mesh import (Mesh, VertexSignal, parse_mesh, parse_signal,
                       rgb_to_luminance, write_mesh, write_response, write_signal_csv)
-from .laplacian import (SparseOperator, cotan_operator, estimate_lambda_max,
-                        gaussian_knn_operator)
+from .laplacian import SparseOperator, cotan_operator, gaussian_knn_operator
 from .spectral import HeatParams, heat_apply_chebyshev, heat_kernel_row
 
 __all__ = [
@@ -28,7 +27,7 @@ __all__ = [
     "write_response", "write_signal_csv", "rgb_to_luminance",
     "FrameField", "NeighborList", "vertex_normals", "pca_normals",
     "vertex_areas", "build_frames", "knn",
-    "SparseOperator", "cotan_operator", "gaussian_knn_operator", "estimate_lambda_max",
+    "SparseOperator", "cotan_operator", "gaussian_knn_operator",
     "HeatParams", "heat_apply_chebyshev", "heat_kernel_row",
     "FilterSpec", "FilterResponse", "apply_filter", "multiscale_apply",
     "normal_variation", "fuse",

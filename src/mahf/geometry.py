@@ -55,9 +55,6 @@ class NeighborList:
     def k(self) -> int:
         return self.indices.shape[1]
 
-    def neighbors(self, i: int):
-        return list(zip(self.indices[i].tolist(), self.distances[i].tolist()))
-
 
 def _face_cross(mesh: Mesh) -> np.ndarray:
     v, f = mesh.vertices, mesh.faces

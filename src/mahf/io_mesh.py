@@ -403,8 +403,7 @@ def _mesh_from_ply(path: Path, triangulate: bool) -> Mesh:
         raise MeshFormatError(f"{path}: {exc}") from None
 
 
-_PARSERS = {"off": _parse_off, "obj": _parse_obj, "ply": _mesh_from_ply,
-            "ply-ascii": _mesh_from_ply}
+_PARSERS = {"off": _parse_off, "obj": _parse_obj, "ply": _mesh_from_ply}
 
 
 def detect_format(path: str | Path) -> str:
@@ -489,7 +488,7 @@ def write_mesh(path: str | Path, mesh: Mesh, fmt: str | None = None) -> None:
         _write_off(path, mesh)
     elif fmt == "obj":
         _write_obj(path, mesh)
-    elif fmt in ("ply", "ply-ascii"):
+    elif fmt == "ply":
         _write_ply(path, mesh, field=None)
     else:
         raise MeshFormatError(f"unsupported mesh format {fmt!r}")
@@ -563,7 +562,7 @@ def write_response(path: str | Path, mesh: Mesh, field: VertexSignal,
         raise ValueError(f"field has {len(field)} values for a mesh with "
                          f"{mesh.n_vertices} vertices")
     fmt = (fmt or path.suffix.lower().lstrip(".")).lower()
-    if fmt in ("ply", "ply-ascii"):
+    if fmt == "ply":
         _write_ply(path, mesh, field)
     elif fmt == "csv":
         write_signal_csv(path, field)

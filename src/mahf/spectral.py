@@ -168,11 +168,6 @@ def heat_function(t: float):
     return lambda x: np.exp(-t * x)
 
 
-def _interval(op: SparseOperator) -> float:
-    """Right end ``b`` of the expansion interval [0, b]."""
-    return 1.01 * op.lambda_max
-
-
 def _mapped(op: SparseOperator, b: float) -> sparse.csr_matrix:
     """``(2/b) mass^-1 stiffness - I``, which maps [0, b] to [-1, 1], as one
     CSR matrix with sorted column indices in each row.
@@ -209,7 +204,7 @@ def shared_order(op: SparseOperator, params, fns) -> int:
         raise ValueError("a fused Chebyshev pass needs at least one spec, "
                          "all with the same order")
     order = distinct.pop()
-    tails = [_tails(fn, _interval(op)) for fn in fns]
+    tails = [_tails(fn, op.lambda_max) for fn in fns]
     needed = max(_first_certified(tail) for tail in tails)
     if order is None:
         return needed
@@ -250,7 +245,7 @@ def _reach_ends(a) -> np.ndarray:
 def chebyshev_apply(op: SparseOperator, fn, x: np.ndarray, order: int, *, out=None):
     """Evaluate ``fn`` of the generalized Laplacian on a vector or block.
 
-    Maps the spectral interval [0, 1.01 * lambda_max] to [-1, 1] and runs
+    Maps the spectral interval [0, lambda_max] to [-1, 1] and runs
     ``order`` steps of the three-term recurrence on the mapped CSR, built
     once per call.  ``fn`` may also be a sequence of functions: the blocks
     ``T_j`` do not depend on the function, only the coefficients do, so one
@@ -295,7 +290,7 @@ def chebyshev_apply(op: SparseOperator, fn, x: np.ndarray, order: int, *, out=No
             raise ValueError("outputs must not overlap the input")
         for o in outs:
             o.fill(0.0)
-    b = _interval(op)
+    b = op.lambda_max
     if b <= 0:
         for f, o in zip(fns, outs):
             np.multiply(x, float(f(np.zeros(1))[0]), out=o)

@@ -404,8 +404,9 @@ def test_chunk_width_shrinks_with_scale_count(monkeypatch, grid20, grid20_op,
     for ts in ([5.0], [5.0, 10.0, 20.0], [5.0, 10.0, 20.0, 40.0]):
         balls.clear()
         widths.clear()
-        multiscale_apply(grid20_op, grid20_frames, grid20.vertices, 1, ts, s,
-                         chebyshev_order=5)
+        with pytest.warns(RuntimeWarning, match="Chebyshev order"):
+            multiscale_apply(grid20_op, grid20_frames, grid20.vertices, 1, ts, s,
+                             chebyshev_order=5)
         # one recurrence per chunk serves every scale; the chunk is
         # 2 * _CHUNK / (max(scales, 3) + 1) wide, narrowing past three scales
         # so the live blocks never outgrow three scales', and its ball starts

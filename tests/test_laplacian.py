@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import eigsh
 
-from mahf.errors import OperatorError
+from mahf.errors import NumericalError, OperatorError
 from mahf.io_mesh import Mesh
 from mahf.laplacian import (SparseOperator, cotan_operator,
                             estimate_lambda_max, gaussian_knn_operator)
@@ -112,22 +115,48 @@ def test_lambda_max_zero_operator():
     assert estimate_lambda_max(op) == 0.0
 
 
-def test_lambda_max_warns_on_clustered_spectrum(cube40_op):
-    # the cube's near-flat top cluster keeps the Rayleigh value drifting past
-    # the iteration cap; the current estimate is still returned
-    with pytest.warns(RuntimeWarning, match="power iteration"):
-        est = estimate_lambda_max(cube40_op)
-    assert est > 0.0
-
-
 def test_lambda_max_close_to_true_top(grid20_op, ico162_op, cube40_op):
-    # cube40_op exercises the capped-iteration path; its estimate must still
-    # bracket the true top
+    # cube40_op has a near-flat top cluster; the bound must still bracket
+    # the true top
     for op in (grid20_op, ico162_op, cube40_op):
         dense = op.stiffness.toarray()
         inv = 1.0 / np.sqrt(op.mass)
         true = np.linalg.eigvalsh(inv[:, None] * dense * inv[None, :]).max()
-        assert 0.99 * true <= op.lambda_max <= 1.05 * true
+        assert true <= op.lambda_max <= 1.05 * true
+
+
+def _cloud_op():
+    # built like the cloud-normals benchmark input: 2500 points on a
+    # radius-50 sphere, 8 neighbours
+    points = np.random.default_rng(0).standard_normal((2500, 3))
+    points *= 50.0 / np.linalg.norm(points, axis=1)[:, None]
+    return gaussian_knn_operator(points, 8)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: cotan_operator(icosphere(4, 50.0)), _cloud_op,
+    lambda: cotan_operator(cube_surface(24)), lambda: cotan_operator(flat_grid(60, 60)),
+    "cube40_op", "grid20_op", "ico162_op",
+], ids=["ico2562", "cloud2500", "cube24", "grid60", "cube40", "grid20", "ico162"])
+def test_lambda_max_brackets_eigsh_top(request, make):
+    op = request.getfixturevalue(make) if isinstance(make, str) else make()
+    inv_sqrt = sp.diags(1.0 / np.sqrt(op.mass))
+    top = eigsh(inv_sqrt @ op.stiffness @ inv_sqrt, k=1, which="LA",
+                return_eigenvectors=False)[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bound = estimate_lambda_max(op)
+    assert top <= bound <= 1.05 * top
+
+
+@pytest.mark.parametrize("stiffness, mass", [
+    ([[np.inf, -1.0], [-1.0, 1.0]], [1.0, 1.0]),
+    ([[1.0, -1.0], [-1.0, 1.0]], [np.nan, 1.0]),
+], ids=["inf-stiffness", "nan-mass"])
+def test_lambda_max_rejects_nonfinite(stiffness, mass):
+    op = SparseOperator(sp.csr_matrix(np.array(stiffness)), np.array(mass))
+    with pytest.raises(NumericalError, match="non-finite"):
+        estimate_lambda_max(op)
 
 
 def test_positive_semidefinite_property(grid20_op, ico162_op):

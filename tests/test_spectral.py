@@ -1,4 +1,5 @@
 import warnings
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -19,6 +20,11 @@ from mahf.spectral import (CHEB_TOL, HeatParams, certified_order, chebyshev_appl
 from mahf.synthetic import icosphere
 
 from conftest import SPHERE_RADIUS, DenseOracle, dense_heat_oracle, within_steps
+
+
+def capping_warning(capped: bool):
+    """Expect the warning of an explicit order below the certified one."""
+    return pytest.warns(RuntimeWarning, match="Chebyshev order") if capped else nullcontext()
 
 
 @pytest.fixture(scope="module")
@@ -102,9 +108,12 @@ def test_chebyshev_error_decreases_with_order(ico642_op):
     s = rng.standard_normal(ico642_op.n)
     _, propagator = dense_heat_oracle(ico642_op, 10.0)
     exact = propagator @ s
+    needed = certified_order(heat_function(10.0), ico642_op.lambda_max)
     errors = []
     for order in (5, 10, 20, 40):
-        out = heat_apply_chebyshev(ico642_op, HeatParams(10.0, order), s)
+        # an order below the certified one warns that it caps the expansion
+        with capping_warning(order < needed):
+            out = heat_apply_chebyshev(ico642_op, HeatParams(10.0, order), s)
         errors.append(np.abs(out - exact).max())
     floor = 1e-13 * np.abs(s).max()
     for lo, hi in zip(errors[1:], errors[:-1]):
@@ -117,11 +126,12 @@ def test_chebyshev_envelope(grid20_op):
     # covers the full envelope
     rng = np.random.default_rng(3)
     s = rng.standard_normal(grid20_op.n)
-    lam = grid20_op.lambda_max / 1.01
+    lam = grid20_op.lambda_max
     for target, order in ((100.0, 50), (200.0, 80)):
         t = target / lam
         _, propagator = dense_heat_oracle(grid20_op, t)
-        out = heat_apply_chebyshev(grid20_op, HeatParams(t, order), s)
+        with capping_warning(order < certified_order(heat_function(t), lam)):
+            out = heat_apply_chebyshev(grid20_op, HeatParams(t, order), s)
         assert np.abs(out - propagator @ s).max() < 1e-7 * np.abs(s).max()
 
 
@@ -135,7 +145,7 @@ def test_chebyshev_accepts_vertex_signal(two_node_op):
 def test_chebyshev_reports_nonfinite_iteration():
     stiffness = sp.csr_matrix(np.array([[np.inf, -1.0], [-1.0, 1.0]]))
     op = SparseOperator(stiffness, np.ones(2), _lambda_max=2.0)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore"), pytest.warns(RuntimeWarning, match="Chebyshev order"):
         with pytest.raises(NumericalError, match="iteration"):
             heat_apply_chebyshev(op, HeatParams(1.0, 10), np.ones(2))
 
@@ -150,7 +160,7 @@ def test_chebyshev_rejects_nonfinite_block(grid20_op):
 
 def reference_chebyshev(op, fns, x, order):
     """Plain three-term recurrence on the mapped operator in vertex order."""
-    b = 1.01 * op.lambda_max
+    b = op.lambda_max
     a = sp.diags(2.0 / (b * op.mass)) @ op.stiffness - sp.identity(op.n)
     coeffs = [_truncated_coefficients(fn, b, order) for fn in fns]
     t_prev, t_cur = x, a @ x
@@ -214,7 +224,7 @@ def test_mapped_operator_and_reach_match_column_scan(request, which):
     # an isolated vertex with no stored diagonal
     op = (scattered_components_op() if which == "components"
           else request.getfixturevalue(f"{which}_op"))
-    b = 1.01 * op.lambda_max
+    b = op.lambda_max
     ball = breadth_first(op.stiffness, [0, op.n - 1], np.zeros(op.n, dtype=bool), levels=3)
     for sub in (op, op.restricted(ball)):
         a = spectral._mapped(sub, b)
@@ -346,7 +356,7 @@ def test_certified_order_meets_tolerance():
 
 
 def test_coefficients_are_memoized_read_only(ico162_op):
-    fn, b = heat_function(5.0), 1.01 * ico162_op.lambda_max
+    fn, b = heat_function(5.0), ico162_op.lambda_max
     tails = spectral._tails(fn, b)
     coeffs = _truncated_coefficients(fn, b, 40)
     assert spectral._tails(fn, b) is tails
@@ -368,7 +378,7 @@ def test_large_tb_default_order_matches_oracle(grid20_op):
     # t * b = 1000, where the former fixed order 50 leaves a tail of 2.4e-2
     rng = np.random.default_rng(13)
     s = rng.standard_normal(grid20_op.n)
-    t = 1000.0 / (1.01 * grid20_op.lambda_max)
+    t = 1000.0 / grid20_op.lambda_max
     kernel, propagator = dense_heat_oracle(grid20_op, t)
     exact = propagator @ s
     with warnings.catch_warnings():
