@@ -17,21 +17,18 @@ import numpy as np
 from .geometry import effective_normals
 from .io_mesh import Mesh, VertexSignal, signal_values
 from .laplacian import SparseOperator
-from .spectral import chebyshev_apply, check_order, shared_order
+from .spectral import chebyshev_apply, shared_order
 
 
 @dataclass(frozen=True)
 class MhwSpec:
-    """Scale and Chebyshev order (``None``: certified) for one Mexican Hat
-    Wavelet filter."""
+    """Scale of one Mexican Hat Wavelet filter."""
 
     t: float
-    chebyshev_order: int | None = None
 
     def __post_init__(self):
         if not (np.isfinite(self.t) and self.t > 0):
             raise ValueError(f"MHW scale must be finite and positive, got {self.t}")
-        check_order(self.chebyshev_order)
 
 
 def _mhw_function(t: float):
@@ -42,7 +39,7 @@ def mhw_apply(op: SparseOperator, spec: MhwSpec, s):
     """Apply ``L exp(-t L)`` to a signal; constants are annihilated."""
     values = signal_values(s)
     fn = _mhw_function(spec.t)
-    out = chebyshev_apply(op, fn, values, shared_order(op, [spec], [fn]))
+    out = chebyshev_apply(op, fn, values, shared_order(op, [fn]))
     if isinstance(s, VertexSignal):
         return VertexSignal(out, name=s.name)
     return out
@@ -52,12 +49,11 @@ def mhw_normal_variation(mesh: Mesh, op: SparseOperator,
                          spec: MhwSpec | Sequence[MhwSpec]):
     """Sum of squared MHW responses over the three normal components.
 
-    A sequence of specs, sharing the Chebyshev order, returns one field per
-    spec from a single recurrence.
+    A sequence of specs returns one field per spec from a single recurrence.
     """
     specs = [spec] if isinstance(spec, MhwSpec) else list(spec)
     fns = [_mhw_function(sp.t) for sp in specs]
-    filtered = chebyshev_apply(op, fns, effective_normals(mesh), shared_order(op, specs, fns))
+    filtered = chebyshev_apply(op, fns, effective_normals(mesh), shared_order(op, fns))
     fields = [VertexSignal(np.sum(f ** 2, axis=1), name="mhw_normal_variation")
               for f in filtered]
     return fields[0] if isinstance(spec, MhwSpec) else fields

@@ -47,9 +47,6 @@ def _add_operator_args(p):
 def _add_heat_args(p):
     p.add_argument("--t", dest="ts", action="append", type=float, required=True,
                    metavar="T", help="diffusion time; repeat for a multiscale sweep")
-    p.add_argument("--order", type=int, default=None,
-                   help="most Chebyshev terms per scale (default: the certified "
-                        "order of each scale)")
     p.add_argument("--support-threshold", type=float, default=1e-4,
                    help="relative kernel cutoff defining the localized support")
     p.add_argument("--area-normalize-t", action="store_true",
@@ -191,7 +188,6 @@ def _common_parameters(args, kind, ts):
         "knn": args.knn,
         "sigma": args.sigma,
         "t": ts,
-        "order": args.order,
         "support_threshold": args.support_threshold,
         "area_normalize_t": args.area_normalize_t,
     }
@@ -199,8 +195,7 @@ def _common_parameters(args, kind, ts):
 
 def _filter_specs(args, ts_eff):
     """One spec per effective t; a list makes the library run a single pass."""
-    return [FilterSpec(args.k, HeatParams(t, args.order, args.support_threshold))
-            for t in ts_eff]
+    return [FilterSpec(args.k, HeatParams(t, args.support_threshold)) for t in ts_eff]
 
 
 def cmd_filter(args) -> int:
@@ -248,7 +243,7 @@ def cmd_normal_variation(args) -> int:
         mesh = Mesh(mesh.vertices, mesh.faces, colors=mesh.colors, normals=normals)
     ts_raw, ts_eff = _effective_ts(args, op)
     if args.baseline == "mhw":
-        fields = mhw_normal_variation(mesh, op, [MhwSpec(t, args.order) for t in ts_eff])
+        fields = mhw_normal_variation(mesh, op, [MhwSpec(t) for t in ts_eff])
     else:
         fields = normal_variation(mesh, op, frames, _filter_specs(args, ts_eff))
     out = Path(args.out)
@@ -301,8 +296,8 @@ def cmd_kernel(args) -> int:
     ts_raw, ts_eff = _effective_ts(args, op)
     out = Path(args.out)
     outputs = []
-    rows = heat_kernel_row(op, [HeatParams(t, args.order, args.support_threshold)
-                                for t in ts_eff], args.vertex)
+    rows = heat_kernel_row(op, [HeatParams(t, args.support_threshold) for t in ts_eff],
+                           args.vertex)
     for t_raw, (values, _) in zip(ts_raw, rows):
         path = _suffixed(out, f"_v{args.vertex}_t{t_raw:g}")
         _write_field(path, mesh, VertexSignal(values, name="kernel"))

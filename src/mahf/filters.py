@@ -43,8 +43,8 @@ class FilterSpec:
     heat: HeatParams
 
     def __post_init__(self):
-        if self.k < 0:
-            raise ValueError(f"harmonic order must be nonnegative, got {self.k}")
+        if not (isinstance(self.k, (int, np.integer)) and self.k >= 0):
+            raise ValueError(f"harmonic order must be a nonnegative integer, got {self.k!r}")
 
 
 @dataclass(frozen=True)
@@ -171,8 +171,7 @@ def _response_block(op: SparseOperator, frames: FrameField, positions: np.ndarra
     for spec in specs:
         times.setdefault(spec.heat.t, len(times))
     fns = [heat_function(t) for t in times]
-    order = shared_order(op, [spec.heat for spec in specs],
-                         [fns[times[spec.heat.t]] for spec in specs])
+    order = shared_order(op, fns)
     terms = [(times[spec.heat.t], spec.k, spec.heat.support_threshold) for spec in specs]
     n = op.n
     mass = op.mass
@@ -217,18 +216,19 @@ def apply_filter(op: SparseOperator, frames: FrameField, positions,
     op, frames, positions
         Operator, tangent frames and vertex positions, all N-aligned.
     spec : FilterSpec or sequence of FilterSpec
-        Harmonic order and heat parameters.  A sequence, whose specs share
-        the Chebyshev order setting, is served by one recurrence per chunk
+        Harmonic order and heat parameters.  A sequence is served by one
+        recurrence per chunk, at the largest certified order of its times,
         and returns a list with one response per spec.
     s : VertexSignal or (N,) array
-        Must be finite; a NaN or infinity raises :class:`NumericalError`
-        naming the first such vertex.
+        One value per vertex; any other shape raises ``ValueError``.  Must
+        be finite; a NaN or infinity raises :class:`NumericalError` naming
+        the first such vertex.
     """
     specs = [spec] if isinstance(spec, FilterSpec) else list(spec)
     positions = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
     values = signal_values(s)
-    if values.shape[0] != op.n:
-        raise ValueError(f"signal has {values.shape[0]} values for {op.n} vertices")
+    if values.shape != (op.n,):
+        raise ValueError(f"signal has shape {values.shape} for {op.n} vertices")
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         raise NumericalError(f"non-finite signal value at vertex {int(bad[0])}")
@@ -239,7 +239,7 @@ def apply_filter(op: SparseOperator, frames: FrameField, positions,
 
 
 def multiscale_apply(op: SparseOperator, frames: FrameField, positions, k: int,
-                     ts: Sequence[float], s, *, chebyshev_order: int | None = None,
+                     ts: Sequence[float], s, *,
                      support_threshold: float = 1e-4) -> list[FilterResponse]:
     """One response per diffusion time, all from one Chebyshev pass per chunk."""
     ts = list(ts)
@@ -247,7 +247,7 @@ def multiscale_apply(op: SparseOperator, frames: FrameField, positions, k: int,
         raise ValueError("ts must be a nonempty ascending sequence")
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise ValueError("ts must be strictly ascending")
-    specs = [FilterSpec(k, HeatParams(t, chebyshev_order, support_threshold)) for t in ts]
+    specs = [FilterSpec(k, HeatParams(t, support_threshold)) for t in ts]
     return apply_filter(op, frames, positions, specs, s)
 
 

@@ -37,7 +37,7 @@ class SparseOperator:
         a :meth:`restricted` one's do not at its boundary, where the
         entries of edges leaving the vertex set are dropped.
     mass : (N,) array
-        Positive diagonal entries; all ones for graph operators.
+        Positive, finite diagonal entries; all ones for graph operators.
     """
 
     stiffness: sparse.csr_matrix
@@ -49,8 +49,8 @@ class SparseOperator:
         self.stiffness = sparse.csr_matrix(self.stiffness)
         if self.stiffness.shape != (self.n, self.n):
             raise ValueError("stiffness and mass sizes disagree")
-        if np.any(self.mass <= 0):
-            raise ValueError("mass entries must be positive")
+        if not np.all((self.mass > 0) & np.isfinite(self.mass)):
+            raise ValueError("mass entries must be positive and finite")
 
     @property
     def n(self) -> int:

@@ -10,7 +10,6 @@ downstream filters use consistently.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -41,37 +40,28 @@ _REFERENCE_NODES = (64, 8192)
 # the ends of the interval alone loses up to ~1e-11 at thousands of terms.
 _PROBES = np.append(2.0 ** -np.arange(64), 0.0)
 _PROBE_TOL = 1e-6
-# Tails and coefficients kept per (function, interval, order): a pass calls
-# the engine once per chunk with the same functions, so each is derived once
-# per pass.  Functions are keyed by identity, so the entries of earlier passes
-# only age out.
+# Certified orders kept per (function, interval) and coefficients per
+# (function, interval, order): a pass calls the engine once per chunk with the
+# same functions, so each is derived once per pass.  Functions are keyed by
+# identity, so the entries of earlier passes only age out.
 _MEMO_SIZE = 64
 
 
 @dataclass(frozen=True)
 class HeatParams:
-    """Diffusion time plus Chebyshev order and kernel support cutoff.
+    """Diffusion time and kernel support cutoff.
 
-    ``chebyshev_order=None`` certifies the order (see :func:`certified_order`);
-    an integer caps the number of terms of the expansion.
+    Every expansion runs at its certified order (see :func:`certified_order`).
     """
 
     t: float
-    chebyshev_order: int | None = None
     support_threshold: float = 1e-4
 
     def __post_init__(self):
         if not (np.isfinite(self.t) and self.t >= 0):
             raise ValueError(f"diffusion time must be finite and nonnegative, got {self.t}")
-        check_order(self.chebyshev_order)
         if not (0 <= self.support_threshold < 1):
             raise ValueError("support_threshold must lie in [0, 1)")
-
-
-def check_order(order: int | None) -> None:
-    """Reject an explicit Chebyshev order below 1; ``None`` means certified."""
-    if order is not None and order < 1:
-        raise ValueError(f"chebyshev_order must be at least 1, got {order}")
 
 
 def _chebyshev_nodes(b: float, order: int) -> np.ndarray:
@@ -104,23 +94,25 @@ def chebyshev_coefficients(fn, b: float, order: int) -> np.ndarray:
     return _quadrature(fn(_chebyshev_nodes(b, order)))
 
 
-def _coefficient_tails(fn, b: float) -> np.ndarray:
-    """Relative coefficient tails ``sum_{j>m} |c_j| / max|fn|`` for each order m.
+@lru_cache(maxsize=_MEMO_SIZE)
+def certified_order(fn, b: float) -> int:
+    """Smallest order (at least 1) whose relative coefficient tail
+    ``sum_{j>m} |c_j| / max|fn|`` is at most :data:`CHEB_TOL` for ``fn`` on
+    [0, b]; derived once per function and interval.
 
     The coefficients come from a reference expansion whose node count
-    doubles until the certified order (the first ``m`` with a tail of at
-    most :data:`CHEB_TOL`) lies in its first half and the truncation there
-    matches ``fn`` at the probe points.  The reference then resolves the
-    decay of the coefficients, which for the entire functions used here
-    falls faster than geometrically past that order (Trefethen,
+    doubles until the certified order lies in its first half and the
+    truncation there matches ``fn`` at the probe points.  The reference then
+    resolves the decay of the coefficients, which for the entire functions
+    used here falls faster than geometrically past that order (Trefethen,
     *Approximation Theory and Approximation Practice*, ch. 8), so the terms
     past the reference add nothing at this tolerance.  The tail bounds the
-    uniform error of the order-m truncation on [0, b]; an order past the
-    reference has tail 0.  Raises :class:`NumericalError` when even the
-    largest reference does not resolve ``fn``.
+    uniform error of the order-m truncation on [0, b].  Raises
+    :class:`NumericalError` when even the largest reference does not
+    resolve ``fn``.
     """
     if b <= 0:
-        return np.zeros(1)
+        return 1
     probes = b * _PROBES
     at_probes = fn(probes)
     nodes, most = _REFERENCE_NODES
@@ -128,7 +120,7 @@ def _coefficient_tails(fn, b: float) -> np.ndarray:
         values = fn(_chebyshev_nodes(b, nodes - 1))
         scale = max(np.abs(values).max(), np.abs(at_probes).max())
         if scale == 0:
-            return np.zeros(nodes)
+            return 1
         c = _quadrature(values)
         c[0] *= 0.5
         tails = np.append(np.cumsum(np.abs(c[:0:-1]))[::-1], 0.0) / scale
@@ -136,31 +128,12 @@ def _coefficient_tails(fn, b: float) -> np.ndarray:
         if m < nodes // 2:
             truncated = npcheb.chebval(2.0 * probes / b - 1.0, c[:m + 1])
             if np.abs(truncated - at_probes).max() <= _PROBE_TOL * scale:
-                return tails
+                return max(1, m)
         nodes *= 2
     raise NumericalError(
         f"Chebyshev expansion on [0, {b:g}] needs more than {most // 2} terms "
         f"for a coefficient tail of {CHEB_TOL:g}; the scale t is too large "
         "for this operator")
-
-
-@lru_cache(maxsize=_MEMO_SIZE)
-def _tails(fn, b: float) -> np.ndarray:
-    """:func:`_coefficient_tails`, derived once per function and interval and
-    returned read-only, since every caller shares it."""
-    tails = _coefficient_tails(fn, b)
-    tails.flags.writeable = False
-    return tails
-
-
-def _first_certified(tails: np.ndarray) -> int:
-    return max(1, int(np.argmax(tails <= CHEB_TOL)))
-
-
-def certified_order(fn, b: float) -> int:
-    """Smallest order (at least 1) whose relative coefficient tail is at most
-    :data:`CHEB_TOL` for ``fn`` on [0, b]."""
-    return _first_certified(_tails(fn, b))
 
 
 def heat_function(t: float):
@@ -188,34 +161,13 @@ def _mapped(op: SparseOperator, b: float) -> sparse.csr_matrix:
     return a
 
 
-def shared_order(op: SparseOperator, params, fns) -> int:
-    """Recurrence steps of one fused Chebyshev pass.
-
-    ``params`` holds one spec per function of ``fns``, each with a diffusion
-    time ``t`` and a ``chebyshev_order``; all share that order setting, and
-    specs may repeat a time.
-    ``None`` gives the largest certified order of the pass.  An explicit
-    order caps every expansion, and one ``RuntimeWarning`` names each ``t``
-    whose tail at that order exceeds :data:`CHEB_TOL`.
-    """
-    params = list(params)
-    distinct = {p.chebyshev_order for p in params}
-    if len(distinct) != 1:
-        raise ValueError("a fused Chebyshev pass needs at least one spec, "
-                         "all with the same order")
-    order = distinct.pop()
-    tails = [_tails(fn, op.lambda_max) for fn in fns]
-    needed = max(_first_certified(tail) for tail in tails)
-    if order is None:
-        return needed
-    short = dict.fromkeys((p.t, tail[order]) for p, tail in zip(params, tails)
-                          if order < tail.shape[0] and tail[order] > CHEB_TOL)
-    if short:
-        warnings.warn(
-            f"Chebyshev order {order} leaves a relative coefficient tail above "
-            f"{CHEB_TOL:g}: " + ", ".join(f"{tail:.2e} at t={t:g}" for t, tail in short),
-            RuntimeWarning, stacklevel=3)
-    return min(order, needed)
+def shared_order(op: SparseOperator, fns) -> int:
+    """Recurrence steps of one fused Chebyshev pass: the largest certified
+    order of the functions ``fns`` on [0, lambda_max]."""
+    fns = list(fns)
+    if not fns:
+        raise ValueError("a fused Chebyshev pass needs at least one function")
+    return max(certified_order(fn, op.lambda_max) for fn in fns)
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -339,7 +291,7 @@ def heat_apply_chebyshev(op: SparseOperator, params: HeatParams, s):
     """
     values = signal_values(s)
     fn = heat_function(params.t)
-    out = chebyshev_apply(op, fn, values, shared_order(op, [params], [fn]))
+    out = chebyshev_apply(op, fn, values, shared_order(op, [fn]))
     if isinstance(s, VertexSignal):
         return VertexSignal(out, name=s.name)
     return out
@@ -383,15 +335,16 @@ def heat_kernel_row(op: SparseOperator, params: HeatParams | Sequence[HeatParams
     makes the Chebyshev result match row ``i`` of the dense spectral-sum
     kernel; for identity mass the input is the plain indicator.  The
     recurrence runs on the ball of vertices within its order of steps of
-    ``i``, and the row is zero outside it.  A sequence of params, sharing the Chebyshev order setting,
-    returns one such pair per spec from one recurrence, with one function
-    per distinct time, on the ball of the pass's order.
+    ``i``, and the row is zero outside it.  A sequence of params returns one
+    such pair per spec from one recurrence, with one function per distinct
+    time, on the ball of the pass's order: the largest certified order of
+    its times.
     """
     if not 0 <= i < op.n:
         raise IndexError(f"vertex index {i} out of range for {op.n} vertices")
     specs = [params] if isinstance(params, HeatParams) else list(params)
     fns = {p.t: heat_function(p.t) for p in specs}
-    order = shared_order(op, specs, [fns[p.t] for p in specs])
+    order = shared_order(op, fns.values())
     ball = breadth_first(op.stiffness, [i], np.zeros(op.n, dtype=bool), levels=order)
     x = np.zeros(ball.shape[0])
     x[0] = 1.0 / op.mass[i]

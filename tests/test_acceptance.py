@@ -43,7 +43,7 @@ def test_criterion_01_oracle_equivalence(two_node_op, path4_op, grid20_op,
         s = rng.standard_normal(op.n)
         for t in ts:
             exact = oracle.kernel(t) @ (op.mass * s)
-            approx = heat_apply_chebyshev(op, HeatParams(t, 50), s)
+            approx = heat_apply_chebyshev(op, HeatParams(t), s)
             assert np.abs(approx - exact).max() < 1e-7 * np.abs(s).max()
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
@@ -61,7 +61,7 @@ def test_criterion_02_semigroup(ico162_op):
 def test_criterion_03_frame_rotation_invariance(ico162, ico162_op, ico162_frames):
     rng = np.random.default_rng(20)
     s = rng.standard_normal(ico162_op.n)
-    params = HeatParams(10.0, 50, 1e-4)
+    params = HeatParams(10.0, 1e-4)
     worst = 0.0
     for k in (1, 2, 3):
         base = apply_filter(ico162_op, ico162_frames, ico162.vertices,
@@ -78,7 +78,7 @@ def test_criterion_03_frame_rotation_invariance(ico162, ico162_op, ico162_frames
 
 def test_criterion_04_order_zero_degeneracy(grid20, grid20_op, grid20_frames):
     rng = np.random.default_rng(30)
-    spec = FilterSpec(0, HeatParams(10.0, 50, 0.0))
+    spec = FilterSpec(0, HeatParams(10.0, 0.0))
     # identity-mass graph
     graph_op = gaussian_knn_operator(grid20.vertices, 6, sigma="auto")
     s = rng.standard_normal(graph_op.n)
@@ -97,7 +97,7 @@ def test_criterion_04_order_zero_degeneracy(grid20, grid20_op, grid20_frames):
 
 def test_criterion_05_two_level_signal(grid20, grid20_op, grid20_frames):
     step = (grid20.vertices[:, 0] >= 9.5 * GRID_SPACING).astype(float)
-    spec = FilterSpec(1, HeatParams(5.0, 50, 1e-4))
+    spec = FilterSpec(1, HeatParams(5.0, 1e-4))
     resp = apply_filter(grid20_op, grid20_frames, grid20.vertices, spec, step)
     cols, _ = grid_columns_rows(grid20)
     # the open grid boundary responds to any nonzero level; the step
@@ -140,7 +140,7 @@ def test_criterion_06_multiscale_behavior():
 
 def test_criterion_07_normal_field_variation(grid20, grid20_op, grid20_frames,
                                              cube40, cube40_op, ico642, ico642_op):
-    spec = FilterSpec(1, HeatParams(10.0, 50, 1e-4))
+    spec = FilterSpec(1, HeatParams(10.0, 1e-4))
     cube_frames = build_frames(vertex_normals(cube40))
     cube_field = normal_variation(cube40, cube40_op, cube_frames, spec)
     v = cube40.vertices
@@ -162,9 +162,9 @@ def test_criterion_07_normal_field_variation(grid20, grid20_op, grid20_frames,
     cov = sphere_field.values.std() / sphere_field.values.mean()
     assert cov < 0.2
 
-    mhw_field = mhw_normal_variation(cube40, cube40_op, MhwSpec(10.0, 50))
+    mhw_field = mhw_normal_variation(cube40, cube40_op, MhwSpec(10.0))
     assert np.isfinite(mhw_field.values).all()
-    flat_mhw = mhw_apply(cube40_op, MhwSpec(10.0, 50), np.ones(cube40_op.n))
+    flat_mhw = mhw_apply(cube40_op, MhwSpec(10.0), np.ones(cube40_op.n))
     assert np.abs(flat_mhw).max() < 1e-8
     _report(7, f"normal-field variation, sphere CoV {cov:.3f}")
 
@@ -172,7 +172,7 @@ def test_criterion_07_normal_field_variation(grid20, grid20_op, grid20_frames,
 def test_criterion_08_support_monotonicity(ico642_op):
     sizes = []
     for t in (5.0, 25.0, 50.0, 100.0):
-        row, _ = heat_kernel_row(ico642_op, HeatParams(t, 50, 0.0), 0)
+        row, _ = heat_kernel_row(ico642_op, HeatParams(t, 0.0), 0)
         sizes.append(int(np.count_nonzero(row > 0.01 * row.max())))
     assert all(a <= b for a, b in zip(sizes, sizes[1:]))
     _report(8, f"kernel support growth {sizes}")

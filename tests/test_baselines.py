@@ -12,14 +12,14 @@ from conftest import DenseOracle
 
 
 def test_mhw_two_node_closed_form(two_node_op):
-    out = mhw_apply(two_node_op, MhwSpec(0.5, 50), np.array([1.0, -1.0]))
+    out = mhw_apply(two_node_op, MhwSpec(0.5), np.array([1.0, -1.0]))
     expected = 2.0 * np.exp(-1.0)
     assert np.allclose(out, [expected, -expected], atol=1e-9)
 
 
 def test_mhw_annihilates_constants(two_node_op, ico162_op):
     for op in (two_node_op, ico162_op):
-        out = mhw_apply(op, MhwSpec(10.0, 50), np.ones(op.n))
+        out = mhw_apply(op, MhwSpec(10.0), np.ones(op.n))
         assert np.abs(out).max() < 1e-8
 
 
@@ -27,7 +27,7 @@ def test_mhw_matches_dense_oracle(ico162_op):
     rng = np.random.default_rng(0)
     s = rng.standard_normal(ico162_op.n)
     exact = DenseOracle(ico162_op.stiffness, ico162_op.mass).mhw(10.0, s[:, None])[:, 0]
-    got = mhw_apply(ico162_op, MhwSpec(10.0, 50), s)
+    got = mhw_apply(ico162_op, MhwSpec(10.0), s)
     assert np.abs(got - exact).max() < 1e-7
 
 
@@ -37,7 +37,7 @@ def test_mhw_normal_variation_matches_dense_oracle(ico162):
     op = cotan_operator(mesh)
     normals = vertex_normals(mesh)
     exact = DenseOracle(op.stiffness, op.mass).mhw(10.0, normals)
-    field = mhw_normal_variation(mesh, op, MhwSpec(10.0, 50))
+    field = mhw_normal_variation(mesh, op, MhwSpec(10.0))
     expected = np.sum(exact ** 2, axis=1)
     assert np.abs(field.values - expected).max() < 1e-7 * expected.max()
 
@@ -45,7 +45,7 @@ def test_mhw_normal_variation_matches_dense_oracle(ico162):
 def test_mhw_mean_orthogonal_to_constants(path4_op):
     rng = np.random.default_rng(1)
     s = rng.standard_normal(4)
-    out = mhw_apply(path4_op, MhwSpec(0.7, 50), s)
+    out = mhw_apply(path4_op, MhwSpec(0.7), s)
     assert abs(out.mean()) < 1e-8 * np.abs(s).max()
 
 
@@ -58,18 +58,18 @@ def test_mhw_is_isotropic_by_construction():
 def test_mhw_normal_variation_flat_grid(grid20, grid20_op):
     mesh = Mesh(grid20.vertices, grid20.faces,
                 normals=np.tile([0.0, 0.0, 1.0], (grid20.n_vertices, 1)))
-    field = mhw_normal_variation(mesh, grid20_op, MhwSpec(10.0, 50))
+    field = mhw_normal_variation(mesh, grid20_op, MhwSpec(10.0))
     assert field.values.max() < 1e-10
 
 
 def test_mhw_normal_variation_icosphere_uniform(ico642, ico642_op):
-    field = mhw_normal_variation(ico642, ico642_op, MhwSpec(10.0, 50))
+    field = mhw_normal_variation(ico642, ico642_op, MhwSpec(10.0))
     cov = field.values.std() / field.values.mean()
     assert cov < 0.2
 
 
 def test_mhw_normal_variation_one_pass_matches_separate_calls(ico162, ico162_op):
-    specs = [MhwSpec(t, 50) for t in (5.0, 10.0, 20.0)]
+    specs = [MhwSpec(t) for t in (5.0, 10.0, 20.0)]
     fields = mhw_normal_variation(ico162, ico162_op, specs)
     for spec, field in zip(specs, fields):
         alone = mhw_normal_variation(ico162, ico162_op, spec)
@@ -77,7 +77,7 @@ def test_mhw_normal_variation_one_pass_matches_separate_calls(ico162, ico162_op)
 
 
 def test_mhw_accepts_vertex_signal(two_node_op):
-    out = mhw_apply(two_node_op, MhwSpec(0.5, 30), VertexSignal([1.0, -1.0]))
+    out = mhw_apply(two_node_op, MhwSpec(0.5), VertexSignal([1.0, -1.0]))
     assert isinstance(out, VertexSignal)
 
 
@@ -87,5 +87,3 @@ def test_mhw_spec_validation():
     for t in (np.nan, np.inf):
         with pytest.raises(ValueError, match="finite"):
             MhwSpec(t)
-    with pytest.raises(ValueError):
-        MhwSpec(1.0, chebyshev_order=0)

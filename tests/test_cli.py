@@ -203,17 +203,14 @@ def test_kernel_several_times_match_single_runs(tmp_path, sphere_ply, monkeypatc
     assert calls == [3, 1, 1, 1]
 
 
-def test_kernel_order_default_and_explicit_ceiling(tmp_path, grid_inputs):
+def test_kernel_certified_order_at_large_time(tmp_path, grid_inputs):
     _, mesh_path, _ = grid_inputs
     base = ["kernel", "--mesh", str(mesh_path), "--vertex", "40", "--t", "1000"]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(base + ["--out", str(tmp_path / "auto.csv")]) == 0
-    with pytest.warns(RuntimeWarning, match=r"at t=1000\b"):
-        assert main(base + ["--order", "50", "--out", str(tmp_path / "capped.csv")]) == 0
-    orders = [json.loads((tmp_path / f"{stem}_manifest.json").read_text())
-              ["parameters"]["order"] for stem in ("auto", "capped")]
-    assert orders == [None, 50]
+    parameters = json.loads((tmp_path / "auto_manifest.json").read_text())["parameters"]
+    assert "order" not in parameters
 
 
 def test_kernel_vertex_out_of_range(tmp_path, grid_inputs):

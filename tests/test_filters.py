@@ -132,7 +132,7 @@ def test_constant_signal_order_zero(grid20, grid20_op, grid20_frames):
     c = 2.25
     constant = np.full(grid20.n_vertices, c)
     for t in (0.0, 7.0, 40.0):
-        spec = FilterSpec(0, HeatParams(t, 50, 0.0))
+        spec = FilterSpec(0, HeatParams(t, 0.0))
         resp = apply_filter(grid20_op, grid20_frames, grid20.vertices, spec, constant)
         assert np.abs(resp.r_real - c).max() < 1e-8
         assert not resp.r_imag.any()
@@ -140,7 +140,7 @@ def test_constant_signal_order_zero(grid20, grid20_op, grid20_frames):
     # kernel truncation trades constant preservation for locality, bounded by
     # the support-threshold consistency envelope
     cut = apply_filter(grid20_op, grid20_frames, grid20.vertices,
-                       FilterSpec(0, HeatParams(7.0, 50, 1e-4)), constant)
+                       FilterSpec(0, HeatParams(7.0, 1e-4)), constant)
     assert np.abs(cut.r_real - c).max() < 1e-3 * c
 
 
@@ -149,7 +149,7 @@ def test_order_zero_equals_heat_smoothing_identity_mass(grid20):
     frames = build_frames(vertex_normals(grid20))
     rng = np.random.default_rng(0)
     s = rng.standard_normal(op.n)
-    spec = FilterSpec(0, HeatParams(3.0, 50, 0.0))
+    spec = FilterSpec(0, HeatParams(3.0, 0.0))
     resp = apply_filter(op, frames, grid20.vertices, spec, s)
     smooth = heat_apply_chebyshev(op, spec.heat, s)
     assert not resp.r_imag.any()
@@ -159,7 +159,7 @@ def test_order_zero_equals_heat_smoothing_identity_mass(grid20):
 def test_order_zero_equals_heat_smoothing_mesh(grid20, grid20_op, grid20_frames):
     rng = np.random.default_rng(1)
     s = rng.standard_normal(grid20_op.n)
-    spec = FilterSpec(0, HeatParams(10.0, 50, 0.0))
+    spec = FilterSpec(0, HeatParams(10.0, 0.0))
     resp = apply_filter(grid20_op, grid20_frames, grid20.vertices, spec, s)
     smooth = heat_apply_chebyshev(grid20_op, spec.heat, s)
     assert np.abs(resp.r_real - smooth).max() < 1e-10
@@ -201,7 +201,7 @@ def test_step_response_matches_bruteforce_oracle(grid20, grid20_op, grid20_frame
         normals = vertex_normals(mesh)
         for k in (0, 1, 2):
             for threshold in (0.0, 1e-4):
-                spec = FilterSpec(k, HeatParams(t, 50, threshold))
+                spec = FilterSpec(k, HeatParams(t, threshold))
                 resp = apply_filter(op, frames, mesh.vertices, spec, s)
                 oracle = bruteforce_responses(mesh.vertices, frames, op, t, k,
                                               threshold, s)[:, 0]
@@ -217,7 +217,7 @@ def test_step_response_matches_bruteforce_oracle(grid20, grid20_op, grid20_frame
 def test_step_response_peaks_at_step(grid20, grid20_op, grid20_frames):
     s = step_signal(grid20)
     resp = apply_filter(grid20_op, grid20_frames, grid20.vertices,
-                        FilterSpec(1, HeatParams(5.0, 50, 1e-4)), s)
+                        FilterSpec(1, HeatParams(5.0, 1e-4)), s)
     cols, _ = grid_columns_rows(grid20)
     interior = grid_interior_mask(grid20)
     r2 = np.where(interior, resp.r2, -np.inf)
@@ -225,7 +225,7 @@ def test_step_response_peaks_at_step(grid20, grid20_op, grid20_frames):
 
 
 def test_constant_interior_response_small_vs_step(grid20, grid20_op, grid20_frames):
-    spec = FilterSpec(1, HeatParams(5.0, 50, 1e-4))
+    spec = FilterSpec(1, HeatParams(5.0, 1e-4))
     step = apply_filter(grid20_op, grid20_frames, grid20.vertices, spec,
                         step_signal(grid20))
     const = apply_filter(grid20_op, grid20_frames, grid20.vertices, spec,
@@ -237,7 +237,7 @@ def test_constant_interior_response_small_vs_step(grid20, grid20_op, grid20_fram
 def test_frame_rotation_invariance(ico162, ico162_op, ico162_frames):
     rng = np.random.default_rng(42)
     s = rng.standard_normal(ico162_op.n)
-    params = HeatParams(10.0, 50, 1e-4)
+    params = HeatParams(10.0, 1e-4)
     base = apply_filter(ico162_op, ico162_frames, ico162.vertices,
                         FilterSpec(2, params), s)
     for _ in range(10):
@@ -250,7 +250,7 @@ def test_frame_rotation_invariance(ico162, ico162_op, ico162_frames):
 def test_scaling_equivariance_power_of_two(grid20, grid20_op, grid20_frames):
     rng = np.random.default_rng(2)
     s = rng.standard_normal(grid20_op.n)
-    spec = FilterSpec(1, HeatParams(5.0, 40, 1e-4))
+    spec = FilterSpec(1, HeatParams(5.0, 1e-4))
     one = apply_filter(grid20_op, grid20_frames, grid20.vertices, spec, s)
     eight = apply_filter(grid20_op, grid20_frames, grid20.vertices, spec, 8.0 * s)
     assert np.array_equal(eight.r_real, 8.0 * one.r_real)
@@ -304,10 +304,22 @@ def test_threshold_consistency(grid20, grid20_op, grid20_frames):
     s = step_signal(grid20)
     for t in (10.0, 30.0):
         full = apply_filter(grid20_op, grid20_frames, grid20.vertices,
-                            FilterSpec(1, HeatParams(t, 50, 0.0)), s)
+                            FilterSpec(1, HeatParams(t, 0.0)), s)
         cut = apply_filter(grid20_op, grid20_frames, grid20.vertices,
-                           FilterSpec(1, HeatParams(t, 50, 1e-4)), s)
+                           FilterSpec(1, HeatParams(t, 1e-4)), s)
         assert abs(cut.r2.max() - full.r2.max()) < 1e-3 * full.r2.max()
+
+
+def test_signal_must_hold_one_value_per_vertex():
+    # an (N, C) block would be filtered as N * C vertices
+    mesh = icosphere(1, SPHERE_RADIUS)
+    op = cotan_operator(mesh)
+    frames = build_frames(vertex_normals(mesh))
+    assert op.n == 42
+    for shape in ((42, 3), (42, 1), (41,), (126,)):
+        with pytest.raises(ValueError, match="shape"):
+            apply_filter(op, frames, mesh.vertices, FilterSpec(1, HeatParams(5.0)),
+                         np.ones(shape))
 
 
 def test_nonfinite_signal_aborts_with_vertex(grid20, grid20_op, grid20_frames):
@@ -315,7 +327,7 @@ def test_nonfinite_signal_aborts_with_vertex(grid20, grid20_op, grid20_frames):
     s[5] = np.nan
     with pytest.raises(NumericalError, match="vertex"):
         apply_filter(grid20_op, grid20_frames, grid20.vertices,
-                     FilterSpec(1, HeatParams(5.0, 30, 1e-4)), s)
+                     FilterSpec(1, HeatParams(5.0, 1e-4)), s)
 
 
 def test_nonfinite_raw_signal_names_input_vertex(ico162, ico162_op, ico162_frames):
@@ -323,7 +335,7 @@ def test_nonfinite_raw_signal_names_input_vertex(ico162, ico162_op, ico162_frame
     s[3] = np.nan
     with pytest.raises(NumericalError, match=r"non-finite signal value at vertex 3$"):
         apply_filter(ico162_op, ico162_frames, ico162.vertices,
-                     FilterSpec(1, HeatParams(5.0, 50, 1e-4)), s)
+                     FilterSpec(1, HeatParams(5.0, 1e-4)), s)
 
 
 def test_level_set_on_sphere(ico642, ico642_op):
@@ -332,7 +344,7 @@ def test_level_set_on_sphere(ico642, ico642_op):
     frames = build_frames(vertex_normals(ico642))
     s = (ico642.vertices[:, 2] > 0).astype(float)
     resp = apply_filter(ico642_op, frames, ico642.vertices,
-                        FilterSpec(1, HeatParams(5.0, 50, 1e-4)), s)
+                        FilterSpec(1, HeatParams(5.0, 1e-4)), s)
     top = np.argsort(resp.r2)[::-1][:ico642.n_vertices // 10]
     assert np.abs(ico642.vertices[top, 2]).max() < 5.0
 
@@ -364,7 +376,7 @@ def test_refinement_convergence():
 def test_multiscale_single_time_reduces_to_apply(grid20, grid20_op, grid20_frames):
     s = step_signal(grid20)
     direct = apply_filter(grid20_op, grid20_frames, grid20.vertices,
-                          FilterSpec(1, HeatParams(5.0, 50, 1e-4)), s)
+                          FilterSpec(1, HeatParams(5.0, 1e-4)), s)
     sweep = multiscale_apply(grid20_op, grid20_frames, grid20.vertices, 1,
                              [5.0], s)
     assert len(sweep) == 1
@@ -378,7 +390,7 @@ def test_multiscale_one_pass_matches_separate_calls(ico162, ico162_op, ico162_fr
                                 [5.0, 30.0], s)
     for t, b in zip((5.0, 30.0), one_pass):
         a = apply_filter(ico162_op, ico162_frames, ico162.vertices,
-                         FilterSpec(1, HeatParams(t, 50, 1e-4)), s)
+                         FilterSpec(1, HeatParams(t, 1e-4)), s)
         scale = np.abs(a.r_real).max() + np.abs(a.r_imag).max()
         assert np.abs(a.r_real - b.r_real).max() <= 1e-13 * scale
         assert np.abs(a.r_imag - b.r_imag).max() <= 1e-13 * scale
@@ -404,9 +416,8 @@ def test_chunk_width_shrinks_with_scale_count(monkeypatch, grid20, grid20_op,
     for ts in ([5.0], [5.0, 10.0, 20.0], [5.0, 10.0, 20.0, 40.0]):
         balls.clear()
         widths.clear()
-        with pytest.warns(RuntimeWarning, match="Chebyshev order"):
-            multiscale_apply(grid20_op, grid20_frames, grid20.vertices, 1, ts, s,
-                             chebyshev_order=5)
+        multiscale_apply(grid20_op, grid20_frames, grid20.vertices, 1, ts, s)
+        order = shared_order(grid20_op, [heat_function(t) for t in ts])
         # one recurrence per chunk serves every scale; the chunk is
         # 2 * _CHUNK / (max(scales, 3) + 1) wide, narrowing past three scales
         # so the live blocks never outgrow three scales', and its ball starts
@@ -415,30 +426,25 @@ def test_chunk_width_shrinks_with_scale_count(monkeypatch, grid20, grid20_op,
         chunks = [ball[:w] for ball, (_, w) in zip(balls, widths)]
         assert np.array_equal(np.sort(np.concatenate(chunks)), np.arange(grid20_op.n))
         assert max(w for _, w in widths) == 2 * 8 // (max(len(ts), 3) + 1)
-        # the ball holds every vertex within the pass's 5 steps of the chunk
+        # the ball holds every vertex within the pass's order of steps of the chunk
         for chunk, ball in zip(chunks, balls):
-            assert np.array_equal(np.sort(ball), within_steps(grid20_op, chunk, 5))
+            assert np.array_equal(np.sort(ball), within_steps(grid20_op, chunk, order))
 
 
 def test_coefficients_derived_once_per_pass(monkeypatch, grid20, grid20_op,
                                             grid20_frames):
-    # each scale's tails come once per pass, however many chunks call the engine
-    calls = []
-    tails = spectral._coefficient_tails
-
-    def counting(fn, b):
-        calls.append(b)
-        return tails(fn, b)
-
-    monkeypatch.setattr(spectral, "_coefficient_tails", counting)
+    # each scale's order is certified and its coefficients derived once per
+    # pass, however many chunks call the engine: each memo miss is one call
+    # of the unmemoized function
+    memos = (spectral.certified_order, spectral._truncated_coefficients)
     s = step_signal(grid20)
     counts = []
     for chunk in (16, 512):
         monkeypatch.setattr(filters, "_CHUNK", chunk)
-        calls.clear()
+        before = [memo.cache_info().misses for memo in memos]
         multiscale_apply(grid20_op, grid20_frames, grid20.vertices, 1, [5.0, 10.0, 20.0], s)
-        counts.append(len(calls))
-    assert counts == [3, 3]
+        counts.append([memo.cache_info().misses - b for memo, b in zip(memos, before)])
+    assert counts == [[3, 3], [3, 3]]
 
 
 def test_pass_memory_within_documented_bound(monkeypatch, ico642, ico642_op):
@@ -504,8 +510,7 @@ def test_contraction_slices_bound_pair_count(monkeypatch, grid20, grid20_op,
                          support_threshold=0.0)
         width = 2 * filters._CHUNK // (max(len(ts), 3) + 1)
         step = -(-width // 8)
-        order = shared_order(grid20_op, [HeatParams(t) for t in ts],
-                             [heat_function(t) for t in ts])
+        order = shared_order(grid20_op, [heat_function(t) for t in ts])
         pairs = 0
         for sub, w, sub_order in passes:
             assert sub_order == order
@@ -517,8 +522,8 @@ def test_contraction_slices_bound_pair_count(monkeypatch, grid20, grid20_op,
 def test_mixed_specs_share_one_contraction(monkeypatch, ico642, ico642_op):
     frames = build_frames(vertex_normals(ico642))
     s = np.random.default_rng(8).standard_normal(ico642_op.n)
-    specs = [FilterSpec(0, HeatParams(5.0)), FilterSpec(1, HeatParams(10.0, None, 1e-3)),
-             FilterSpec(2, HeatParams(20.0, None, 0.0)), FilterSpec(3, HeatParams(10.0))]
+    specs = [FilterSpec(0, HeatParams(5.0)), FilterSpec(1, HeatParams(10.0, 1e-3)),
+             FilterSpec(2, HeatParams(20.0, 0.0)), FilterSpec(3, HeatParams(10.0))]
     calls = []
 
     def recording(op, fn, x, order, **kwargs):
@@ -569,10 +574,6 @@ def test_vertex_permutation_equivariance(ico642):
 
 def test_fused_pass_validates_specs(grid20, grid20_op, grid20_frames):
     s = step_signal(grid20)
-    with pytest.raises(ValueError, match="same order"):
-        apply_filter(grid20_op, grid20_frames, grid20.vertices,
-                     [FilterSpec(1, HeatParams(5.0, 30)),
-                      FilterSpec(1, HeatParams(10.0, 40))], s)
     with pytest.raises(ValueError, match="at least one"):
         apply_filter(grid20_op, grid20_frames, grid20.vertices, [], s)
 
@@ -612,7 +613,7 @@ def test_normal_variation_flat_grid(grid20, grid20_op, grid20_frames):
     mesh = Mesh(grid20.vertices, grid20.faces,
                 normals=np.tile([0.0, 0.0, 1.0], (grid20.n_vertices, 1)))
     field = normal_variation(mesh, grid20_op, grid20_frames,
-                             FilterSpec(1, HeatParams(10.0, 50, 1e-4)))
+                             FilterSpec(1, HeatParams(10.0, 1e-4)))
     interior = grid_interior_mask(grid20)
     boundary_max = field.values[~interior].max()
     assert field.values[interior].max() < 1e-6 * boundary_max
@@ -621,14 +622,14 @@ def test_normal_variation_flat_grid(grid20, grid20_op, grid20_frames):
 def test_normal_variation_icosphere_uniform(ico642, ico642_op):
     frames = build_frames(vertex_normals(ico642))
     field = normal_variation(ico642, ico642_op, frames,
-                             FilterSpec(1, HeatParams(10.0, 50, 1e-4)))
+                             FilterSpec(1, HeatParams(10.0, 1e-4)))
     cov = field.values.std() / field.values.mean()
     assert cov < 0.2
 
 
 def test_normal_variation_one_pass_matches_separate_calls(ico162, ico162_op,
                                                          ico162_frames):
-    specs = [FilterSpec(1, HeatParams(t, 50, 1e-4)) for t in (5.0, 10.0)]
+    specs = [FilterSpec(1, HeatParams(t, 1e-4)) for t in (5.0, 10.0)]
     fields = normal_variation(ico162, ico162_op, ico162_frames, specs)
     for spec, field in zip(specs, fields):
         alone = normal_variation(ico162, ico162_op, ico162_frames, spec)
@@ -658,3 +659,7 @@ def test_fuse_validation():
 def test_filter_spec_validation():
     with pytest.raises(ValueError):
         FilterSpec(-1, HeatParams(1.0))
+    for k in (1.5, 2.0, "1"):
+        with pytest.raises(ValueError, match="integer"):
+            FilterSpec(k, HeatParams(1.0))
+    assert FilterSpec(np.int64(2), HeatParams(1.0)).k == 2

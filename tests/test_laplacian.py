@@ -151,12 +151,22 @@ def test_lambda_max_brackets_eigsh_top(request, make):
 
 @pytest.mark.parametrize("stiffness, mass", [
     ([[np.inf, -1.0], [-1.0, 1.0]], [1.0, 1.0]),
-    ([[1.0, -1.0], [-1.0, 1.0]], [np.nan, 1.0]),
-], ids=["inf-stiffness", "nan-mass"])
+], ids=["inf-stiffness"])
 def test_lambda_max_rejects_nonfinite(stiffness, mass):
     op = SparseOperator(sp.csr_matrix(np.array(stiffness)), np.array(mass))
     with pytest.raises(NumericalError, match="non-finite"):
         estimate_lambda_max(op)
+
+
+@pytest.mark.parametrize("stiffness, mass", [
+    ([[1.0, -1.0], [-1.0, 1.0]], [np.nan, 1.0]),
+    # a vertex without stiffness entries, which the spectral bound cannot see
+    ([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 0.0]], [1.0, 1.0, np.nan]),
+    ([[1.0, -1.0], [-1.0, 1.0]], [1.0, np.inf]),
+], ids=["nan-mass", "nan-mass-isolated", "inf-mass"])
+def test_operator_rejects_nonfinite_mass(stiffness, mass):
+    with pytest.raises(ValueError, match="finite"):
+        SparseOperator(sp.csr_matrix(np.array(stiffness)), np.array(mass))
 
 
 def test_positive_semidefinite_property(grid20_op, ico162_op):

@@ -1,5 +1,4 @@
 import warnings
-from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -9,7 +8,6 @@ from scipy.sparse import _sparsetools
 from scipy.sparse.linalg import expm_multiply
 
 import mahf.spectral as spectral
-from mahf.baselines import MhwSpec
 from mahf.errors import NumericalError
 from mahf.io_mesh import VertexSignal
 from mahf.laplacian import SparseOperator, breadth_first, cotan_operator
@@ -20,11 +18,6 @@ from mahf.spectral import (CHEB_TOL, HeatParams, certified_order, chebyshev_appl
 from mahf.synthetic import icosphere
 
 from conftest import SPHERE_RADIUS, DenseOracle, dense_heat_oracle, within_steps
-
-
-def capping_warning(capped: bool):
-    """Expect the warning of an explicit order below the certified one."""
-    return pytest.warns(RuntimeWarning, match="Chebyshev order") if capped else nullcontext()
 
 
 @pytest.fixture(scope="module")
@@ -91,7 +84,7 @@ def test_heat_kernel_dense_row_sums_identity_mass(path4_op):
 def test_chebyshev_identity_at_t_zero(grid20_op):
     rng = np.random.default_rng(0)
     s = rng.standard_normal(grid20_op.n)
-    out = heat_apply_chebyshev(grid20_op, HeatParams(0.0, 50), s)
+    out = heat_apply_chebyshev(grid20_op, HeatParams(0.0), s)
     assert np.abs(out - s).max() < 1e-12
 
 
@@ -99,7 +92,7 @@ def test_chebyshev_matches_dense_icosphere(ico642_op):
     rng = np.random.default_rng(1)
     s = rng.standard_normal(ico642_op.n)
     _, propagator = dense_heat_oracle(ico642_op, 10.0)
-    out = heat_apply_chebyshev(ico642_op, HeatParams(10.0, 40), s)
+    out = heat_apply_chebyshev(ico642_op, HeatParams(10.0), s)
     assert np.abs(out - propagator @ s).max() < 1e-8 * np.abs(s).max()
 
 
@@ -108,12 +101,9 @@ def test_chebyshev_error_decreases_with_order(ico642_op):
     s = rng.standard_normal(ico642_op.n)
     _, propagator = dense_heat_oracle(ico642_op, 10.0)
     exact = propagator @ s
-    needed = certified_order(heat_function(10.0), ico642_op.lambda_max)
     errors = []
     for order in (5, 10, 20, 40):
-        # an order below the certified one warns that it caps the expansion
-        with capping_warning(order < needed):
-            out = heat_apply_chebyshev(ico642_op, HeatParams(10.0, order), s)
+        out = chebyshev_apply(ico642_op, heat_function(10.0), s, order)
         errors.append(np.abs(out - exact).max())
     floor = 1e-13 * np.abs(s).max()
     for lo, hi in zip(errors[1:], errors[:-1]):
@@ -130,14 +120,13 @@ def test_chebyshev_envelope(grid20_op):
     for target, order in ((100.0, 50), (200.0, 80)):
         t = target / lam
         _, propagator = dense_heat_oracle(grid20_op, t)
-        with capping_warning(order < certified_order(heat_function(t), lam)):
-            out = heat_apply_chebyshev(grid20_op, HeatParams(t, order), s)
+        out = chebyshev_apply(grid20_op, heat_function(t), s, order)
         assert np.abs(out - propagator @ s).max() < 1e-7 * np.abs(s).max()
 
 
 def test_chebyshev_accepts_vertex_signal(two_node_op):
     signal = VertexSignal([1.0, -1.0], name="delta")
-    out = heat_apply_chebyshev(two_node_op, HeatParams(0.5, 30), signal)
+    out = heat_apply_chebyshev(two_node_op, HeatParams(0.5), signal)
     assert isinstance(out, VertexSignal)
     assert np.allclose(out.values, np.exp(-1.0) * np.array([1.0, -1.0]), atol=1e-12)
 
@@ -145,9 +134,9 @@ def test_chebyshev_accepts_vertex_signal(two_node_op):
 def test_chebyshev_reports_nonfinite_iteration():
     stiffness = sp.csr_matrix(np.array([[np.inf, -1.0], [-1.0, 1.0]]))
     op = SparseOperator(stiffness, np.ones(2), _lambda_max=2.0)
-    with np.errstate(invalid="ignore"), pytest.warns(RuntimeWarning, match="Chebyshev order"):
+    with np.errstate(invalid="ignore"):
         with pytest.raises(NumericalError, match="iteration"):
-            heat_apply_chebyshev(op, HeatParams(1.0, 10), np.ones(2))
+            heat_apply_chebyshev(op, HeatParams(1.0), np.ones(2))
 
 
 def test_chebyshev_rejects_nonfinite_block(grid20_op):
@@ -193,9 +182,8 @@ def test_chebyshev_matches_reference_recurrence(request, which):
     centres = rng.choice(op.n, 5, replace=False)
     indicators = np.zeros((op.n, 5))
     indicators[centres, np.arange(5)] = 1.0 / op.mass[centres]
-    specs = [HeatParams(5.0), HeatParams(20.0), MhwSpec(10.0)]
     fns = [heat_function(5.0), heat_function(20.0), lambda x: x * np.exp(-10.0 * x)]
-    order = shared_order(op, specs, fns)
+    order = shared_order(op, fns)
     for x in (rng.standard_normal(op.n), indicators, rng.standard_normal((op.n, 4))):
         for got, ref in zip(chebyshev_apply(op, fns, x, order),
                             reference_chebyshev(op, fns, x, order)):
@@ -250,7 +238,7 @@ def test_recurrence_rows_are_the_reached_levels(monkeypatch, request, which):
           else request.getfixturevalue(f"{which}_op"))
     centres = np.random.default_rng(13).choice(op.n, 5, replace=False)
     fn = heat_function(5.0)
-    order = shared_order(op, [HeatParams(5.0)], [fn])
+    order = shared_order(op, [fn])
     rows = []
     matvecs = spectral._sparsetools.csr_matvecs
 
@@ -320,12 +308,11 @@ def test_chebyshev_default_order_fused_equals_single(ico642_op):
     # each function keeps its own certified terms, so sharing a pass with
     # higher-order functions changes none of its output bits
     rng = np.random.default_rng(12)
-    specs = [HeatParams(5.0), HeatParams(20.0), MhwSpec(10.0)]
     fns = [heat_function(5.0), heat_function(20.0), lambda x: x * np.exp(-10.0 * x)]
     for x in (rng.standard_normal(ico642_op.n), rng.standard_normal((ico642_op.n, 7))):
-        fused = chebyshev_apply(ico642_op, fns, x, shared_order(ico642_op, specs, fns))
-        for spec, fn, got in zip(specs, fns, fused):
-            alone = chebyshev_apply(ico642_op, fn, x, shared_order(ico642_op, [spec], [fn]))
+        fused = chebyshev_apply(ico642_op, fns, x, shared_order(ico642_op, fns))
+        for fn, got in zip(fns, fused):
+            alone = chebyshev_apply(ico642_op, fn, x, shared_order(ico642_op, [fn]))
             assert np.array_equal(got, alone)
 
 
@@ -357,14 +344,11 @@ def test_certified_order_meets_tolerance():
 
 def test_coefficients_are_memoized_read_only(ico162_op):
     fn, b = heat_function(5.0), ico162_op.lambda_max
-    tails = spectral._tails(fn, b)
     coeffs = _truncated_coefficients(fn, b, 40)
-    assert spectral._tails(fn, b) is tails
     assert _truncated_coefficients(fn, b, 40) is coeffs
-    # every later pass reads these arrays, so none may write into them
-    for shared in (tails, coeffs):
-        with pytest.raises(ValueError, match="read-only"):
-            shared[0] = 1.0
+    # every later pass reads this array, so none may write into it
+    with pytest.raises(ValueError, match="read-only"):
+        coeffs[0] = 1.0
     # another order is its own entry
     assert _truncated_coefficients(fn, b, 41).shape == (42,)
 
@@ -385,18 +369,8 @@ def test_large_tb_default_order_matches_oracle(grid20_op):
         warnings.simplefilter("error")
         out = heat_apply_chebyshev(grid20_op, HeatParams(t), s)
         row, _ = heat_kernel_row(grid20_op, HeatParams(t, support_threshold=0.0), 17)
-        capped = heat_apply_chebyshev(grid20_op, HeatParams(t, 400), s)
     assert np.abs(out - exact).max() <= 1e-9 * np.abs(exact).max()
     assert np.abs(row - kernel[17]).max() <= 1e-9 * np.abs(kernel[17]).max()
-    # a ceiling above the certified order changes nothing
-    assert np.array_equal(capped, out)
-
-    with pytest.warns(RuntimeWarning, match=r"order 50 .* at t="):
-        low = heat_apply_chebyshev(grid20_op, HeatParams(t, 50), s)
-    assert np.abs(low - exact).max() > 1e-9 * np.abs(exact).max()
-    with pytest.warns(RuntimeWarning, match=r"order 50 .* at t="):
-        low_row, _ = heat_kernel_row(grid20_op, HeatParams(t, 50, 0.0), 17)
-    assert np.abs(low_row - kernel[17]).max() > 1e-9 * np.abs(kernel[17]).max()
 
 
 def test_heat_params_validation():
@@ -406,8 +380,6 @@ def test_heat_params_validation():
         with pytest.raises(ValueError, match="finite"):
             HeatParams(t)
     with pytest.raises(ValueError):
-        HeatParams(1.0, chebyshev_order=0)
-    with pytest.raises(ValueError):
         HeatParams(1.0, support_threshold=1.0)
 
 
@@ -415,20 +387,20 @@ def test_heat_params_validation():
 
 def test_kernel_row_matches_dense(ico162_op):
     kernel, _ = dense_heat_oracle(ico162_op, 10.0)
-    values, support = heat_kernel_row(ico162_op, HeatParams(10.0, 50, 0.0), 17)
+    values, support = heat_kernel_row(ico162_op, HeatParams(10.0, 0.0), 17)
     assert np.abs(values - kernel[17]).max() < 1e-8
     assert support.shape[0] == ico162_op.n
 
 
 def test_kernel_row_threshold_two_node(two_node_op):
-    values, support = heat_kernel_row(two_node_op, HeatParams(10.0, 50, 0.5), 0)
+    values, support = heat_kernel_row(two_node_op, HeatParams(10.0, 0.5), 0)
     # at large t the row tends to [0.5, 0.5]; both entries survive a 0.5 cutoff
     assert support.tolist() == [0, 1]
     assert np.allclose(values, 0.5, atol=1e-6)
 
 
 def test_kernel_row_threshold_zeroes_tail(ico642_op):
-    params = HeatParams(5.0, 50, 1e-4)
+    params = HeatParams(5.0, 1e-4)
     values, support = heat_kernel_row(ico642_op, params, 0)
     assert 0 < support.shape[0] < ico642_op.n
     off = np.setdiff1d(np.arange(ico642_op.n), support)
@@ -439,8 +411,8 @@ def test_kernel_row_threshold_zeroes_tail(ico642_op):
 def test_kernel_row_is_non_zero_on_its_ball(ico642_op):
     # the recurrence runs on the vertices within its order of steps of the
     # vertex, and the row is non-zero on exactly those
-    params = HeatParams(0.05, None, 0.0)
-    order = shared_order(ico642_op, [params], [heat_function(0.05)])
+    params = HeatParams(0.05, 0.0)
+    order = shared_order(ico642_op, [heat_function(0.05)])
     near = within_steps(ico642_op, [7], order)
     values, _ = heat_kernel_row(ico642_op, params, 7)
     assert 0 < near.shape[0] < ico642_op.n
@@ -450,7 +422,7 @@ def test_kernel_row_is_non_zero_on_its_ball(ico642_op):
 def test_kernel_rows_of_many_times_match_separate_calls(ico642_op):
     # one recurrence on the ball of the largest order gives every row bit for
     # bit as its own call on its own ball does
-    specs = [HeatParams(20.0), HeatParams(5.0, None, 0.0), HeatParams(50.0, None, 1e-3),
+    specs = [HeatParams(20.0), HeatParams(5.0, 0.0), HeatParams(50.0, 1e-3),
              HeatParams(5.0)]
     for i in (0, 321):
         rows = heat_kernel_row(ico642_op, specs, i)
@@ -459,8 +431,6 @@ def test_kernel_rows_of_many_times_match_separate_calls(ico642_op):
             alone, alone_support = heat_kernel_row(ico642_op, spec, i)
             assert np.array_equal(values, alone)
             assert np.array_equal(support, alone_support)
-    with pytest.raises(ValueError, match="same order"):
-        heat_kernel_row(ico642_op, [HeatParams(5.0, 30), HeatParams(10.0, 40)], 0)
 
 
 def test_kernel_row_matches_expm_multiply_beyond_dense_limit():
@@ -473,7 +443,7 @@ def test_kernel_row_matches_expm_multiply_beyond_dense_limit():
         indicator = np.zeros(op.n)
         indicator[i] = 1.0 / op.mass[i]
         for t in (5.0, 20.0):
-            values, support = heat_kernel_row(op, HeatParams(t, None, 0.0), i)
+            values, support = heat_kernel_row(op, HeatParams(t, 0.0), i)
             ref = expm_multiply(-t * laplacian, indicator)
             assert support.shape[0] == op.n
             assert np.abs(values - ref).max() <= 1e-10 * np.abs(ref).max()
@@ -550,7 +520,7 @@ def test_constant_preservation(grid20_op, ico162_op):
     for op in (grid20_op, ico162_op):
         ones = np.ones(op.n)
         for t in (0.0, 5.0, 30.0):
-            out = heat_apply_chebyshev(op, HeatParams(t, 50), ones)
+            out = heat_apply_chebyshev(op, HeatParams(t), ones)
             assert np.abs(out - 1.0).max() < 1e-8
 
 
@@ -560,7 +530,7 @@ def test_weak_maximum_principle(grid20_op, ico162_op):
         s = rng.uniform(-1, 3, op.n)
         spread = s.max() - s.min()
         for t in (1.0, 10.0, 50.0):
-            out = heat_apply_chebyshev(op, HeatParams(t, 50), s)
+            out = heat_apply_chebyshev(op, HeatParams(t), s)
             assert out.max() <= s.max() + 1e-6 * spread
             assert out.min() >= s.min() - 1e-6 * spread
 
@@ -568,7 +538,7 @@ def test_weak_maximum_principle(grid20_op, ico162_op):
 def test_kernel_support_grows_with_time(ico642_op):
     sizes = []
     for t in (5.0, 25.0, 50.0, 100.0):
-        row, _ = heat_kernel_row(ico642_op, HeatParams(t, 50, 0.0), 0)
+        row, _ = heat_kernel_row(ico642_op, HeatParams(t, 0.0), 0)
         sizes.append(int(np.count_nonzero(row > 0.01 * row.max())))
     assert all(a <= b for a, b in zip(sizes, sizes[1:]))
     assert sizes[0] < sizes[-1]
