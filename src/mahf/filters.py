@@ -79,26 +79,21 @@ def _unit_tangents(positions, frames: FrameField, centres, neighbours):
     return u * inv, v * inv
 
 
-def _contract(cols, neighbours, centres, terms, frames: FrameField, positions, mass,
-              signals):
+def _contract(terms, neighbours, centres, frames: FrameField, positions, mass, signals):
     """Responses at the vertices ``centres`` from their kernel columns.
 
-    ``cols`` holds one (rows, width) block of kernel columns per diffusion
-    time; row ``r`` belongs to vertex ``neighbours[r]`` and column ``l`` to
-    ``centres[l]``.  Each ``(block, k, threshold)`` of ``terms`` is one
-    filter: an entry of its block kept by its threshold pairs a neighbour
+    Each ``(cols, k, keep)`` of ``terms`` is one filter: ``cols`` is a
+    (rows, width) block of kernel columns, row ``r`` belonging to vertex
+    ``neighbours[r]`` and column ``l`` to ``centres[l]``, and ``keep`` marks
+    its entries inside the filter's support.  A kept entry pairs a neighbour
     ``j`` with a centre and weighs ``s_j`` by the kernel entry times the mass
     of ``j`` and, for ``k >= 1``, by cos/sin of ``k`` times the neighbour's
-    azimuth; self and degenerate pairs add 0.  Each block is thresholded
-    once per threshold and each kept pair's tangent computed once for all
-    terms.  Returns one pair of real and imaginary (width, C) blocks per term.
+    azimuth; self and degenerate pairs add 0.  Each pair kept by any term is
+    gathered and its tangent computed once for all terms.  Returns one pair
+    of real and imaginary (width, C) blocks per term.
     """
     width = centres.shape[0]
-    keeps = {}
-    for b, _, threshold in terms:
-        if (b, threshold) not in keeps:
-            keeps[b, threshold] = threshold_row(cols[b], threshold)[0]
-    union = np.logical_or.reduce(list(keeps.values()))
+    union = np.logical_or.reduce([keep for _, _, keep in terms])
     r, local = np.divmod(np.flatnonzero(union), width)
     j = neighbours.take(r)
     s = signals.take(j, axis=0)
@@ -114,10 +109,10 @@ def _contract(cols, neighbours, centres, terms, frames: FrameField, positions, m
             ck, sk = harmonics[k] = ck * c1 - sk * s1, sk * c1 + ck * s1
 
     results = []
-    for b, k, threshold in terms:
-        w = cols[b][r, local] * m
-        if len(keeps) > 1:
-            w[~keeps[b, threshold][r, local]] = 0.0
+    for cols, k, keep in terms:
+        w = cols[r, local] * m
+        if len(terms) > 1:
+            w[~keep[r, local]] = 0.0
         out = np.zeros((2, width, s.shape[1]))
         for part, res in zip([w] if k == 0 else [w * h for h in harmonics[k]], out):
             for c in range(s.shape[1]):
@@ -147,10 +142,12 @@ def _response_block(op: SparseOperator, frames: FrameField, positions: np.ndarra
     One Chebyshev recurrence per chunk of kernel columns serves every spec,
     with one function per distinct diffusion time.  It runs on the chunk's
     ball: the operator restricted to the breadth-first levels around the
-    chunk, as deep as the pass's order, chunk first.  Each chunk is
-    contracted in slices of ``1 / _SLICES`` of its width, on all of its
-    ball's rows: those a slice never reached are exact zeros, which no
-    positive threshold keeps.
+    chunk, as deep as the pass's order, chunk first.  Right after the
+    recurrence each kernel block is thresholded once per distinct threshold
+    of its time, over the whole chunk.  The chunk is then contracted in
+    slices of ``1 / _SLICES`` of its width, each with its columns of those
+    masks, on all of its ball's rows: those a slice never reached are exact
+    zeros, which no positive threshold keeps.
 
     Memory: with ``n_t`` distinct times a chunk is
     ``w = 2 _CHUNK / (max(n_t, 3) + 1)`` columns wide, 128 at the default
@@ -165,14 +162,19 @@ def _response_block(op: SparseOperator, frames: FrameField, positions: np.ndarra
     once per pass, ``N x w`` each, and a chunk writes only their first
     ``|ball| x w``, so their pages past the largest ball are never touched.
     Each recurrence allocates its own two blocks and arrays the size of the
-    ball's operator.
+    ball's operator.  The masks add one bool block of ``|ball| x w`` per
+    distinct (time, threshold).
     """
+    if positions.shape != (op.n, 3) or len(frames) != op.n:
+        raise ValueError(f"positions of shape {positions.shape} and {len(frames)} frames "
+                         f"for an operator on {op.n} vertices")
     times = {}
     for spec in specs:
         times.setdefault(spec.heat.t, len(times))
     fns = [heat_function(t) for t in times]
     order = shared_order(op, fns)
     terms = [(times[spec.heat.t], spec.k, spec.heat.support_threshold) for spec in specs]
+    cutoffs = dict.fromkeys((b, threshold) for b, _, threshold in terms)
     n = op.n
     mass = op.mass
     responses = [(np.zeros_like(signals), np.zeros_like(signals)) for _ in specs]
@@ -192,12 +194,18 @@ def _response_block(op: SparseOperator, frames: FrameField, positions: np.ndarra
         blocks = chebyshev_apply(op.restricted(ball), fns, x, order,
                                  out=[buf[:x.size].reshape(x.shape) for buf in kernels])
         x[diagonal] = 0.0
+        keeps = {(b, threshold): threshold_row(blocks[b], threshold)[0]
+                 for b, threshold in cutoffs}
         for lo in range(0, w, step):
-            centres = chunk[lo:lo + step]
-            parts = _contract([blk[:, lo:lo + step] for blk in blocks], ball,
-                              centres, terms, frames, positions, mass, signals)
+            cut = slice(lo, lo + step)
+            centres = chunk[cut]
+            parts = _contract([(blocks[b][:, cut], k, keeps[b, threshold][:, cut])
+                               for b, k, threshold in terms],
+                              ball, centres, frames, positions, mass, signals)
             for (r_real, r_imag), (h_real, h_imag) in zip(responses, parts):
                 r_real[centres], r_imag[centres] = h_real, h_imag
+        # free the masks before the next chunk's recurrence, the pass's peak
+        del keeps
 
     for r_real, r_imag in responses:
         bad = np.flatnonzero(~(np.isfinite(r_real).all(axis=1)
@@ -214,7 +222,8 @@ def apply_filter(op: SparseOperator, frames: FrameField, positions,
     Parameters
     ----------
     op, frames, positions
-        Operator, tangent frames and vertex positions, all N-aligned.
+        Operator, tangent frames and (N, 3) vertex positions, all N-aligned;
+        a mismatch raises ``ValueError``.
     spec : FilterSpec or sequence of FilterSpec
         Harmonic order and heat parameters.  A sequence is served by one
         recurrence per chunk, at the largest certified order of its times,
@@ -225,7 +234,7 @@ def apply_filter(op: SparseOperator, frames: FrameField, positions,
         the first such vertex.
     """
     specs = [spec] if isinstance(spec, FilterSpec) else list(spec)
-    positions = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
+    positions = np.asarray(positions, dtype=np.float64)
     values = signal_values(s)
     if values.shape != (op.n,):
         raise ValueError(f"signal has shape {values.shape} for {op.n} vertices")
@@ -258,7 +267,8 @@ def normal_variation(mesh: Mesh, op: SparseOperator, frames: FrameField,
     Each component of the (given or estimated) normal field is filtered as an
     independent scalar; the returned field is the sum of the three squared
     moduli, highlighting curvature changes.  A sequence of specs returns one
-    field per spec from a single pass, as in :func:`apply_filter`.
+    field per spec from a single pass, as in :func:`apply_filter`.  A mesh
+    or frame field of another size than the operator raises ``ValueError``.
     """
     specs = [spec] if isinstance(spec, FilterSpec) else list(spec)
     normals = effective_normals(mesh)

@@ -301,30 +301,15 @@ def threshold_row(row: np.ndarray, threshold: float):
     """Keep entries at or above ``threshold`` times their column's maximum.
 
     ``row`` is a vector or a (rows, C) block of kernel columns, each with its
-    own cutoff.  Returns the boolean keep mask, shaped like ``row``, and the
-    flat (row-major) indices of the kept entries; threshold 0 keeps
-    everything, zero and negative entries included.
+    own cutoff, so a column slice of a block keeps that slice of the block's
+    mask.  Returns the boolean keep mask, shaped like ``row``, and the flat
+    (row-major) indices of the kept entries; threshold 0 keeps everything,
+    zero and negative entries included.
     """
     if threshold <= 0:
         return np.ones(row.shape, dtype=bool), np.arange(row.size)
-    keep = row >= threshold * _column_max(row)
+    keep = row >= threshold * row.max(axis=0)
     return keep, np.flatnonzero(keep)
-
-
-def _column_max(block: np.ndarray) -> np.ndarray:
-    """``block.max(axis=0)`` by folding the rows in halves.
-
-    On a column slice of a wider block, numpy's axis-0 reduction runs about
-    three times slower than these elementwise maxima of whole rows.
-    """
-    top = block
-    while top.shape[0] > 1:
-        half = top.shape[0] // 2
-        folded = np.maximum(top[:half], top[half:2 * half])
-        if top.shape[0] % 2:
-            np.maximum(folded[:1], top[-1:], out=folded[:1])
-        top = folded
-    return top[0]
 
 
 def heat_kernel_row(op: SparseOperator, params: HeatParams | Sequence[HeatParams], i: int):

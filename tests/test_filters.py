@@ -68,14 +68,14 @@ def filter_rows(values, k, positions=((0.0, 0, 0), (0.0, 1, 0), (1.0, 0, 0)),
 
     In a z-up frame at the origin vertex 1 sits at azimuth pi/2 and vertex 2
     at 0.  Unit mass and identity signals turn the contracted responses of
-    vertex 0 into its filter row.
+    vertex 0 into its filter row.  Every entry is kept.
     """
     cols = np.asarray(values, dtype=float).reshape(-1, 1)
     n = cols.shape[0]
     positions = np.asarray(positions[:n], dtype=float)
     frames = z_frames(n) if frames is None else frames
-    [(h_real, h_imag)] = filters._contract([cols], np.arange(n), np.array([0]),
-                                           [(0, k, 0.0)], frames, positions,
+    [(h_real, h_imag)] = filters._contract([(cols, k, np.ones(cols.shape, dtype=bool))],
+                                           np.arange(n), np.array([0]), frames, positions,
                                            np.ones(n), np.eye(n))
     return h_real[0], h_imag[0]
 
@@ -322,6 +322,28 @@ def test_signal_must_hold_one_value_per_vertex():
                          np.ones(shape))
 
 
+@pytest.mark.parametrize("geometry", ["finer-mesh", "extra-positions", "short-frames"])
+def test_geometry_must_match_operator(geometry):
+    # an operator paired with another mesh's geometry would read wrong azimuths
+    mesh, finer = icosphere(1, SPHERE_RADIUS), icosphere(2, SPHERE_RADIUS)
+    op = cotan_operator(mesh)
+    frames = build_frames(vertex_normals(mesh))
+    assert (op.n, finer.n_vertices) == (42, 162)
+    positions, s = mesh.vertices, np.ones(42)
+    if geometry == "finer-mesh":
+        mesh, frames = finer, build_frames(vertex_normals(finer))
+        positions = mesh.vertices
+    elif geometry == "extra-positions":
+        positions = np.vstack([positions, np.ones((5, 3))])
+    else:
+        frames = FrameField(frames.normals[:40], frames.x_axis[:40], frames.y_axis[:40])
+    with pytest.raises(ValueError, match="42 vertices"):
+        apply_filter(op, frames, positions, FilterSpec(1, HeatParams(5.0)), s)
+    if geometry != "extra-positions":
+        with pytest.raises(ValueError, match="42 vertices"):
+            normal_variation(mesh, op, frames, FilterSpec(1, HeatParams(5.0)))
+
+
 def test_nonfinite_signal_aborts_with_vertex(grid20, grid20_op, grid20_frames):
     s = np.zeros(grid20_op.n)
     s[5] = np.nan
@@ -485,26 +507,28 @@ def test_pass_memory_within_documented_bound(monkeypatch, ico642, ico642_op):
 
 def test_contraction_slices_bound_pair_count(monkeypatch, grid20, grid20_op,
                                               grid20_frames):
-    # every pair is kept at threshold 0; the contraction still sees at most
-    # N * ceil(width / 8) of them at once, and each pair of a slice's centres
-    # with its chunk's ball exactly once per scale
-    kept, passes = [], []
+    # every pair is kept at threshold 0; the contraction still gathers at
+    # most N * ceil(width / 8) of them at once, and each pair of a slice's
+    # centres with its chunk's ball exactly once, handed to every scale
+    gathered, handed, passes = [], [], []
+    contract = filters._contract
 
-    def recording(block, threshold):
-        keep, flat = threshold_row(block, threshold)
-        kept.append(flat.shape[0])
-        return keep, flat
+    def recording(terms, *args):
+        gathered.append(int(np.logical_or.reduce([keep for _, _, keep in terms]).sum()))
+        handed.append(sum(int(keep.sum()) for _, _, keep in terms))
+        return contract(terms, *args)
 
     def recording_pass(op, fn, x, order, **kwargs):
         passes.append((op, x.shape[1], order))
         return chebyshev_apply(op, fn, x, order, **kwargs)
 
-    monkeypatch.setattr(filters, "threshold_row", recording)
+    monkeypatch.setattr(filters, "_contract", recording)
     monkeypatch.setattr(filters, "chebyshev_apply", recording_pass)
     s = step_signal(grid20)
     n = grid20_op.n
     for ts in ([5.0], [5.0, 10.0, 20.0]):
-        kept.clear()
+        gathered.clear()
+        handed.clear()
         passes.clear()
         multiscale_apply(grid20_op, grid20_frames, grid20.vertices, 1, ts, s,
                          support_threshold=0.0)
@@ -515,8 +539,9 @@ def test_contraction_slices_bound_pair_count(monkeypatch, grid20, grid20_op,
         for sub, w, sub_order in passes:
             assert sub_order == order
             pairs += sub.n * w
-        assert max(kept) <= n * step
-        assert sum(kept) == len(ts) * pairs
+        assert max(gathered) <= n * step
+        assert sum(gathered) == pairs
+        assert sum(handed) == len(ts) * pairs
 
 
 def test_mixed_specs_share_one_contraction(monkeypatch, ico642, ico642_op):
@@ -524,17 +549,27 @@ def test_mixed_specs_share_one_contraction(monkeypatch, ico642, ico642_op):
     s = np.random.default_rng(8).standard_normal(ico642_op.n)
     specs = [FilterSpec(0, HeatParams(5.0)), FilterSpec(1, HeatParams(10.0, 1e-3)),
              FilterSpec(2, HeatParams(20.0, 0.0)), FilterSpec(3, HeatParams(10.0))]
-    calls = []
+    calls, thresholded = [], []
 
     def recording(op, fn, x, order, **kwargs):
-        calls.append(len(fn))
+        calls.append((len(fn), (op.n, x.shape[1])))
         return chebyshev_apply(op, fn, x, order, **kwargs)
 
+    def recording_threshold(block, threshold):
+        thresholded.append((len(calls), block.shape))
+        return threshold_row(block, threshold)
+
     monkeypatch.setattr(filters, "chebyshev_apply", recording)
+    monkeypatch.setattr(filters, "threshold_row", recording_threshold)
     fused = apply_filter(ico642_op, frames, ico642.vertices, specs, s)
     # one recurrence function per distinct diffusion time, one call per chunk
     width = 2 * filters._CHUNK // 4
-    assert calls == [3] * -(-ico642_op.n // width)
+    chunks = -(-ico642_op.n // width)
+    assert [n_fns for n_fns, _ in calls] == [3] * chunks
+    # one threshold per distinct (t, threshold), on the chunk's whole
+    # (|ball|, w) block, right after its recurrence
+    assert thresholded == [(c + 1, shape) for c, (_, shape) in enumerate(calls)
+                           for _ in range(4)]
     for spec, got in zip(specs, fused):
         alone = apply_filter(ico642_op, frames, ico642.vertices, spec, s)
         scale = np.abs(alone.r_real).max() + np.abs(alone.r_imag).max()

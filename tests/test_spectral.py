@@ -460,6 +460,17 @@ def test_threshold_row_block():
     assert kept.tolist() == [0, 1, 4, 7]
     assert np.array_equal(keep, [[True, True], [False, False], [True, False],
                                  [False, True]])
+    # a strided column slice of a wider block keeps that slice of the
+    # block's mask, so a block can be thresholded whole and handed out in
+    # slices
+    wide = np.random.default_rng(3).standard_normal((50, 24)) ** 3
+    for cut in (slice(0, 24, 3), slice(5, 8), slice(16, 24)):
+        sliced = wide[:, cut]
+        assert not sliced.flags.c_contiguous
+        for threshold in (0.0, 1e-4, 0.3):
+            keep_slice, kept_slice = threshold_row(sliced, threshold)
+            assert np.array_equal(keep_slice, threshold_row(wide, threshold)[0][:, cut])
+            assert np.array_equal(kept_slice, np.flatnonzero(keep_slice))
     # threshold 0 keeps every entry, zero and negative ones included
     block = np.array([[0.5, -1.0], [0.0, 2.0]])
     keep, kept = threshold_row(block, 0.0)
