@@ -9,7 +9,7 @@ chosen diffusion scale; sweeping the scale gives a multiscale analysis.
 
 __version__ = "0.1.0"
 
-from .baselines import MhwSpec, mhw_apply, mhw_normal_variation
+from .baselines import MhwSpec, mhw_normal_variation
 from .errors import (GeometryError, MahfError, MeshFormatError, NumericalError,
                      OperatorError, SignalFormatError)
 from .filters import (FilterResponse, FilterSpec, apply_filter, fuse, multiscale_apply,
@@ -19,7 +19,7 @@ from .geometry import (FrameField, NeighborList, build_frames, knn, pca_normals,
 from .io_mesh import (Mesh, VertexSignal, parse_mesh, parse_signal,
                       rgb_to_luminance, write_mesh, write_response, write_signal_csv)
 from .laplacian import SparseOperator, cotan_operator, gaussian_knn_operator
-from .spectral import HeatParams, heat_apply_chebyshev, heat_kernel_row
+from .spectral import HeatParams, heat_kernel_row
 
 __all__ = [
     "__version__",
@@ -28,10 +28,10 @@ __all__ = [
     "FrameField", "NeighborList", "vertex_normals", "pca_normals",
     "vertex_areas", "build_frames", "knn",
     "SparseOperator", "cotan_operator", "gaussian_knn_operator",
-    "HeatParams", "heat_apply_chebyshev", "heat_kernel_row",
+    "HeatParams", "heat_kernel_row",
     "FilterSpec", "FilterResponse", "apply_filter", "multiscale_apply",
     "normal_variation", "fuse",
-    "MhwSpec", "mhw_apply", "mhw_normal_variation",
+    "MhwSpec", "mhw_normal_variation",
     "MahfError", "MeshFormatError", "SignalFormatError", "GeometryError",
     "OperatorError", "NumericalError",
 ]

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import effective_normals
-from .io_mesh import Mesh, VertexSignal, signal_values
+from .io_mesh import Mesh, VertexSignal
 from .laplacian import SparseOperator
 from .spectral import chebyshev_apply, shared_order
 
@@ -33,16 +33,6 @@ class MhwSpec:
 
 def _mhw_function(t: float):
     return lambda x: x * np.exp(-t * x)
-
-
-def mhw_apply(op: SparseOperator, spec: MhwSpec, s):
-    """Apply ``L exp(-t L)`` to a signal; constants are annihilated."""
-    values = signal_values(s)
-    fn = _mhw_function(spec.t)
-    out = chebyshev_apply(op, fn, values, shared_order(op, [fn]))
-    if isinstance(s, VertexSignal):
-        return VertexSignal(out, name=s.name)
-    return out
 
 
 def mhw_normal_variation(mesh: Mesh, op: SparseOperator,

@@ -298,7 +298,7 @@ def cmd_kernel(args) -> int:
     outputs = []
     rows = heat_kernel_row(op, [HeatParams(t, args.support_threshold) for t in ts_eff],
                            args.vertex)
-    for t_raw, (values, _) in zip(ts_raw, rows):
+    for t_raw, values in zip(ts_raw, rows):
         path = _suffixed(out, f"_v{args.vertex}_t{t_raw:g}")
         _write_field(path, mesh, VertexSignal(values, name="kernel"))
         outputs.append(path)

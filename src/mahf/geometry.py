@@ -48,13 +48,6 @@ class NeighborList:
     indices: np.ndarray    # (N, k) int
     distances: np.ndarray  # (N, k) float
 
-    def __len__(self) -> int:
-        return self.indices.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.indices.shape[1]
-
 
 def _face_cross(mesh: Mesh) -> np.ndarray:
     v, f = mesh.vertices, mesh.faces
@@ -275,8 +268,10 @@ def build_frames(normals: np.ndarray) -> FrameField:
     """
     n = np.asarray(normals, dtype=np.float64).reshape(-1, 3)
     norms = np.linalg.norm(n, axis=1)
-    if np.max(np.abs(norms - 1.0)) > 1e-6:
-        bad = int(np.argmax(np.abs(norms - 1.0)))
+    off = np.abs(norms - 1.0)
+    # a NaN fails this test too, and argmax finds the first NaN
+    if not off.max() <= 1e-6:
+        bad = int(np.argmax(off))
         raise GeometryError(f"non-unit normal at vertex {bad} (norm {norms[bad]:.6g})")
     n = n / norms[:, None]
     axis_choice = np.argmin(np.abs(n), axis=1)     # argmin takes the first minimum

@@ -72,16 +72,17 @@ class Mesh:
             c = np.ascontiguousarray(np.asarray(self.colors, dtype=np.float64))
             if c.shape != (n, 3):
                 raise ValueError(f"colors must be ({n}, 3), got {c.shape}")
-            if c.min() < -1e-9 or c.max() > 1 + 1e-9:
-                raise ValueError("colors must lie in [0, 1]")
+            # written so that a NaN fails the check as well
+            if not (c.min() >= -1e-9 and c.max() <= 1 + 1e-9):
+                raise ValueError("colors must be finite and lie in [0, 1]")
             object.__setattr__(self, "colors", np.clip(c, 0.0, 1.0))
         if self.normals is not None:
             m = np.ascontiguousarray(np.asarray(self.normals, dtype=np.float64))
             if m.shape != (n, 3):
                 raise ValueError(f"normals must be ({n}, 3), got {m.shape}")
             norms = np.linalg.norm(m, axis=1)
-            if np.max(np.abs(norms - 1.0)) > 1e-6:
-                raise ValueError("normals must have unit length (within 1e-6)")
+            if not np.max(np.abs(norms - 1.0)) <= 1e-6:
+                raise ValueError("normals must be finite and have unit length (within 1e-6)")
             object.__setattr__(self, "normals", m)
 
     @property
@@ -139,6 +140,16 @@ def _scale_colors(c: np.ndarray) -> np.ndarray:
     if c.size and c.max() > 1.0 + 1e-9:
         c = c / 255.0
     return c
+
+
+def _unit_normals(m: np.ndarray, path) -> np.ndarray:
+    """Normal records scaled to unit length."""
+    if not np.all(np.isfinite(m)):
+        raise MeshFormatError(f"{path}: non-finite vertex normal")
+    norms = np.linalg.norm(m, axis=1)
+    if np.any(norms == 0):
+        raise MeshFormatError(f"{path}: zero-length vertex normal")
+    return m / norms[:, None]
 
 
 def _fan_triangulate(indices, triangulate, path):
@@ -269,11 +280,7 @@ def _parse_obj(path: Path, triangulate: bool) -> Mesh:
             raise MeshFormatError(f"{path}: only some vertex records carry colors")
         kw["colors"] = _scale_colors(np.asarray(colors))
     if normals_match:
-        m = np.asarray(vns, dtype=np.float64)
-        norms = np.linalg.norm(m, axis=1)
-        if np.any(norms == 0):
-            raise MeshFormatError(f"{path}: zero-length vertex normal")
-        kw["normals"] = m / norms[:, None]
+        kw["normals"] = _unit_normals(np.asarray(vns, dtype=np.float64), path)
     try:
         return Mesh(np.asarray(verts, dtype=np.float64).reshape(-1, 3), faces, **kw)
     except ValueError as exc:
@@ -392,11 +399,8 @@ def _mesh_from_ply(path: Path, triangulate: bool) -> Mesh:
             rgb = rgb / 255.0
         kw["colors"] = rgb
     if all(c in columns for c in ("nx", "ny", "nz")):
-        m = np.column_stack([columns["nx"], columns["ny"], columns["nz"]])
-        norms = np.linalg.norm(m, axis=1)
-        if np.any(norms == 0):
-            raise MeshFormatError(f"{path}: zero-length vertex normal")
-        kw["normals"] = m / norms[:, None]
+        kw["normals"] = _unit_normals(
+            np.column_stack([columns["nx"], columns["ny"], columns["nz"]]), path)
     try:
         return Mesh(verts, faces, **kw)
     except ValueError as exc:

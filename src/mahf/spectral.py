@@ -21,7 +21,6 @@ from scipy.linalg.blas import dasum, daxpy
 from scipy.sparse import _sparsetools
 
 from .errors import NumericalError
-from .io_mesh import VertexSignal, signal_values
 from .laplacian import SparseOperator, breadth_first
 
 # Certified truncation: each expansion keeps the fewest terms whose
@@ -194,17 +193,17 @@ def _reach_ends(a) -> np.ndarray:
     return np.maximum.accumulate(a.indices[a.indptr[1:] - 1]) + 1
 
 
-def chebyshev_apply(op: SparseOperator, fn, x: np.ndarray, order: int, *, out=None):
-    """Evaluate ``fn`` of the generalized Laplacian on a vector or block.
+def chebyshev_apply(op: SparseOperator, fns, x: np.ndarray, order: int, *, out=None):
+    """Evaluate each function of ``fns`` of the generalized Laplacian on a
+    vector or block; returns one output per function.
 
     Maps the spectral interval [0, lambda_max] to [-1, 1] and runs
     ``order`` steps of the three-term recurrence on the mapped CSR, built
-    once per call.  ``fn`` may also be a sequence of functions: the blocks
-    ``T_j`` do not depend on the function, only the coefficients do, so one
-    recurrence fills one output per function and a list is returned.  Each
-    function keeps only the terms up to its own certified order (at most
-    ``order``), so its output does not depend on the other functions of
-    the pass.
+    once per call.  The blocks ``T_j`` do not depend on the function, only
+    the coefficients do, so one recurrence fills the outputs of every
+    function.  Each function keeps only the terms up to its own certified
+    order (at most ``order``), so its output does not depend on the other
+    functions of the pass.
 
     ``T_j`` is non-zero only on rows within ``j`` steps of the non-zero rows
     of ``x``.  The recurrence runs on a prefix of the rows that holds them,
@@ -219,20 +218,20 @@ def chebyshev_apply(op: SparseOperator, fn, x: np.ndarray, order: int, *, out=No
     the prefix is exactly the levels reached so far; a dense input covers
     every row from the start.
 
-    ``out``, if given, receives the outputs and is returned: a C-contiguous
-    float64 array shaped like ``x`` and apart from it, or one per function
-    for a sequence.  Its previous contents are overwritten.
+    ``out``, if given, is a sequence of one C-contiguous float64 array per
+    function, each shaped like ``x`` and apart from it; they receive the
+    outputs, their previous contents overwritten, and are returned as a list.
     """
     if order < 1:
         raise ValueError(f"order must be at least 1, got {order}")
-    fns = [fn] if callable(fn) else list(fn)
+    fns = list(fns)
     x = np.asarray(x, dtype=np.float64)
     if x.shape[0] != op.n:
         raise ValueError(f"input has {x.shape[0]} rows for {op.n} vertices")
     if out is None:
         outs = [np.zeros(x.shape) for _ in fns]
     else:
-        outs = [out] if callable(fn) else list(out)
+        outs = list(out)
         if len(outs) != len(fns):
             raise ValueError(f"{len(outs)} outputs for {len(fns)} functions")
         if not all(o.shape == x.shape and o.dtype == np.float64 and o.flags.c_contiguous
@@ -246,7 +245,7 @@ def chebyshev_apply(op: SparseOperator, fn, x: np.ndarray, order: int, *, out=No
     if b <= 0:
         for f, o in zip(fns, outs):
             np.multiply(x, float(f(np.zeros(1))[0]), out=o)
-        return outs[0] if callable(fn) else outs
+        return outs
     coeffs = [_truncated_coefficients(f, b, order) for f in fns]
     a = _mapped(op, b)
     ends = _reach_ends(a)
@@ -280,21 +279,7 @@ def chebyshev_apply(op: SparseOperator, fn, x: np.ndarray, order: int, *, out=No
             if c[jj]:
                 daxpy(active, acc[:hi].reshape(-1), a=sigma * c[jj])
         newer, older = older, newer
-    return outs[0] if callable(fn) else outs
-
-
-def heat_apply_chebyshev(op: SparseOperator, params: HeatParams, s):
-    """Chebyshev approximation of the heat action ``exp(-t L) @ s``.
-
-    At ``t = 0`` the expansion of the constant function is exact, so the
-    input returns unchanged up to rounding.
-    """
-    values = signal_values(s)
-    fn = heat_function(params.t)
-    out = chebyshev_apply(op, fn, values, shared_order(op, [fn]))
-    if isinstance(s, VertexSignal):
-        return VertexSignal(out, name=s.name)
-    return out
+    return outs
 
 
 def threshold_row(row: np.ndarray, threshold: float):
@@ -313,17 +298,16 @@ def threshold_row(row: np.ndarray, threshold: float):
 
 
 def heat_kernel_row(op: SparseOperator, params: HeatParams | Sequence[HeatParams], i: int):
-    """Row ``i`` of the heat kernel with entries below the cutoff zeroed.
+    """Row ``i`` of the heat kernel, length N, with the entries below the
+    cutoff of :func:`threshold_row` zeroed.
 
-    Returns the length-N row and the indices of its kept entries (see
-    :func:`threshold_row`).  The indicator divided by the vertex's mass
-    makes the Chebyshev result match row ``i`` of the dense spectral-sum
-    kernel; for identity mass the input is the plain indicator.  The
-    recurrence runs on the ball of vertices within its order of steps of
-    ``i``, and the row is zero outside it.  A sequence of params returns one
-    such pair per spec from one recurrence, with one function per distinct
-    time, on the ball of the pass's order: the largest certified order of
-    its times.
+    The indicator divided by the vertex's mass makes the Chebyshev result
+    match row ``i`` of the dense spectral-sum kernel; for identity mass the
+    input is the plain indicator.  The recurrence runs on the ball of
+    vertices within its order of steps of ``i``, and the row is zero outside
+    it.  A sequence of params returns a list of one row per spec from one
+    recurrence, with one function per distinct time, on the ball of the
+    pass's order: the largest certified order of its times.
     """
     if not 0 <= i < op.n:
         raise IndexError(f"vertex index {i} out of range for {op.n} vertices")
@@ -333,14 +317,12 @@ def heat_kernel_row(op: SparseOperator, params: HeatParams | Sequence[HeatParams
     ball = breadth_first(op.stiffness, [i], np.zeros(op.n, dtype=bool), levels=order)
     x = np.zeros(ball.shape[0])
     x[0] = 1.0 / op.mass[i]
-    columns = dict(zip(fns, chebyshev_apply(op.restricted(ball), list(fns.values()), x,
-                                            order)))
+    columns = dict(zip(fns, chebyshev_apply(op.restricted(ball), fns.values(), x, order)))
     rows = []
     for p in specs:
         row = np.zeros(op.n)
         row[ball] = columns[p.t]
-        keep, support = threshold_row(row, p.support_threshold)
-        row[~keep] = 0.0
-        rows.append((row, support))
+        row[~threshold_row(row, p.support_threshold)[0]] = 0.0
+        rows.append(row)
     return rows[0] if isinstance(params, HeatParams) else rows
 

@@ -48,27 +48,16 @@ def icosphere(subdivisions: int, radius: float = 1.0) -> Mesh:
     """Subdivided icosahedron projected to a sphere; 12, 42, 162, 642, ... vertices."""
     if subdivisions < 0:
         raise ValueError("subdivisions must be nonnegative")
-    verts = [v / np.linalg.norm(v) for v in _ICO_VERTS]
-    faces = list(_ICO_FACES)
+    mesh = Mesh(np.array([v / np.linalg.norm(v) for v in _ICO_VERTS]), _ICO_FACES)
     for _ in range(subdivisions):
-        midpoint: dict[tuple[int, int], int] = {}
-
-        def midpoint_index(i, j):
-            key = (min(i, j), max(i, j))
-            if key not in midpoint:
-                m = verts[i] + verts[j]
-                verts.append(m / np.linalg.norm(m))
-                midpoint[key] = len(verts) - 1
-            return midpoint[key]
-
-        new_faces = []
-        for a, b, c in faces:
-            ab = midpoint_index(a, b)
-            bc = midpoint_index(b, c)
-            ca = midpoint_index(c, a)
-            new_faces.extend([(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)])
-        faces = new_faces
-    return Mesh(np.asarray(verts) * radius, faces)
+        old = mesh.n_vertices
+        mesh = refine_midpoint(mesh)
+        verts = mesh.vertices.copy()
+        # one norm per new vertex: a row-wise norm rounds differently
+        for i in range(old, verts.shape[0]):
+            verts[i] /= np.linalg.norm(verts[i])
+        mesh = Mesh(verts, mesh.faces)
+    return Mesh(mesh.vertices * radius, mesh.faces)
 
 
 def cube_surface(divisions: int, edge: float = 1.0) -> Mesh:

@@ -8,6 +8,7 @@ import scipy.sparse as sp
 from mahf.geometry import build_frames, vertex_normals
 from mahf.io_mesh import Mesh
 from mahf.laplacian import SparseOperator, cotan_operator
+from mahf.spectral import chebyshev_apply, heat_function, shared_order
 from mahf.synthetic import cube_surface, flat_grid, icosphere
 
 # the one dense reference of the repository: the benchmark's eigendecomposition
@@ -94,6 +95,16 @@ def dense_heat_oracle(op: SparseOperator, t: float):
     """Independent dense reference: (kernel K_t, propagator exp(-t L))."""
     kernel = DenseOracle(op.stiffness, op.mass).kernel(t)
     return kernel, kernel * op.mass[None, :]
+
+
+def certified_action(op: SparseOperator, fn, s):
+    """``fn(L) @ s`` from one Chebyshev pass at ``fn``'s certified order."""
+    return chebyshev_apply(op, [fn], s, shared_order(op, [fn]))[0]
+
+
+def heat_action(op: SparseOperator, t: float, s):
+    """The heat action ``exp(-t L) @ s`` at its certified order."""
+    return certified_action(op, heat_function(t), s)
 
 
 def grid_columns_rows(mesh: Mesh, spacing: float = GRID_SPACING):

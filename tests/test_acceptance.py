@@ -10,17 +10,18 @@ import time
 import numpy as np
 import pytest
 
-from mahf.baselines import MhwSpec, mhw_apply, mhw_normal_variation
+from mahf.baselines import MhwSpec, _mhw_function, mhw_normal_variation
 from mahf.errors import MeshFormatError
 from mahf.filters import FilterSpec, apply_filter, multiscale_apply, normal_variation
 from mahf.geometry import build_frames, vertex_normals
 from mahf.io_mesh import Mesh, parse_mesh, write_mesh
 from mahf.laplacian import cotan_operator, gaussian_knn_operator
-from mahf.spectral import HeatParams, heat_apply_chebyshev, heat_kernel_row
+from mahf.spectral import HeatParams, heat_kernel_row
 from mahf.synthetic import flat_grid, icosphere
 
 from conftest import (CUBE_DIVISIONS, CUBE_EDGE, GRID_SPACING, DenseOracle,
-                      grid_columns_rows, grid_interior_mask)
+                      certified_action, grid_columns_rows, grid_interior_mask,
+                      heat_action)
 
 
 def _report(number: int, slug: str) -> None:
@@ -43,7 +44,7 @@ def test_criterion_01_oracle_equivalence(two_node_op, path4_op, grid20_op,
         s = rng.standard_normal(op.n)
         for t in ts:
             exact = oracle.kernel(t) @ (op.mass * s)
-            approx = heat_apply_chebyshev(op, HeatParams(t), s)
+            approx = heat_action(op, t, s)
             assert np.abs(approx - exact).max() < 1e-7 * np.abs(s).max()
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
@@ -84,13 +85,13 @@ def test_criterion_04_order_zero_degeneracy(grid20, grid20_op, grid20_frames):
     s = rng.standard_normal(graph_op.n)
     resp = apply_filter(graph_op, grid20_frames, grid20.vertices, spec, s)
     assert not resp.r_imag.any()
-    smooth = heat_apply_chebyshev(graph_op, spec.heat, s)
+    smooth = heat_action(graph_op, spec.heat.t, s)
     assert np.abs(resp.r_real - smooth).max() < 1e-10
     # cotangent mesh operator with a genuine mass matrix
     s = rng.standard_normal(grid20_op.n)
     resp = apply_filter(grid20_op, grid20_frames, grid20.vertices, spec, s)
     assert not resp.r_imag.any()
-    smooth = heat_apply_chebyshev(grid20_op, spec.heat, s)
+    smooth = heat_action(grid20_op, spec.heat.t, s)
     assert np.abs(resp.r_real - smooth).max() < 1e-10
     _report(4, "order-zero degeneracy")
 
@@ -164,7 +165,7 @@ def test_criterion_07_normal_field_variation(grid20, grid20_op, grid20_frames,
 
     mhw_field = mhw_normal_variation(cube40, cube40_op, MhwSpec(10.0))
     assert np.isfinite(mhw_field.values).all()
-    flat_mhw = mhw_apply(cube40_op, MhwSpec(10.0), np.ones(cube40_op.n))
+    flat_mhw = certified_action(cube40_op, _mhw_function(10.0), np.ones(cube40_op.n))
     assert np.abs(flat_mhw).max() < 1e-8
     _report(7, f"normal-field variation, sphere CoV {cov:.3f}")
 
@@ -172,7 +173,7 @@ def test_criterion_07_normal_field_variation(grid20, grid20_op, grid20_frames,
 def test_criterion_08_support_monotonicity(ico642_op):
     sizes = []
     for t in (5.0, 25.0, 50.0, 100.0):
-        row, _ = heat_kernel_row(ico642_op, HeatParams(t, 0.0), 0)
+        row = heat_kernel_row(ico642_op, HeatParams(t, 0.0), 0)
         sizes.append(int(np.count_nonzero(row > 0.01 * row.max())))
     assert all(a <= b for a, b in zip(sizes, sizes[1:]))
     _report(8, f"kernel support growth {sizes}")

@@ -3,23 +3,28 @@ import inspect
 import numpy as np
 import pytest
 
-from mahf.baselines import MhwSpec, mhw_apply, mhw_normal_variation
+from mahf.baselines import MhwSpec, _mhw_function, mhw_normal_variation
 from mahf.geometry import vertex_normals
-from mahf.io_mesh import Mesh, VertexSignal
+from mahf.io_mesh import Mesh
 from mahf.laplacian import cotan_operator
 
-from conftest import DenseOracle
+from conftest import DenseOracle, certified_action
+
+
+def mhw(op, t, s):
+    """The MHW action ``L exp(-t L) @ s`` at its certified order."""
+    return certified_action(op, _mhw_function(t), s)
 
 
 def test_mhw_two_node_closed_form(two_node_op):
-    out = mhw_apply(two_node_op, MhwSpec(0.5), np.array([1.0, -1.0]))
+    out = mhw(two_node_op, 0.5, np.array([1.0, -1.0]))
     expected = 2.0 * np.exp(-1.0)
     assert np.allclose(out, [expected, -expected], atol=1e-9)
 
 
 def test_mhw_annihilates_constants(two_node_op, ico162_op):
     for op in (two_node_op, ico162_op):
-        out = mhw_apply(op, MhwSpec(10.0), np.ones(op.n))
+        out = mhw(op, 10.0, np.ones(op.n))
         assert np.abs(out).max() < 1e-8
 
 
@@ -27,7 +32,7 @@ def test_mhw_matches_dense_oracle(ico162_op):
     rng = np.random.default_rng(0)
     s = rng.standard_normal(ico162_op.n)
     exact = DenseOracle(ico162_op.stiffness, ico162_op.mass).mhw(10.0, s[:, None])[:, 0]
-    got = mhw_apply(ico162_op, MhwSpec(10.0), s)
+    got = mhw(ico162_op, 10.0, s)
     assert np.abs(got - exact).max() < 1e-7
 
 
@@ -45,13 +50,12 @@ def test_mhw_normal_variation_matches_dense_oracle(ico162):
 def test_mhw_mean_orthogonal_to_constants(path4_op):
     rng = np.random.default_rng(1)
     s = rng.standard_normal(4)
-    out = mhw_apply(path4_op, MhwSpec(0.7), s)
+    out = mhw(path4_op, 0.7, s)
     assert abs(out.mean()) < 1e-8 * np.abs(s).max()
 
 
 def test_mhw_is_isotropic_by_construction():
     # the baseline never reads tangent frames at all
-    assert "frames" not in inspect.signature(mhw_apply).parameters
     assert "frames" not in inspect.signature(mhw_normal_variation).parameters
 
 
@@ -74,11 +78,6 @@ def test_mhw_normal_variation_one_pass_matches_separate_calls(ico162, ico162_op)
     for spec, field in zip(specs, fields):
         alone = mhw_normal_variation(ico162, ico162_op, spec)
         assert np.abs(field.values - alone.values).max() <= 1e-13 * alone.values.max()
-
-
-def test_mhw_accepts_vertex_signal(two_node_op):
-    out = mhw_apply(two_node_op, MhwSpec(0.5), VertexSignal([1.0, -1.0]))
-    assert isinstance(out, VertexSignal)
 
 
 def test_mhw_spec_validation():

@@ -14,8 +14,12 @@ import mahf.filters
 import mahf.geometry
 import mahf.laplacian
 from mahf.cli import main
-from mahf.geometry import vertex_normals
-from mahf.io_mesh import Mesh, parse_signal, write_mesh
+from mahf.errors import GeometryError, MeshFormatError
+from mahf.filters import FilterSpec, apply_filter, fuse
+from mahf.geometry import build_frames, vertex_normals
+from mahf.io_mesh import Mesh, parse_mesh, parse_signal, rgb_to_luminance, write_mesh
+from mahf.laplacian import cotan_operator
+from mahf.spectral import HeatParams, heat_kernel_row
 from mahf.synthetic import flat_grid, icosphere
 
 
@@ -339,6 +343,114 @@ def test_area_normalize_flag_recorded(tmp_path, grid_inputs):
     assert code == 0
     manifest = json.loads((tmp_path / "norm_manifest.json").read_text())
     assert manifest["parameters"]["area_normalize_t"] is True
+
+
+def _filter_response(mesh, signal):
+    """The library call behind ``filter --k 1 --t 5`` on a mesh."""
+    normals = mesh.normals if mesh.normals is not None else vertex_normals(mesh)
+    return apply_filter(cotan_operator(mesh), build_frames(normals), mesh.vertices,
+                        [FilterSpec(1, HeatParams(5.0))], signal)[0]
+
+
+@pytest.mark.parametrize("flag", ["field-real", "field-imag", "luma-weights", "mesh-format",
+                                  "triangulate", "fuse-properties"])
+def test_flag_output_matches_library(tmp_path, grid_inputs, sphere_ply, flag):
+    # each flag's output file holds, bit for bit, what the matching library
+    # call returns; a flag a format needs fails with exit 2 when left out
+    grid, grid_path, signal_path = grid_inputs
+    _, sphere_path = sphere_ply
+    out = tmp_path / "out.csv"
+    filter_args = ["filter", "--k", "1", "--t", "5", "--out", str(out)]
+    written = tmp_path / "out_k1_t5.csv"
+    needed = None
+    if flag in ("field-real", "field-imag"):
+        part = flag.split("-")[1]
+        argv = filter_args + ["--mesh", str(grid_path), "--signal", str(signal_path),
+                              "--field", part]
+        response = _filter_response(parse_mesh(grid_path), parse_signal(signal_path))
+        expected = {"real": response.r_real, "imag": response.r_imag}[part]
+    elif flag == "luma-weights":
+        argv = filter_args + ["--mesh", str(sphere_path), "--luminance",
+                              "--luma-weights", "0.2", "0.3", "0.5"]
+        mesh = parse_mesh(sphere_path)
+        expected = _filter_response(mesh, rgb_to_luminance(mesh, (0.2, 0.3, 0.5))).r2
+    elif flag == "mesh-format":
+        txt = tmp_path / "sphere.txt"
+        txt.write_bytes(sphere_path.read_bytes())
+        argv = filter_args + ["--mesh", str(txt), "--luminance"]
+        needed = ["--mesh-format", "ply"]
+        mesh = parse_mesh(txt, fmt="ply")
+        expected = _filter_response(mesh, rgb_to_luminance(mesh)).r2
+    elif flag == "triangulate":
+        # a 4 x 4 grid of unit quads
+        quads = tmp_path / "quads.off"
+        corners = [(x, y) for y in range(5) for x in range(5)]
+        faces = [(5 * y + x, 5 * y + x + 1, 5 * y + x + 6, 5 * y + x + 5)
+                 for y in range(4) for x in range(4)]
+        quads.write_text("OFF\n25 16 0\n" + "".join(f"{x} {y} 0\n" for x, y in corners)
+                         + "".join("4 %d %d %d %d\n" % f for f in faces))
+        argv = ["kernel", "--mesh", str(quads), "--vertex", "12", "--t", "0.5",
+                "--out", str(out)]
+        needed = ["--triangulate"]
+        written = tmp_path / "out_v12_t0.5.csv"
+        expected = heat_kernel_row(cotan_operator(parse_mesh(quads, triangulate=True)),
+                                   HeatParams(0.5), 12)
+    else:
+        argv = ["fuse", "--a", str(sphere_path), "--a-property", "x",
+                "--b", str(sphere_path), "--b-property", "z", "--beta", "0.5",
+                "--out", str(out)]
+        written = out
+        expected = fuse(parse_signal(sphere_path, property_name="x"),
+                        parse_signal(sphere_path, property_name="z"), 0.5).values
+    if needed is not None:
+        assert main(argv) == 2
+        assert not written.exists()
+        argv += needed
+    assert main(argv) == 0
+    assert np.array_equal(parse_signal(written).values, expected)
+
+
+# a token written into vertex 5's record of a mesh file: (suffix, line before
+# the first record, records it skips, column, token, command that reads it)
+_SPOILED = {
+    "ply-normal": ("ply", "end_header", 1, 3, "nan", ["normal-variation"]),
+    "ply-normal-mhw": ("ply", "end_header", 1, 3, "nan",
+                       ["normal-variation", "--baseline", "mhw"]),
+    "obj-normal": ("obj", "vn ", 0, 1, "inf", ["normal-variation"]),
+    "coff-color": ("off", "COFF", 2, 3, "nan", ["filter", "--luminance"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SPOILED))
+def test_non_finite_normal_or_color_exits_2(tmp_path, capsys, case):
+    suffix, marker, skip, column, token, command = _SPOILED[case]
+    mesh = icosphere(1, 20.0)
+    data = {"normals": vertex_normals(mesh), "colors": np.full((mesh.n_vertices, 3), 0.5)}
+    path = tmp_path / f"in.{suffix}"
+    write_mesh(path, Mesh(mesh.vertices, mesh.faces, **data))
+    lines = path.read_text().splitlines()
+    row = next(i for i, line in enumerate(lines) if line.startswith(marker)) + skip + 5
+    tokens = lines[row].split()
+    tokens[column] = token
+    lines[row] = " ".join(tokens)
+    path.write_text("\n".join(lines) + "\n")
+    spoiled = "colors" if case == "coff-color" else "normals"
+    bad = data[spoiled].copy()
+    bad[5, 0] = float(token)
+    out = tmp_path / "out" / "field.ply"
+    out.parent.mkdir()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(MeshFormatError, match="non-finite|must be finite"):
+            parse_mesh(path)
+        with pytest.raises(ValueError, match="must be finite"):
+            Mesh(mesh.vertices, mesh.faces, **{spoiled: bad})
+        if spoiled == "normals":
+            with pytest.raises(GeometryError, match="vertex 5"):
+                build_frames(bad)
+        assert main(command + ["--mesh", str(path), "--t", "5", "--out", str(out)]) == 2
+    assert str(path) in capsys.readouterr().err
+    assert not any(out.parent.iterdir())
 
 
 def test_usage_error_exits_2():

@@ -11,12 +11,12 @@ from mahf.filters import (FilterSpec, apply_filter, fuse, multiscale_apply,
 from mahf.geometry import FrameField, build_frames, vertex_normals
 from mahf.io_mesh import Mesh, VertexSignal
 from mahf.laplacian import SparseOperator, cotan_operator, gaussian_knn_operator
-from mahf.spectral import (HeatParams, chebyshev_apply, heat_apply_chebyshev,
-                           heat_function, shared_order, threshold_row)
+from mahf.spectral import (HeatParams, chebyshev_apply, heat_function, shared_order,
+                           threshold_row)
 from mahf.synthetic import icosphere, refine_midpoint
 
 from conftest import (GRID_SPACING, SPHERE_RADIUS, dense_heat_oracle, grid_columns_rows,
-                      grid_interior_mask, within_steps)
+                      grid_interior_mask, heat_action, within_steps)
 
 
 def z_frames(n, y_axis=(0.0, 1, 0)):
@@ -151,7 +151,7 @@ def test_order_zero_equals_heat_smoothing_identity_mass(grid20):
     s = rng.standard_normal(op.n)
     spec = FilterSpec(0, HeatParams(3.0, 0.0))
     resp = apply_filter(op, frames, grid20.vertices, spec, s)
-    smooth = heat_apply_chebyshev(op, spec.heat, s)
+    smooth = heat_action(op, spec.heat.t, s)
     assert not resp.r_imag.any()
     assert np.abs(resp.r_real - smooth).max() < 1e-10
 
@@ -161,7 +161,7 @@ def test_order_zero_equals_heat_smoothing_mesh(grid20, grid20_op, grid20_frames)
     s = rng.standard_normal(grid20_op.n)
     spec = FilterSpec(0, HeatParams(10.0, 0.0))
     resp = apply_filter(grid20_op, grid20_frames, grid20.vertices, spec, s)
-    smooth = heat_apply_chebyshev(grid20_op, spec.heat, s)
+    smooth = heat_action(grid20_op, spec.heat.t, s)
     assert np.abs(resp.r_real - smooth).max() < 1e-10
 
 
@@ -427,9 +427,9 @@ def test_chunk_width_shrinks_with_scale_count(monkeypatch, grid20, grid20_op,
         balls.append(vertices)
         return restricted(op, vertices)
 
-    def recording(op, fn, x, order, **kwargs):
-        widths.append((len(fn), x.shape[1]))
-        return chebyshev_apply(op, fn, x, order, **kwargs)
+    def recording(op, fns, x, order, **kwargs):
+        widths.append((len(fns), x.shape[1]))
+        return chebyshev_apply(op, fns, x, order, **kwargs)
 
     monkeypatch.setattr(filters, "_CHUNK", 8)
     monkeypatch.setattr(SparseOperator, "restricted", recording_ball)
@@ -477,9 +477,9 @@ def test_pass_memory_within_documented_bound(monkeypatch, ico642, ico642_op):
     s = np.random.default_rng(3).standard_normal(ico642_op.n)
     runs = []
 
-    def recording(op, fn, x, order, **kwargs):
+    def recording(op, fns, x, order, **kwargs):
         runs.append((op.n, x.shape[1]))
-        return chebyshev_apply(op, fn, x, order, **kwargs)
+        return chebyshev_apply(op, fns, x, order, **kwargs)
 
     monkeypatch.setattr(filters, "chebyshev_apply", recording)
     multiscale_apply(ico642_op, frames, ico642.vertices, 1, [5.0, 10.0, 20.0], s)
@@ -518,9 +518,9 @@ def test_contraction_slices_bound_pair_count(monkeypatch, grid20, grid20_op,
         handed.append(sum(int(keep.sum()) for _, _, keep in terms))
         return contract(terms, *args)
 
-    def recording_pass(op, fn, x, order, **kwargs):
+    def recording_pass(op, fns, x, order, **kwargs):
         passes.append((op, x.shape[1], order))
-        return chebyshev_apply(op, fn, x, order, **kwargs)
+        return chebyshev_apply(op, fns, x, order, **kwargs)
 
     monkeypatch.setattr(filters, "_contract", recording)
     monkeypatch.setattr(filters, "chebyshev_apply", recording_pass)
@@ -551,9 +551,9 @@ def test_mixed_specs_share_one_contraction(monkeypatch, ico642, ico642_op):
              FilterSpec(2, HeatParams(20.0, 0.0)), FilterSpec(3, HeatParams(10.0))]
     calls, thresholded = [], []
 
-    def recording(op, fn, x, order, **kwargs):
-        calls.append((len(fn), (op.n, x.shape[1])))
-        return chebyshev_apply(op, fn, x, order, **kwargs)
+    def recording(op, fns, x, order, **kwargs):
+        calls.append((len(fns), (op.n, x.shape[1])))
+        return chebyshev_apply(op, fns, x, order, **kwargs)
 
     def recording_threshold(block, threshold):
         thresholded.append((len(calls), block.shape))

@@ -9,15 +9,14 @@ from scipy.sparse.linalg import expm_multiply
 
 import mahf.spectral as spectral
 from mahf.errors import NumericalError
-from mahf.io_mesh import VertexSignal
 from mahf.laplacian import SparseOperator, breadth_first, cotan_operator
 from mahf.spectral import (CHEB_TOL, HeatParams, certified_order, chebyshev_apply,
-                           chebyshev_coefficients, heat_apply_chebyshev, heat_function,
-                           heat_kernel_row, shared_order, threshold_row,
-                           _truncated_coefficients)
+                           chebyshev_coefficients, heat_function, heat_kernel_row,
+                           shared_order, threshold_row, _truncated_coefficients)
 from mahf.synthetic import icosphere
 
-from conftest import SPHERE_RADIUS, DenseOracle, dense_heat_oracle, within_steps
+from conftest import (SPHERE_RADIUS, DenseOracle, certified_action, dense_heat_oracle,
+                      heat_action, within_steps)
 
 
 @pytest.fixture(scope="module")
@@ -84,7 +83,7 @@ def test_heat_kernel_dense_row_sums_identity_mass(path4_op):
 def test_chebyshev_identity_at_t_zero(grid20_op):
     rng = np.random.default_rng(0)
     s = rng.standard_normal(grid20_op.n)
-    out = heat_apply_chebyshev(grid20_op, HeatParams(0.0), s)
+    out = heat_action(grid20_op, 0.0, s)
     assert np.abs(out - s).max() < 1e-12
 
 
@@ -92,7 +91,7 @@ def test_chebyshev_matches_dense_icosphere(ico642_op):
     rng = np.random.default_rng(1)
     s = rng.standard_normal(ico642_op.n)
     _, propagator = dense_heat_oracle(ico642_op, 10.0)
-    out = heat_apply_chebyshev(ico642_op, HeatParams(10.0), s)
+    out = heat_action(ico642_op, 10.0, s)
     assert np.abs(out - propagator @ s).max() < 1e-8 * np.abs(s).max()
 
 
@@ -103,7 +102,7 @@ def test_chebyshev_error_decreases_with_order(ico642_op):
     exact = propagator @ s
     errors = []
     for order in (5, 10, 20, 40):
-        out = chebyshev_apply(ico642_op, heat_function(10.0), s, order)
+        out = chebyshev_apply(ico642_op, [heat_function(10.0)], s, order)[0]
         errors.append(np.abs(out - exact).max())
     floor = 1e-13 * np.abs(s).max()
     for lo, hi in zip(errors[1:], errors[:-1]):
@@ -120,15 +119,13 @@ def test_chebyshev_envelope(grid20_op):
     for target, order in ((100.0, 50), (200.0, 80)):
         t = target / lam
         _, propagator = dense_heat_oracle(grid20_op, t)
-        out = chebyshev_apply(grid20_op, heat_function(t), s, order)
+        out = chebyshev_apply(grid20_op, [heat_function(t)], s, order)[0]
         assert np.abs(out - propagator @ s).max() < 1e-7 * np.abs(s).max()
 
 
-def test_chebyshev_accepts_vertex_signal(two_node_op):
-    signal = VertexSignal([1.0, -1.0], name="delta")
-    out = heat_apply_chebyshev(two_node_op, HeatParams(0.5), signal)
-    assert isinstance(out, VertexSignal)
-    assert np.allclose(out.values, np.exp(-1.0) * np.array([1.0, -1.0]), atol=1e-12)
+def test_chebyshev_two_node_closed_form(two_node_op):
+    out = heat_action(two_node_op, 0.5, np.array([1.0, -1.0]))
+    assert np.allclose(out, np.exp(-1.0) * np.array([1.0, -1.0]), atol=1e-12)
 
 
 def test_chebyshev_reports_nonfinite_iteration():
@@ -136,7 +133,7 @@ def test_chebyshev_reports_nonfinite_iteration():
     op = SparseOperator(stiffness, np.ones(2), _lambda_max=2.0)
     with np.errstate(invalid="ignore"):
         with pytest.raises(NumericalError, match="iteration"):
-            heat_apply_chebyshev(op, HeatParams(1.0), np.ones(2))
+            heat_action(op, 1.0, np.ones(2))
 
 
 def test_chebyshev_rejects_nonfinite_block(grid20_op):
@@ -144,7 +141,7 @@ def test_chebyshev_rejects_nonfinite_block(grid20_op):
     x[17, 1] = np.nan
     with pytest.raises(NumericalError,
                        match="non-finite Chebyshev intermediate at iteration 2"):
-        chebyshev_apply(grid20_op, heat_function(5.0), x, 10)
+        chebyshev_apply(grid20_op, [heat_function(5.0)], x, 10)
 
 
 def reference_chebyshev(op, fns, x, order):
@@ -252,7 +249,7 @@ def test_recurrence_rows_are_the_reached_levels(monkeypatch, request, which):
         x = np.zeros((ball.shape[0], 5))
         x[np.arange(5), np.arange(5)] = 1.0 / op.mass[centres]
         rows.clear()
-        chebyshev_apply(op.restricted(ball), fn, x, depth)
+        chebyshev_apply(op.restricted(ball), [fn], x, depth)
         assert rows == [within_steps(op, centres, j).shape[0] for j in range(1, depth + 1)]
 
 
@@ -269,14 +266,15 @@ def test_chebyshev_writes_into_out(ico162_op):
     for g, f in zip(got, fresh):
         assert np.array_equal(g, f)
     alone = rng.standard_normal(x.shape)
-    assert chebyshev_apply(ico162_op, fns[0], x, 30, out=alone) is alone
+    got = chebyshev_apply(ico162_op, fns[:1], x, 30, out=[alone])
+    assert len(got) == 1 and got[0] is alone
     assert np.array_equal(alone, fresh[0])
     with pytest.raises(ValueError, match="outputs"):
         chebyshev_apply(ico162_op, fns, x, 30, out=out[:1])
     with pytest.raises(ValueError, match="C-contiguous"):
         chebyshev_apply(ico162_op, fns, x, 30, out=[o.T.copy().T for o in out])
     with pytest.raises(ValueError, match="overlap"):
-        chebyshev_apply(ico162_op, fns[0], x, 30, out=x)
+        chebyshev_apply(ico162_op, fns[:1], x, 30, out=[x])
 
 
 def test_csr_matvecs_row_slice_accumulates_in_place():
@@ -299,7 +297,7 @@ def test_chebyshev_function_sequence_matches_separate_calls(ico642_op):
         fused = chebyshev_apply(ico642_op, fns, x, 50)
         assert len(fused) == len(fns)
         for fn, got in zip(fns, fused):
-            alone = chebyshev_apply(ico642_op, fn, x, 50)
+            alone = chebyshev_apply(ico642_op, [fn], x, 50)[0]
             assert got.shape == x.shape
             assert np.abs(got - alone).max() <= 1e-13 * np.abs(alone).max()
 
@@ -312,7 +310,7 @@ def test_chebyshev_default_order_fused_equals_single(ico642_op):
     for x in (rng.standard_normal(ico642_op.n), rng.standard_normal((ico642_op.n, 7))):
         fused = chebyshev_apply(ico642_op, fns, x, shared_order(ico642_op, fns))
         for fn, got in zip(fns, fused):
-            alone = chebyshev_apply(ico642_op, fn, x, shared_order(ico642_op, [fn]))
+            alone = certified_action(ico642_op, fn, x)
             assert np.array_equal(got, alone)
 
 
@@ -367,8 +365,8 @@ def test_large_tb_default_order_matches_oracle(grid20_op):
     exact = propagator @ s
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = heat_apply_chebyshev(grid20_op, HeatParams(t), s)
-        row, _ = heat_kernel_row(grid20_op, HeatParams(t, support_threshold=0.0), 17)
+        out = heat_action(grid20_op, t, s)
+        row = heat_kernel_row(grid20_op, HeatParams(t, support_threshold=0.0), 17)
     assert np.abs(out - exact).max() <= 1e-9 * np.abs(exact).max()
     assert np.abs(row - kernel[17]).max() <= 1e-9 * np.abs(kernel[17]).max()
 
@@ -387,24 +385,26 @@ def test_heat_params_validation():
 
 def test_kernel_row_matches_dense(ico162_op):
     kernel, _ = dense_heat_oracle(ico162_op, 10.0)
-    values, support = heat_kernel_row(ico162_op, HeatParams(10.0, 0.0), 17)
+    values = heat_kernel_row(ico162_op, HeatParams(10.0, 0.0), 17)
     assert np.abs(values - kernel[17]).max() < 1e-8
-    assert support.shape[0] == ico162_op.n
 
 
 def test_kernel_row_threshold_two_node(two_node_op):
-    values, support = heat_kernel_row(two_node_op, HeatParams(10.0, 0.5), 0)
+    values = heat_kernel_row(two_node_op, HeatParams(10.0, 0.5), 0)
     # at large t the row tends to [0.5, 0.5]; both entries survive a 0.5 cutoff
-    assert support.tolist() == [0, 1]
+    assert np.flatnonzero(values).tolist() == [0, 1]
     assert np.allclose(values, 0.5, atol=1e-6)
 
 
 def test_kernel_row_threshold_zeroes_tail(ico642_op):
-    params = HeatParams(5.0, 1e-4)
-    values, support = heat_kernel_row(ico642_op, params, 0)
+    # the cutoff keeps exactly the entries of the full row at or above 1e-4
+    # times its maximum, unchanged, and zeroes the rest
+    values = heat_kernel_row(ico642_op, HeatParams(5.0, 1e-4), 0)
+    full = heat_kernel_row(ico642_op, HeatParams(5.0, 0.0), 0)
+    support = np.flatnonzero(values)
     assert 0 < support.shape[0] < ico642_op.n
-    off = np.setdiff1d(np.arange(ico642_op.n), support)
-    assert not values[off].any()
+    assert np.array_equal(support, np.flatnonzero(full >= 1e-4 * full.max()))
+    assert np.array_equal(values[support], full[support])
     assert values[support].min() >= 1e-4 * values.max()
 
 
@@ -414,7 +414,7 @@ def test_kernel_row_is_non_zero_on_its_ball(ico642_op):
     params = HeatParams(0.05, 0.0)
     order = shared_order(ico642_op, [heat_function(0.05)])
     near = within_steps(ico642_op, [7], order)
-    values, _ = heat_kernel_row(ico642_op, params, 7)
+    values = heat_kernel_row(ico642_op, params, 7)
     assert 0 < near.shape[0] < ico642_op.n
     assert np.array_equal(np.flatnonzero(values), near)
 
@@ -427,10 +427,8 @@ def test_kernel_rows_of_many_times_match_separate_calls(ico642_op):
     for i in (0, 321):
         rows = heat_kernel_row(ico642_op, specs, i)
         assert len(rows) == len(specs)
-        for spec, (values, support) in zip(specs, rows):
-            alone, alone_support = heat_kernel_row(ico642_op, spec, i)
-            assert np.array_equal(values, alone)
-            assert np.array_equal(support, alone_support)
+        for spec, values in zip(specs, rows):
+            assert np.array_equal(values, heat_kernel_row(ico642_op, spec, i))
 
 
 def test_kernel_row_matches_expm_multiply_beyond_dense_limit():
@@ -443,9 +441,8 @@ def test_kernel_row_matches_expm_multiply_beyond_dense_limit():
         indicator = np.zeros(op.n)
         indicator[i] = 1.0 / op.mass[i]
         for t in (5.0, 20.0):
-            values, support = heat_kernel_row(op, HeatParams(t, 0.0), i)
+            values = heat_kernel_row(op, HeatParams(t, 0.0), i)
             ref = expm_multiply(-t * laplacian, indicator)
-            assert support.shape[0] == op.n
             assert np.abs(values - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
@@ -519,9 +516,8 @@ def test_semigroup_chebyshev(request, name, t1, t2):
     # six cases measure at most 6.9e-13 * max|s|
     op = request.getfixturevalue(name)
     s = np.random.default_rng(6).standard_normal(op.n)
-    twice = heat_apply_chebyshev(op, HeatParams(t1),
-                                 heat_apply_chebyshev(op, HeatParams(t2), s))
-    once = heat_apply_chebyshev(op, HeatParams(t1 + t2), s)
+    twice = heat_action(op, t1, heat_action(op, t2, s))
+    once = heat_action(op, t1 + t2, s)
     assert np.abs(twice - once).max() < 1e-10 * np.abs(s).max()
 
 
@@ -531,7 +527,7 @@ def test_constant_preservation(grid20_op, ico162_op):
     for op in (grid20_op, ico162_op):
         ones = np.ones(op.n)
         for t in (0.0, 5.0, 30.0):
-            out = heat_apply_chebyshev(op, HeatParams(t), ones)
+            out = heat_action(op, t, ones)
             assert np.abs(out - 1.0).max() < 1e-8
 
 
@@ -541,7 +537,7 @@ def test_weak_maximum_principle(grid20_op, ico162_op):
         s = rng.uniform(-1, 3, op.n)
         spread = s.max() - s.min()
         for t in (1.0, 10.0, 50.0):
-            out = heat_apply_chebyshev(op, HeatParams(t), s)
+            out = heat_action(op, t, s)
             assert out.max() <= s.max() + 1e-6 * spread
             assert out.min() >= s.min() - 1e-6 * spread
 
@@ -549,7 +545,7 @@ def test_weak_maximum_principle(grid20_op, ico162_op):
 def test_kernel_support_grows_with_time(ico642_op):
     sizes = []
     for t in (5.0, 25.0, 50.0, 100.0):
-        row, _ = heat_kernel_row(ico642_op, HeatParams(t, 0.0), 0)
+        row = heat_kernel_row(ico642_op, HeatParams(t, 0.0), 0)
         sizes.append(int(np.count_nonzero(row > 0.01 * row.max())))
     assert all(a <= b for a, b in zip(sizes, sizes[1:]))
     assert sizes[0] < sizes[-1]
