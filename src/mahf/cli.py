@@ -9,18 +9,17 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import __version__
+from . import __version__, geometry
 from .baselines import MhwSpec, mhw_normal_variation
 from .errors import (GeometryError, MahfError, MeshFormatError, NumericalError,
                      OperatorError, SignalFormatError)
 from .filters import FilterSpec, apply_filter, fuse, normal_variation
-from .geometry import _sharing_knn, build_frames, pca_normals, vertex_normals
+from .geometry import build_frames, pca_normals, vertex_normals
 from .io_mesh import (REC601_WEIGHTS, Mesh, VertexSignal, parse_mesh,
                       parse_signal, rgb_to_luminance, write_response,
                       write_signal_csv)
@@ -125,7 +124,13 @@ def _sigma_value(raw):
         raise ValueError(f"--sigma must be a number or 'auto', got {raw!r}") from None
 
 
-def _build_operator(args, mesh):
+def _knn_cache(mesh):
+    """``k -> knn(mesh.vertices, k)``, building each graph once."""
+    # through the module, so that a wrapper installed on mahf.geometry.knn sees it
+    return functools.cache(lambda k: geometry.knn(mesh.vertices, k))
+
+
+def _build_operator(args, mesh, graphs=None):
     kind = args.operator
     if kind is None:
         kind = "cotangent" if mesh.n_faces else "gaussian-knn"
@@ -134,16 +139,24 @@ def _build_operator(args, mesh):
             raise OperatorError("cotangent operator requested for a point cloud; "
                                 "use --operator gaussian-knn")
         return cotan_operator(mesh), kind
-    return gaussian_knn_operator(mesh.vertices, args.knn, _sigma_value(args.sigma)), kind
+    return gaussian_knn_operator(mesh.vertices, args.knn, _sigma_value(args.sigma),
+                                 nbrs=(graphs or _knn_cache(mesh))(args.knn)), kind
 
 
-def _frames_for(args, mesh):
+def _normals_for(args, mesh, graphs=None):
+    """File normals, else face-based normals, else PCA normals of the cloud."""
     if mesh.normals is not None:
-        normals = mesh.normals
-    elif mesh.n_faces:
-        normals = vertex_normals(mesh)
-    else:
-        normals = pca_normals(mesh.vertices, max(args.knn, 3))
+        return mesh.normals
+    if mesh.n_faces:
+        return vertex_normals(mesh)
+    k = max(args.knn, 3)
+    return pca_normals(mesh.vertices, k, nbrs=(graphs or _knn_cache(mesh))(k))
+
+
+def _frames_for(args, mesh, graphs=None):
+    """Tangent frames and the normals they come from (perfbench repeats the
+    CLI set-up through this and :func:`_build_operator`)."""
+    normals = _normals_for(args, mesh, graphs)
     return build_frames(normals), normals
 
 
@@ -215,8 +228,9 @@ def cmd_filter(args) -> int:
         signal = rgb_to_luminance(mesh, weights=args.luma_weights)
         source = {"luminance": True, "luma_weights": list(args.luma_weights)}
 
-    op, kind = _build_operator(args, mesh)
-    frames, _ = _frames_for(args, mesh)
+    graphs = _knn_cache(mesh)
+    op, kind = _build_operator(args, mesh, graphs)
+    frames, _ = _frames_for(args, mesh, graphs)
     ts_raw, ts_eff = _effective_ts(args, op)
     responses = apply_filter(op, frames, mesh.vertices, _filter_specs(args, ts_eff), signal)
     out = Path(args.out)
@@ -237,15 +251,18 @@ def cmd_filter(args) -> int:
 
 def cmd_normal_variation(args) -> int:
     mesh = _load_mesh(args)
-    op, kind = _build_operator(args, mesh)
-    frames, normals = _frames_for(args, mesh)
+    graphs = _knn_cache(mesh)
+    op, kind = _build_operator(args, mesh, graphs)
+    normals = _normals_for(args, mesh, graphs)
     if mesh.normals is None:
         mesh = Mesh(mesh.vertices, mesh.faces, colors=mesh.colors, normals=normals)
     ts_raw, ts_eff = _effective_ts(args, op)
     if args.baseline == "mhw":
+        # the baseline is isotropic: it reads the normals, never frames
         fields = mhw_normal_variation(mesh, op, [MhwSpec(t) for t in ts_eff])
     else:
-        fields = normal_variation(mesh, op, frames, _filter_specs(args, ts_eff))
+        fields = normal_variation(mesh, op, build_frames(normals),
+                                  _filter_specs(args, ts_eff))
     out = Path(args.out)
     outputs = []
     for t_raw, field in zip(ts_raw, fields):
@@ -316,9 +333,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        # a point cloud's operator and normals share one kNN graph
-        with _sharing_knn():
-            return int(args.func(args) or 0)
+        return int(args.func(args) or 0)
     except (FileNotFoundError, IsADirectoryError, PermissionError,
             MeshFormatError, SignalFormatError, GeometryError, OperatorError,
             ValueError, OSError) as exc:

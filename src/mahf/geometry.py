@@ -9,7 +9,6 @@ deterministic regardless of threading.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,16 +28,6 @@ class FrameField:
 
     def __len__(self) -> int:
         return self.normals.shape[0]
-
-    def rotated(self, angles: np.ndarray) -> "FrameField":
-        """New field with each tangent basis rotated about its normal."""
-        phi = np.asarray(angles, dtype=np.float64).reshape(-1, 1)
-        if phi.shape[0] != len(self):
-            raise ValueError("one rotation angle per vertex required")
-        c, s = np.cos(phi), np.sin(phi)
-        return FrameField(self.normals,
-                          c * self.x_axis + s * self.y_axis,
-                          c * self.y_axis - s * self.x_axis)
 
 
 @dataclass(frozen=True)
@@ -148,39 +137,6 @@ def knn(points: np.ndarray, k: int) -> NeighborList:
     return _tree_knn(points, k)
 
 
-# Graphs built while a _sharing_knn block is open: (copy of points, k, graph).
-_shared_graphs: list | None = None
-
-
-@contextmanager
-def _sharing_knn():
-    """Within the block, a kNN graph is built once per (points, k).
-
-    A point-cloud command builds its operator and its normals from the same
-    cloud and, by default, the same ``k``; inside the block they share one
-    graph (see :func:`_knn_graph`).
-    """
-    global _shared_graphs
-    outer, _shared_graphs = _shared_graphs, []
-    try:
-        yield
-    finally:
-        _shared_graphs = outer
-
-
-def _knn_graph(points: np.ndarray, k: int, build) -> NeighborList:
-    """``build(points, k)``, or inside a :func:`_sharing_knn` block the graph
-    an earlier call built for equal points and ``k``."""
-    if _shared_graphs is None:
-        return build(points, k)
-    for seen, seen_k, graph in _shared_graphs:
-        if seen_k == k and np.array_equal(seen, points):
-            return graph
-    graph = build(points, k)
-    _shared_graphs.append((points.copy(), k, graph))
-    return graph
-
-
 def next_level(pattern: sparse.csr_matrix, level: np.ndarray, seen: np.ndarray):
     """The next level of a breadth-first search: the vertices not yet
     ``seen`` that ``pattern`` links to ``level``, and for each the vertex of
@@ -202,7 +158,8 @@ def next_level(pattern: sparse.csr_matrix, level: np.ndarray, seen: np.ndarray):
     return reached[first], level[np.searchsorted(ends, first, side="right")]
 
 
-def pca_normals(points: np.ndarray, k: int) -> np.ndarray:
+def pca_normals(points: np.ndarray, k: int, *,
+                nbrs: NeighborList | None = None) -> np.ndarray:
     """Point-cloud normals from local covariance, consistently oriented.
 
     The normal at each point is the least-variance direction of its k
@@ -215,6 +172,9 @@ def pca_normals(points: np.ndarray, k: int) -> np.ndarray:
     points : (N, 3) array
     k : int
         Neighborhood size, at least 3 and less than N.
+    nbrs : NeighborList, optional
+        ``knn(points, k)`` if the caller holds it already, as a point cloud's
+        operator shares it; built here otherwise.  Its indices must be (N, k).
     """
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     n = points.shape[0]
@@ -222,7 +182,10 @@ def pca_normals(points: np.ndarray, k: int) -> np.ndarray:
         raise ValueError(f"k must be at least 3 for a plane fit, got {k}")
     if k >= n:
         raise ValueError(f"k={k} requires more than k points, got {n}")
-    nbrs = _knn_graph(points, k, knn)
+    if nbrs is None:
+        nbrs = knn(points, k)
+    elif nbrs.indices.shape != (n, k):
+        raise ValueError(f"nbrs indices have shape {nbrs.indices.shape}, expected {(n, k)}")
     # coincident points share one id, so a sorted row of ids counts the
     # distinct positions among a point's neighbours
     ids = np.unique(points, axis=0, return_inverse=True)[1].reshape(-1)

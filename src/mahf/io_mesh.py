@@ -142,14 +142,23 @@ def _scale_colors(c: np.ndarray) -> np.ndarray:
     return c
 
 
+# the norms whose squares are normal float64 numbers
+_NORM_RANGE = np.sqrt(np.finfo(np.float64).tiny), np.sqrt(np.finfo(np.float64).max)
+
+
 def _unit_normals(m: np.ndarray, path) -> np.ndarray:
-    """Normal records scaled to unit length."""
+    """Normal records scaled to unit length; a record whose squared norm
+    over- or underflows is divided by its largest magnitude first."""
     if not np.all(np.isfinite(m)):
         raise MeshFormatError(f"{path}: non-finite vertex normal")
-    norms = np.linalg.norm(m, axis=1)
-    if np.any(norms == 0):
+    peak = np.abs(m).max(axis=1)
+    if np.any(peak == 0):
         raise MeshFormatError(f"{path}: zero-length vertex normal")
-    return m / norms[:, None]
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(m, axis=1)
+    extreme = ~((norms >= _NORM_RANGE[0]) & (norms <= _NORM_RANGE[1]))
+    m = np.where(extreme[:, None], m / peak[:, None], m)
+    return m / np.where(extreme, np.linalg.norm(m, axis=1), norms)[:, None]
 
 
 def _fan_triangulate(indices, triangulate, path):

@@ -16,7 +16,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import NumericalError, OperatorError
-from .geometry import _knn_graph, knn, next_level, vertex_areas
+from .geometry import NeighborList, knn, next_level, vertex_areas
 from .io_mesh import Mesh
 
 _COT_CLAMP = 1e6
@@ -173,17 +173,22 @@ def cotan_operator(mesh: Mesh) -> SparseOperator:
     return SparseOperator(stiffness, vertex_areas(mesh))
 
 
-def gaussian_knn_operator(points: np.ndarray, k: int,
-                          sigma: float | str = "auto") -> SparseOperator:
+def gaussian_knn_operator(points: np.ndarray, k: int, sigma: float | str = "auto", *,
+                          nbrs: NeighborList | None = None) -> SparseOperator:
     """Graph Laplacian from Gaussian kNN weights, identity mass.
 
     Weights exp(-d^2 / (2 sigma^2)) over each point's k nearest neighbors,
     symmetrized by the entry-wise maximum so the kNN digraph keeps its
     connectivity.  ``sigma="auto"`` uses the mean k-th neighbor distance.
+    ``nbrs`` is ``knn(points, k)`` if the caller holds it already, as
+    :func:`~mahf.geometry.pca_normals` may share it; its indices must be (N, k).
     """
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     n = points.shape[0]
-    nbrs = _knn_graph(points, k, knn)
+    if nbrs is None:
+        nbrs = knn(points, k)
+    elif nbrs.indices.shape != (n, k):
+        raise ValueError(f"nbrs indices have shape {nbrs.indices.shape}, expected {(n, k)}")
     if isinstance(sigma, str):
         if sigma != "auto":
             raise ValueError(f"sigma must be positive or 'auto', got {sigma!r}")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from mahf.geometry import build_frames, vertex_normals
+from mahf.geometry import FrameField, build_frames, vertex_normals
 from mahf.io_mesh import Mesh
 from mahf.laplacian import SparseOperator, cotan_operator
 from mahf.spectral import chebyshev_apply, heat_function, shared_order
@@ -105,6 +105,14 @@ def certified_action(op: SparseOperator, fn, s):
 def heat_action(op: SparseOperator, t: float, s):
     """The heat action ``exp(-t L) @ s`` at its certified order."""
     return certified_action(op, heat_function(t), s)
+
+
+def rotated_frames(frames: FrameField, angles) -> FrameField:
+    """``frames`` with each tangent basis rotated about its normal by ``angles``."""
+    phi = np.asarray(angles, dtype=np.float64).reshape(-1, 1)
+    c, s = np.cos(phi), np.sin(phi)
+    return FrameField(frames.normals, c * frames.x_axis + s * frames.y_axis,
+                      c * frames.y_axis - s * frames.x_axis)
 
 
 def grid_columns_rows(mesh: Mesh, spacing: float = GRID_SPACING):

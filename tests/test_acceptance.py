@@ -21,7 +21,7 @@ from mahf.synthetic import flat_grid, icosphere
 
 from conftest import (CUBE_DIVISIONS, CUBE_EDGE, GRID_SPACING, DenseOracle,
                       certified_action, grid_columns_rows, grid_interior_mask,
-                      heat_action)
+                      heat_action, rotated_frames)
 
 
 def _report(number: int, slug: str) -> None:
@@ -69,7 +69,7 @@ def test_criterion_03_frame_rotation_invariance(ico162, ico162_op, ico162_frames
                             FilterSpec(k, params), s)
         scale = base.r2.max()
         for _ in range(100):
-            rotated = ico162_frames.rotated(rng.uniform(-np.pi, np.pi, ico162_op.n))
+            rotated = rotated_frames(ico162_frames, rng.uniform(-np.pi, np.pi, ico162_op.n))
             resp = apply_filter(ico162_op, rotated, ico162.vertices,
                                 FilterSpec(k, params), s)
             worst = max(worst, np.abs(resp.r2 - base.r2).max() / scale)

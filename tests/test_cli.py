@@ -1,4 +1,3 @@
-import contextlib
 import json
 import os
 import subprocess
@@ -15,10 +14,11 @@ import mahf.geometry
 import mahf.laplacian
 from mahf.cli import main
 from mahf.errors import GeometryError, MeshFormatError
-from mahf.filters import FilterSpec, apply_filter, fuse
-from mahf.geometry import build_frames, vertex_normals
-from mahf.io_mesh import Mesh, parse_mesh, parse_signal, rgb_to_luminance, write_mesh
-from mahf.laplacian import cotan_operator
+from mahf.filters import FilterSpec, apply_filter, fuse, normal_variation
+from mahf.geometry import build_frames, pca_normals, vertex_normals
+from mahf.io_mesh import (Mesh, VertexSignal, parse_mesh, parse_signal, rgb_to_luminance,
+                          write_mesh, write_response)
+from mahf.laplacian import cotan_operator, gaussian_knn_operator
 from mahf.spectral import HeatParams, heat_kernel_row
 from mahf.synthetic import flat_grid, icosphere
 
@@ -131,7 +131,6 @@ def test_filter_luminance_source(tmp_path, sphere_ply):
 
 def test_filter_signal_property_source(tmp_path, grid_inputs):
     mesh, _, _ = grid_inputs
-    from mahf.io_mesh import VertexSignal, write_response
     ply = tmp_path / "withq.ply"
     write_response(ply, mesh, VertexSignal(mesh.vertices[:, 0], name="quality"))
     out = tmp_path / "q.csv"
@@ -316,14 +315,36 @@ def test_point_cloud_command_builds_one_knn_graph(tmp_path, monkeypatch):
     # operator and normals share one graph when their k agree
     shared, built = run("shared", ["--knn", "6"])
     assert built == [6]
-    assert mahf.geometry._shared_graphs is None
     # the normals need k >= 3, so --knn 2 builds two graphs
     assert run("two", ["--knn", "2"])[1] == [2, 3]
-    # and the shared graph changes no output byte
-    monkeypatch.setattr(mahf.cli, "_sharing_knn", contextlib.nullcontext)
-    alone, built = run("alone", ["--knn", "6"])
-    assert built == [6, 6]
-    assert alone == shared
+    # and the shared graph changes no output byte: the library builders,
+    # each building its own graph, give the same field
+    calls.clear()
+    op = gaussian_knn_operator(pts, 6)
+    normals = pca_normals(pts, 6)
+    assert calls == [6, 6]
+    oriented = Mesh(pts, np.zeros((0, 3)), normals=normals)
+    field = normal_variation(oriented, op, build_frames(normals),
+                             FilterSpec(1, HeatParams(2.0, 1e-4)))
+    alone = tmp_path / "alone.ply"
+    write_response(alone, oriented, field)
+    assert alone.read_bytes() == shared
+
+
+def test_mhw_baseline_builds_no_frames(tmp_path, monkeypatch):
+    mesh = icosphere(1, 20.0)
+    path = tmp_path / "ico.off"
+    write_mesh(path, mesh)
+
+    def refuse(normals):
+        raise AssertionError("the MHW baseline reads no frames")
+
+    monkeypatch.setattr(mahf.cli, "build_frames", refuse)
+    assert main(["normal-variation", "--mesh", str(path), "--baseline", "mhw",
+                 "--t", "5", "--out", str(tmp_path / "mhw.ply")]) == 0
+    with pytest.raises(AssertionError, match="no frames"):
+        main(["normal-variation", "--mesh", str(path),
+              "--t", "5", "--out", str(tmp_path / "nv.ply")])
 
 
 def test_bad_sigma_exits_2(tmp_path, grid_inputs):

@@ -7,6 +7,8 @@ from mahf.geometry import (build_frames, face_areas, knn, pca_normals,
 from mahf.io_mesh import Mesh
 from mahf.synthetic import flat_grid, icosphere
 
+from conftest import rotated_frames
+
 
 def equilateral():
     return Mesh(np.array([[0.0, 0, 0], [1.0, 0, 0], [0.5, np.sqrt(3) / 2, 0]]),
@@ -195,7 +197,7 @@ def test_frame_field_rotated_stays_orthonormal():
     rng = np.random.default_rng(5)
     n = rng.standard_normal((100, 3))
     n /= np.linalg.norm(n, axis=1, keepdims=True)
-    rotated = build_frames(n).rotated(rng.uniform(-np.pi, np.pi, 100))
+    rotated = rotated_frames(build_frames(n), rng.uniform(-np.pi, np.pi, 100))
     handed = np.cross(rotated.x_axis, rotated.y_axis) - rotated.normals
     assert np.abs(handed).max() <= 1e-12
 

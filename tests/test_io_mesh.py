@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,37 @@ def test_obj_face_variants(tmp_path):
     assert mesh.n_faces == 2
     assert mesh.normals is not None
     assert np.allclose(mesh.normals, [0, 0, 1])
+
+
+@pytest.mark.parametrize("suffix", ["obj", "ply"])
+@pytest.mark.parametrize("record, unit", [("1e200 0 0", [1.0, 0, 0]),
+                                          ("1e-200 0 0", [1.0, 0, 0]),
+                                          ("3e-160 4e-160 0", [0.6, 0.8, 0])])
+def test_normal_records_beyond_float64_squares(tmp_path, suffix, record, unit):
+    # the squared norm of each record over- or underflows; the other two
+    # records keep the bits of a plain division by their norm
+    records = [record, "0 0 1", "0.3 0.4 1.2"]
+    if suffix == "obj":
+        text = ("v 0 0 0\nv 1 0 0\nv 0 1 0\n"
+                + "".join(f"vn {r}\n" for r in records) + "f 1//1 2//2 3//3\n")
+    else:
+        text = ("ply\nformat ascii 1.0\nelement vertex 3\n"
+                + "".join(f"property double {c}\n" for c in ("x", "y", "z", "nx", "ny", "nz"))
+                + "element face 1\nproperty list uchar int vertex_indices\nend_header\n"
+                + "".join(f"{v} {r}\n" for v, r in zip(("0 0 0", "1 0 0", "0 1 0"), records))
+                + "3 0 1 2\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        normals = parse_mesh(_write(tmp_path, f"m.{suffix}", text)).normals
+    assert np.allclose(normals[0], unit, rtol=0, atol=1e-15)
+    plain = np.array([[0.0, 0, 1], [0.3, 0.4, 1.2]])
+    assert np.array_equal(normals[1:], plain / np.linalg.norm(plain, axis=1)[:, None])
+
+
+def test_obj_zero_normal_rejected(tmp_path):
+    text = "v 0 0 0\nv 1 0 0\nv 0 1 0\nvn 0 0 0\nvn 0 0 1\nvn 0 0 1\nf 1//1 2//2 3//3\n"
+    with pytest.raises(MeshFormatError, match="zero-length"):
+        parse_mesh(_write(tmp_path, "m.obj", text))
 
 
 def test_obj_negative_indices(tmp_path):

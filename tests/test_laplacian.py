@@ -6,6 +6,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import eigsh
 
 from mahf.errors import NumericalError, OperatorError
+from mahf.geometry import knn, pca_normals
 from mahf.io_mesh import Mesh
 from mahf.laplacian import (SparseOperator, cotan_operator,
                             estimate_lambda_max, gaussian_knn_operator)
@@ -95,6 +96,23 @@ def test_gaussian_rejects_bad_sigma():
         gaussian_knn_operator(pts, 3, sigma=-1.0)
     with pytest.raises(ValueError):
         gaussian_knn_operator(pts, 10, sigma=1.0)  # k >= N
+
+
+def test_shared_knn_graph_changes_nothing():
+    pts = np.random.default_rng(3).uniform(0, 10, (120, 3))
+    for k in (3, 6):
+        nbrs = knn(pts, k)
+        own, shared = gaussian_knn_operator(pts, k), gaussian_knn_operator(pts, k, nbrs=nbrs)
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(own.stiffness, part),
+                                  getattr(shared.stiffness, part))
+        assert np.array_equal(pca_normals(pts, k), pca_normals(pts, k, nbrs=nbrs))
+    # a graph of another k, or of another cloud, is refused
+    for wrong in (knn(pts, 5), knn(pts[:100], 6)):
+        with pytest.raises(ValueError, match="nbrs"):
+            gaussian_knn_operator(pts, 6, nbrs=wrong)
+        with pytest.raises(ValueError, match="nbrs"):
+            pca_normals(pts, 6, nbrs=wrong)
 
 
 def test_lambda_max_two_node(two_node_op):
