@@ -16,12 +16,19 @@ element.
 
 from __future__ import annotations
 
+import itertools
+import mmap
+import os
+import pickle
+import signal
+import threading
+import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import MahfError, NumericalError
 from .geometry import FrameField, effective_normals
 from .io_mesh import Mesh, VertexSignal, signal_values
 from .laplacian import SparseOperator, breadth_first
@@ -135,6 +142,57 @@ def _chunks(op: SparseOperator, width: int):
         yield np.concatenate(parts)
 
 
+def _workers(chunks: int) -> int:
+    """Processes that share a pass of ``chunks`` chunks: one per usable core,
+    at most one per chunk.  1 where ``os.fork`` or the affinity mask is
+    missing, or while another Python thread is alive, which a forked child
+    would not inherit in a usable state."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) \
+            or threading.active_count() > 1:
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), chunks))
+
+
+def _fork(work, share):
+    """Run ``work(share)`` in a forked child; returns the child's pid and the
+    read end of a pipe that carries the child's exception, pickled, if it
+    raises one.  The child always leaves through ``os._exit``: it runs no
+    exit handler and flushes none of the parent's buffers.  A child whose
+    parent has died (killed, say) takes no further chunk of its share."""
+    parent = os.getpid()
+    read, write = os.pipe()
+    with warnings.catch_warnings():
+        # Python >= 3.12 warns on forking a process with more than one OS
+        # thread, and OpenBLAS's pool is one after `import numpy`.  It is
+        # safe here: `_workers` rules out other Python threads, OpenBLAS
+        # quiets its pool through its own fork handlers, and the child runs
+        # only numpy and scipy code before `os._exit`.
+        warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
+                                DeprecationWarning)
+        pid = os.fork()
+    if pid:
+        os.close(write)
+        return pid, read
+    status = 1
+    try:
+        os.close(read)
+        work(itertools.takewhile(lambda _: os.getppid() == parent, share))
+        status = 0
+    except BaseException as exc:
+        with os.fdopen(write, "wb") as pipe:
+            pipe.write(pickle.dumps(exc))
+    finally:
+        os._exit(status)
+
+
+def _reap(pid: int, read: int):
+    """Wait for a child of :func:`_fork`; returns its pickled exception,
+    empty if it raised none, and its exit code."""
+    with os.fdopen(read, "rb") as pipe:
+        payload = pipe.read()
+    return payload, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+
 def _response_block(op: SparseOperator, frames: FrameField, positions: np.ndarray,
                     specs: list[FilterSpec], signals: np.ndarray):
     """Responses for a block of signals: one (N, C) real/imaginary pair per spec.
@@ -148,6 +206,13 @@ def _response_block(op: SparseOperator, frames: FrameField, positions: np.ndarra
     slices of ``1 / _SLICES`` of its width, each with its columns of those
     masks, on all of its ball's rows: those a slice never reached are exact
     zeros, which no positive threshold keeps.
+
+    The chunks are dealt round-robin to :func:`_workers` processes: the
+    pass itself and forked children, which write their centres' rows of the
+    responses into one shared anonymous mapping.  A chunk runs the same code
+    whichever process takes it, so the responses do not depend on the
+    number of workers.  A child's exception is raised here once every child
+    is reaped; if the pass itself fails, its children are killed first.
 
     Memory: with ``n_t`` distinct times a chunk is
     ``w = 2 _CHUNK / (max(n_t, 3) + 1)`` columns wide, 128 at the default
@@ -163,7 +228,11 @@ def _response_block(op: SparseOperator, frames: FrameField, positions: np.ndarra
     ``|ball| x w``, so their pages past the largest ball are never touched.
     Each recurrence allocates its own two blocks and arrays the size of the
     ball's operator.  The masks add one bool block of ``|ball| x w`` per
-    distinct (time, threshold).
+    distinct (time, threshold).  Each worker holds its own pass buffers and
+    chunk blocks, so the memory summed over the processes grows with the
+    number of workers, while each process peaks at one chunk's.  The
+    benchmark's ``peak_rss_mb``, ``wait4``'s ``ru_maxrss``, is the largest of
+    the CLI process and its reaped children, not their sum.
     """
     if positions.shape != (op.n, 3) or len(frames) != op.n:
         raise ValueError(f"positions of shape {positions.shape} and {len(frames)} frames "
@@ -177,35 +246,60 @@ def _response_block(op: SparseOperator, frames: FrameField, positions: np.ndarra
     cutoffs = dict.fromkeys((b, threshold) for b, _, threshold in terms)
     n = op.n
     mass = op.mass
-    responses = [(np.zeros_like(signals), np.zeros_like(signals)) for _ in specs]
     width = max(1, 2 * _CHUNK // (max(len(fns), 3) + 1))
     step = -(-width // _SLICES)
+    chunks = list(_chunks(op, width))
+    # every worker writes its centres' rows in place, so the responses live
+    # in one mapping shared across the fork
+    shared = np.frombuffer(mmap.mmap(-1, 16 * len(specs) * signals.size), dtype=np.float64)
+    responses = list(shared.reshape(len(specs), 2, *signals.shape))
 
-    # the pass's input and kernel buffers, reused by every chunk; a ball may
-    # have fewer rows and the last chunk fewer columns
-    indicator = np.zeros(n * min(width, n))
-    kernels = [np.empty(n * min(width, n)) for _ in fns]
-    for chunk in _chunks(op, width):
-        ball = breadth_first(op.stiffness, chunk, np.zeros(n, dtype=bool), levels=order)
-        w = chunk.shape[0]
-        x = indicator[:ball.shape[0] * w].reshape(-1, w)
-        diagonal = np.diag_indices(w)
-        x[diagonal] = 1.0 / mass[chunk]
-        blocks = chebyshev_apply(op.restricted(ball), fns, x, order,
-                                 out=[buf[:x.size].reshape(x.shape) for buf in kernels])
-        x[diagonal] = 0.0
-        keeps = {(b, threshold): threshold_row(blocks[b], threshold)[0]
-                 for b, threshold in cutoffs}
-        for lo in range(0, w, step):
-            cut = slice(lo, lo + step)
-            centres = chunk[cut]
-            parts = _contract([(blocks[b][:, cut], k, keeps[b, threshold][:, cut])
-                               for b, k, threshold in terms],
-                              ball, centres, frames, positions, mass, signals)
-            for (r_real, r_imag), (h_real, h_imag) in zip(responses, parts):
-                r_real[centres], r_imag[centres] = h_real, h_imag
-        # free the masks before the next chunk's recurrence, the pass's peak
-        del keeps
+    def run(share):
+        # the input and kernel buffers of this process, reused by each of
+        # its chunks; a ball may have fewer rows and the last chunk fewer
+        # columns
+        indicator = np.zeros(n * min(width, n))
+        kernels = [np.empty(n * min(width, n)) for _ in fns]
+        for chunk in share:
+            ball = breadth_first(op.stiffness, chunk, np.zeros(n, dtype=bool), levels=order)
+            w = chunk.shape[0]
+            x = indicator[:ball.shape[0] * w].reshape(-1, w)
+            diagonal = np.diag_indices(w)
+            x[diagonal] = 1.0 / mass[chunk]
+            blocks = chebyshev_apply(op.restricted(ball), fns, x, order,
+                                     out=[buf[:x.size].reshape(x.shape) for buf in kernels])
+            x[diagonal] = 0.0
+            keeps = {(b, threshold): threshold_row(blocks[b], threshold)[0]
+                     for b, threshold in cutoffs}
+            for lo in range(0, w, step):
+                cut = slice(lo, lo + step)
+                centres = chunk[cut]
+                parts = _contract([(blocks[b][:, cut], k, keeps[b, threshold][:, cut])
+                                   for b, k, threshold in terms],
+                                  ball, centres, frames, positions, mass, signals)
+                for (r_real, r_imag), (h_real, h_imag) in zip(responses, parts):
+                    r_real[centres], r_imag[centres] = h_real, h_imag
+            # free the masks before the next chunk's recurrence, the pass's peak
+            del keeps
+
+    workers = _workers(len(chunks))
+    children = {}
+    try:
+        for worker in range(1, workers):
+            pid, read = _fork(run, chunks[worker::workers])
+            children[pid] = read
+        run(chunks[::workers])
+    except BaseException:
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        ends = [_reap(pid, read) for pid, read in children.items()]
+    for payload, code in ends:
+        if payload:
+            raise pickle.loads(payload)
+        if code:
+            raise MahfError(f"a filter worker process ended with exit code {code}")
 
     for r_real, r_imag in responses:
         bad = np.flatnonzero(~(np.isfinite(r_real).all(axis=1)

@@ -44,6 +44,8 @@ _PROBE_TOL = 1e-6
 # same functions, so each is derived once per pass.  Functions are keyed by
 # identity, so the entries of earlier passes only age out.
 _MEMO_SIZE = 64
+# Entries per level-1 BLAS call of the recurrence (see chebyshev_apply).
+_SLAB = 8192
 
 
 @dataclass(frozen=True)
@@ -270,14 +272,21 @@ def chebyshev_apply(op: SparseOperator, fns, x: np.ndarray, order: int, *, out=N
                                  a.data if jj == 1 else signed[1 - jj % 2],
                                  newer.reshape(-1), older[:hi].reshape(-1))
         active = older[:hi].reshape(-1)
+        # BLAS calls on slabs of at most 8192 entries, which OpenBLAS runs on
+        # the calling thread (up to 10000); it splits a longer call over its
+        # thread pool, which on top of a filter pass's one process per core
+        # (see filters._workers) slows the pass down instead of speeding it up
+        slabs = [slice(lo, lo + _SLAB) for lo in range(0, active.size, _SLAB)]
         # a NaN or an infinity anywhere makes the sum of magnitudes
         # non-finite; BLAS reads the block once, numpy's pairwise sum slower
-        if jj > 1 and not np.isfinite(dasum(active)):
+        if jj > 1 and not np.isfinite(sum(dasum(active[cut]) for cut in slabs)):
             raise NumericalError(f"non-finite Chebyshev intermediate at iteration {jj}")
         sigma = 1.0 if jj % 4 < 2 else -1.0
         for acc, c in zip(accs, coeffs):
             if c[jj]:
-                daxpy(active, acc[:hi].reshape(-1), a=sigma * c[jj])
+                target = acc[:hi].reshape(-1)
+                for cut in slabs:
+                    daxpy(active[cut], target[cut], a=sigma * c[jj])
         newer, older = older, newer
     return outs
 

@@ -1,4 +1,12 @@
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -432,6 +440,8 @@ def test_chunk_width_shrinks_with_scale_count(monkeypatch, grid20, grid20_op,
         return chebyshev_apply(op, fns, x, order, **kwargs)
 
     monkeypatch.setattr(filters, "_CHUNK", 8)
+    # a forked worker's calls would not reach the recorders
+    monkeypatch.setattr(filters, "_workers", lambda chunks: 1)
     monkeypatch.setattr(SparseOperator, "restricted", recording_ball)
     monkeypatch.setattr(filters, "chebyshev_apply", recording)
     s = step_signal(grid20)
@@ -559,6 +569,7 @@ def test_mixed_specs_share_one_contraction(monkeypatch, ico642, ico642_op):
         thresholded.append((len(calls), block.shape))
         return threshold_row(block, threshold)
 
+    monkeypatch.setattr(filters, "_workers", lambda chunks: 1)
     monkeypatch.setattr(filters, "chebyshev_apply", recording)
     monkeypatch.setattr(filters, "threshold_row", recording_threshold)
     fused = apply_filter(ico642_op, frames, ico642.vertices, specs, s)
@@ -576,6 +587,157 @@ def test_mixed_specs_share_one_contraction(monkeypatch, ico642, ico642_op):
         assert got.spec == spec
         assert np.abs(got.r_real - alone.r_real).max() <= 1e-13 * scale
         assert np.abs(got.r_imag - alone.r_imag).max() <= 1e-13 * scale
+
+
+# --- worker processes ---
+
+def pinned_workers(monkeypatch, count):
+    monkeypatch.setattr(filters, "_workers", lambda chunks: min(count, chunks))
+
+
+def test_two_workers_match_one(monkeypatch, grid20, grid20_op, grid20_frames):
+    # a chunk runs the same code whichever process takes it, so a pass split
+    # over two processes gives the same bits as one
+    rng = np.random.default_rng(9)
+    s = rng.standard_normal(grid20_op.n)
+    normals = rng.standard_normal((grid20_op.n, 3))
+    mesh = Mesh(grid20.vertices, grid20.faces,
+                normals=normals / np.linalg.norm(normals, axis=1, keepdims=True))
+    specs = [FilterSpec(0, HeatParams(5.0)), FilterSpec(1, HeatParams(10.0, 1e-3)),
+             FilterSpec(2, HeatParams(5.0, 0.0))]
+    forks = []
+    fork = os.fork
+
+    def recording_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(filters, "_CHUNK", 16)
+    monkeypatch.setattr(os, "fork", recording_fork)
+    runs = []
+    for count in (1, 2):
+        pinned_workers(monkeypatch, count)
+        runs.append((apply_filter(grid20_op, grid20_frames, grid20.vertices, specs, s),
+                     normal_variation(mesh, grid20_op, grid20_frames, specs)))
+    assert len(forks) == 2
+    (filtered, varied), (split_filtered, split_varied) = runs
+    for a, b in zip(filtered, split_filtered):
+        assert a.r2.max() > 0
+        for field in ("r_real", "r_imag", "r2"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
+    for a, b in zip(varied, split_varied):
+        assert a.values.max() > 0
+        assert np.array_equal(a.values, b.values)
+
+
+@pytest.mark.parametrize("in_child", [True, False])
+def test_worker_errors_reach_caller_and_leave_no_child(monkeypatch, grid20, grid20_op,
+                                                       grid20_frames, in_child):
+    # a chunk that the child runs fails, or one that the pass itself runs,
+    # which kills the child; either way the error is raised and the child reaped
+    parent = os.getpid()
+    where = "a worker" if in_child else "the pass"
+
+    def recurrence(*args, **kwargs):
+        in_worker = os.getpid() != parent
+        if in_worker == in_child:
+            raise NumericalError(f"non-finite Chebyshev intermediate in {where}")
+        if in_worker:
+            # a child that is not killed ends only after a minute
+            time.sleep(60)
+            os._exit(0)
+        return chebyshev_apply(*args, **kwargs)
+
+    monkeypatch.setattr(filters, "_CHUNK", 16)
+    pinned_workers(monkeypatch, 2)
+    monkeypatch.setattr(filters, "chebyshev_apply", recurrence)
+    start = time.monotonic()
+    with pytest.raises(NumericalError, match=f"intermediate in {where}$"):
+        apply_filter(grid20_op, grid20_frames, grid20.vertices,
+                     FilterSpec(1, HeatParams(5.0)), step_signal(grid20))
+    assert time.monotonic() - start < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+ORPHANED_PASS = """
+import os, signal, sys, time
+import mahf.filters as filters
+from mahf import FilterSpec, HeatParams, apply_filter, build_frames, cotan_operator
+from mahf import vertex_normals
+from mahf.synthetic import flat_grid
+
+parent, recurrence = os.getpid(), filters.chebyshev_apply
+
+def logged(*args, **kwargs):
+    if os.getpid() == parent:
+        time.sleep(0.5)
+        os.kill(parent, signal.SIGKILL)
+    with open(sys.argv[1], "a") as log:
+        log.write("chunk\\n")
+    time.sleep(0.1)
+    return recurrence(*args, **kwargs)
+
+filters._CHUNK = 16
+filters._workers = lambda chunks: min(2, chunks)
+filters.chebyshev_apply = logged
+grid = flat_grid(20, 20)
+apply_filter(cotan_operator(grid), build_frames(vertex_normals(grid)), grid.vertices,
+             FilterSpec(1, HeatParams(5.0)), grid.vertices[:, 0])
+"""
+
+
+def test_orphaned_worker_stops_at_its_next_chunk(tmp_path):
+    # the pass is killed half a second in; its child, with about 2.5 s of
+    # chunks left, finishes at most the chunk it is in
+    log = tmp_path / "chunks.log"
+    src = str(Path(filters.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", ORPHANED_PASS, str(log)],
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert done.returncode == -signal.SIGKILL
+    at_death = len(log.read_text().split())
+    time.sleep(1.5)
+    assert 1 <= at_death <= len(log.read_text().split()) <= at_death + 1
+
+
+def test_pass_forks_no_worker_while_another_thread_lives(monkeypatch, grid20, grid20_op,
+                                                         grid20_frames):
+    def fork():
+        pytest.fail("forked while another Python thread was alive")
+
+    monkeypatch.setattr(filters, "_CHUNK", 16)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "fork", fork)
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    thread.start()
+    try:
+        apply_filter(grid20_op, grid20_frames, grid20.vertices,
+                     FilterSpec(1, HeatParams(5.0)), step_signal(grid20))
+    finally:
+        done.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def test_fork_warning_of_threaded_process_ignored(monkeypatch, grid20, grid20_op,
+                                                  grid20_frames):
+    # Python >= 3.12 warns on every fork of a process with more than one OS
+    # thread, as numpy's BLAS pool makes it; the pass ignores only that one
+    fork = os.fork
+
+    def warning_fork():
+        warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of fork() "
+                      "may lead to deadlocks in the child.", DeprecationWarning, stacklevel=2)
+        return fork()
+
+    monkeypatch.setattr(filters, "_CHUNK", 16)
+    pinned_workers(monkeypatch, 2)
+    monkeypatch.setattr(os, "fork", warning_fork)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        apply_filter(grid20_op, grid20_frames, grid20.vertices,
+                     FilterSpec(1, HeatParams(5.0)), step_signal(grid20))
 
 
 def relabelled(mesh, perm):
