@@ -17,6 +17,7 @@ element.
 from __future__ import annotations
 
 import itertools
+import math
 import mmap
 import os
 import pickle
@@ -24,6 +25,7 @@ import signal
 import threading
 import warnings
 from dataclasses import dataclass
+from pathlib import Path, PurePosixPath
 from typing import Sequence
 
 import numpy as np
@@ -32,14 +34,18 @@ from .errors import MahfError, NumericalError
 from .geometry import FrameField, effective_normals
 from .io_mesh import Mesh, VertexSignal, signal_values
 from .laplacian import SparseOperator, breadth_first
-from .spectral import (HeatParams, chebyshev_apply, heat_function, shared_order,
-                       threshold_row)
+from .spectral import (HeatParams, _truncated_coefficients, chebyshev_apply, heat_function,
+                       shared_order, threshold_row)
 
 _DEGENERATE_RTOL = 1e-9
 _CHUNK = 256
 # Each chunk of kernel columns is contracted in this many column slices, so
 # the per-pair temporaries of the contraction stay a fraction of the chunk's.
 _SLICES = 8
+# where the cgroup hierarchies are mounted, and the file naming the process's
+# cgroups, read for the CPU quota that caps the worker count
+_CGROUP_ROOT = Path("/sys/fs/cgroup")
+_CGROUP_OF_SELF = Path("/proc/self/cgroup")
 
 
 @dataclass(frozen=True)
@@ -142,15 +148,49 @@ def _chunks(op: SparseOperator, width: int):
         yield np.concatenate(parts)
 
 
+def _cpu_limit() -> int | None:
+    """CPUs' worth of time that the process's cgroups allow it, rounded up:
+    the smallest quota / period from its cgroup up to the hierarchy's root,
+    read from cgroup v2's ``cpu.max`` or v1's ``cpu.cfs_quota_us`` and
+    ``cpu.cfs_period_us``.  None where no quota is set or none can be read."""
+    try:
+        lines = _CGROUP_OF_SELF.read_text().splitlines()
+    except OSError:
+        return None
+    ratios = []
+    for line in lines:
+        if line.count(":") < 2:
+            continue
+        _, controllers, path = line.split(":", 2)
+        if not controllers:
+            base, files = _CGROUP_ROOT, ["cpu.max"]
+        elif "cpu" in controllers.split(","):
+            base, files = _CGROUP_ROOT / "cpu", ["cpu.cfs_quota_us", "cpu.cfs_period_us"]
+        else:
+            continue
+        parts = PurePosixPath(path).parts[1:]
+        for depth in range(len(parts), -1, -1):
+            folder = base.joinpath(*parts[:depth])
+            try:
+                quota, period = " ".join((folder / f).read_text() for f in files).split()
+                if quota not in ("max", "-1"):
+                    ratios.append(int(quota) / int(period))
+            except (OSError, ValueError):
+                continue
+    return math.ceil(min(ratios)) if ratios else None
+
+
 def _workers(chunks: int) -> int:
     """Processes that share a pass of ``chunks`` chunks: one per usable core,
-    at most one per chunk.  1 where ``os.fork`` or the affinity mask is
-    missing, or while another Python thread is alive, which a forked child
-    would not inherit in a usable state."""
+    at most one per chunk and at most :func:`_cpu_limit`.  1 where
+    ``os.fork`` or the affinity mask is missing, or while another Python
+    thread is alive, which a forked child would not inherit in a usable
+    state."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) \
             or threading.active_count() > 1:
         return 1
-    return max(1, min(len(os.sched_getaffinity(0)), chunks))
+    cores = len(os.sched_getaffinity(0))
+    return max(1, min(cores, _cpu_limit() or cores, chunks))
 
 
 def _fork(work, share):
@@ -208,11 +248,14 @@ def _response_block(op: SparseOperator, frames: FrameField, positions: np.ndarra
     zeros, which no positive threshold keeps.
 
     The chunks are dealt round-robin to :func:`_workers` processes: the
-    pass itself and forked children, which write their centres' rows of the
+    pass itself and forked children, one per usable core within the
+    cgroup CPU quota, which write their centres' rows of the
     responses into one shared anonymous mapping.  A chunk runs the same code
     whichever process takes it, so the responses do not depend on the
     number of workers.  A child's exception is raised here once every child
     is reaped; if the pass itself fails, its children are killed first.
+    The coefficients of the pass's functions are derived before the fork,
+    so that each is derived once per pass, not once per process.
 
     Memory: with ``n_t`` distinct times a chunk is
     ``w = 2 _CHUNK / (max(n_t, 3) + 1)`` columns wide, 128 at the default
@@ -249,6 +292,9 @@ def _response_block(op: SparseOperator, frames: FrameField, positions: np.ndarra
     width = max(1, 2 * _CHUNK // (max(len(fns), 3) + 1))
     step = -(-width // _SLICES)
     chunks = list(_chunks(op, width))
+    # derived before the fork, so that no worker derives them again
+    for fn in fns:
+        _truncated_coefficients(fn, op.lambda_max, order)
     # every worker writes its centres' rows in place, so the responses live
     # in one mapping shared across the fork
     shared = np.frombuffer(mmap.mmap(-1, 16 * len(specs) * signals.size), dtype=np.float64)

@@ -463,26 +463,53 @@ def test_chunk_width_shrinks_with_scale_count(monkeypatch, grid20, grid20_op,
             assert np.array_equal(np.sort(ball), within_steps(grid20_op, chunk, order))
 
 
-def test_coefficients_derived_once_per_pass(monkeypatch, grid20, grid20_op,
+def test_coefficients_derived_once_per_pass(monkeypatch, tmp_path, grid20, grid20_op,
                                             grid20_frames):
     # each scale's order is certified and its coefficients derived once per
     # pass, however many chunks call the engine: each memo miss is one call
-    # of the unmemoized function
+    # of the unmemoized function.  The pass derives them before it forks, so
+    # its workers find them memoized: every quadrature, logged to a file that
+    # a worker's would reach too, runs in the pass's own process
     memos = (spectral.certified_order, spectral._truncated_coefficients)
+    log = tmp_path / "quadratures.log"
+    quadrature, fork = spectral._quadrature, os.fork
+    forks = []
+
+    def logged(values):
+        with open(log, "a") as out:
+            out.write(f"{os.getpid()}\n")
+        return quadrature(values)
+
+    def recording_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(spectral, "_quadrature", logged)
+    monkeypatch.setattr(os, "fork", recording_fork)
     s = step_signal(grid20)
-    counts = []
-    for chunk in (16, 512):
-        monkeypatch.setattr(filters, "_CHUNK", chunk)
-        before = [memo.cache_info().misses for memo in memos]
-        multiscale_apply(grid20_op, grid20_frames, grid20.vertices, 1, [5.0, 10.0, 20.0], s)
-        counts.append([memo.cache_info().misses - b for memo, b in zip(memos, before)])
-    assert counts == [[3, 3], [3, 3]]
+    for workers in (1, 2):
+        pinned_workers(monkeypatch, workers)
+        forks.clear()
+        log.write_text("")
+        counts = []
+        for chunk in (16, 512):
+            monkeypatch.setattr(filters, "_CHUNK", chunk)
+            before = [memo.cache_info().misses for memo in memos]
+            multiscale_apply(grid20_op, grid20_frames, grid20.vertices, 1, [5.0, 10.0, 20.0],
+                             s)
+            counts.append([memo.cache_info().misses - b for memo, b in zip(memos, before)])
+        assert counts == [[3, 3], [3, 3]]
+        assert len(forks) == 2 * (workers - 1)
+        assert set(log.read_text().split()) == {str(os.getpid())}
 
 
 def test_pass_memory_within_documented_bound(monkeypatch, ico642, ico642_op):
     # tracemalloc counts every numpy buffer: the pass reserves its input and
     # one kernel buffer per time at N x w, each recurrence adds its two
-    # |ball| x w blocks, and the rest is the size of the operator
+    # |ball| x w blocks, and the rest is the size of the operator.  The
+    # responses live in an anonymous mapping, which tracemalloc does not
+    # see, so their 16 bytes per vertex and time are added to its peak.  One
+    # worker runs every chunk: a forked worker's allocations are not traced
     frames = build_frames(vertex_normals(ico642))
     s = np.random.default_rng(3).standard_normal(ico642_op.n)
     runs = []
@@ -491,6 +518,7 @@ def test_pass_memory_within_documented_bound(monkeypatch, ico642, ico642_op):
         runs.append((op.n, x.shape[1]))
         return chebyshev_apply(op, fns, x, order, **kwargs)
 
+    pinned_workers(monkeypatch, 1)
     monkeypatch.setattr(filters, "chebyshev_apply", recording)
     multiscale_apply(ico642_op, frames, ico642.vertices, 1, [5.0, 10.0, 20.0], s)
     peaks = []
@@ -502,7 +530,7 @@ def test_pass_memory_within_documented_bound(monkeypatch, ico642, ico642_op):
         tracemalloc.start()
         try:
             multiscale_apply(ico642_op, frames, ico642.vertices, 1, ts, s)
-            peak = tracemalloc.get_traced_memory()[1]
+            peak = tracemalloc.get_traced_memory()[1] + 16 * len(ts) * ico642_op.n
         finally:
             tracemalloc.stop()
         width = max(w for _, w in runs)
@@ -532,6 +560,8 @@ def test_contraction_slices_bound_pair_count(monkeypatch, grid20, grid20_op,
         passes.append((op, x.shape[1], order))
         return chebyshev_apply(op, fns, x, order, **kwargs)
 
+    # a forked worker's calls would not reach the recorders
+    pinned_workers(monkeypatch, 1)
     monkeypatch.setattr(filters, "_contract", recording)
     monkeypatch.setattr(filters, "chebyshev_apply", recording_pass)
     s = step_signal(grid20)
@@ -671,7 +701,9 @@ parent, recurrence = os.getpid(), filters.chebyshev_apply
 
 def logged(*args, **kwargs):
     if os.getpid() == parent:
-        time.sleep(0.5)
+        # the pass dies once its child has logged a chunk
+        while not (os.path.exists(sys.argv[1]) and open(sys.argv[1]).read()):
+            time.sleep(0.01)
         os.kill(parent, signal.SIGKILL)
     with open(sys.argv[1], "a") as log:
         log.write("chunk\\n")
@@ -688,8 +720,9 @@ apply_filter(cotan_operator(grid), build_frames(vertex_normals(grid)), grid.vert
 
 
 def test_orphaned_worker_stops_at_its_next_chunk(tmp_path):
-    # the pass is killed half a second in; its child, with about 2.5 s of
-    # chunks left, finishes at most the chunk it is in
+    # the pass is killed once its child has logged its first chunk; the
+    # child, with about 2.4 s of chunks left, finishes at most the chunk it
+    # is in
     log = tmp_path / "chunks.log"
     src = str(Path(filters.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", ORPHANED_PASS, str(log)],
@@ -698,6 +731,36 @@ def test_orphaned_worker_stops_at_its_next_chunk(tmp_path):
     at_death = len(log.read_text().split())
     time.sleep(1.5)
     assert 1 <= at_death <= len(log.read_text().split()) <= at_death + 1
+
+
+@pytest.mark.parametrize("membership, limits, expected", [
+    (None, {}, None),
+    ("0::/\n", {}, None),
+    ("0::/a\n", {"a/cpu.max": "max 100000\n"}, None),
+    ("0::/a/b\n", {"cpu.max": "max 100000\n", "a/cpu.max": "150000 100000\n",
+                   "a/b/cpu.max": "max 100000\n"}, 2),
+    ("0::/a/b\n", {"a/cpu.max": "300000 100000\n", "a/b/cpu.max": "50000 100000\n"}, 1),
+    ("4:cpu,cpuacct:/\n0::/\n", {"cpu/cpu.cfs_quota_us": "300000\n",
+                                  "cpu/cpu.cfs_period_us": "100000\n"}, 3),
+    ("4:cpu,cpuacct:/\n", {"cpu/cpu.cfs_quota_us": "-1\n",
+                           "cpu/cpu.cfs_period_us": "100000\n"}, None),
+])
+def test_cgroup_cpu_quota_caps_workers(monkeypatch, tmp_path, membership, limits,
+                                       expected):
+    # a container's CPU quota caps the worker count below its usable cores;
+    # the count is only computed here, no pass runs
+    root = tmp_path / "cgroup"
+    for name, text in limits.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(text)
+    if membership is not None:
+        (tmp_path / "self").write_text(membership)
+    monkeypatch.setattr(filters, "_CGROUP_ROOT", root)
+    monkeypatch.setattr(filters, "_CGROUP_OF_SELF", tmp_path / "self")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+    assert filters._cpu_limit() == expected
+    assert filters._workers(8) == (expected or 4)
+    assert filters._workers(2) == min(2, expected or 4)
 
 
 def test_pass_forks_no_worker_while_another_thread_lives(monkeypatch, grid20, grid20_op,
