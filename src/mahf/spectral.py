@@ -17,7 +17,6 @@ from typing import Sequence
 import numpy as np
 from numpy.polynomial import chebyshev as npcheb
 from scipy import sparse
-from scipy.linalg.blas import dasum, daxpy
 from scipy.sparse import _sparsetools
 
 from .errors import NumericalError
@@ -44,8 +43,10 @@ _PROBE_TOL = 1e-6
 # same functions, so each is derived once per pass.  Functions are keyed by
 # identity, so the entries of earlier passes only age out.
 _MEMO_SIZE = 64
-# Entries per level-1 BLAS call of the recurrence (see chebyshev_apply).
-_SLAB = 8192
+# Index arrays of the 1 x 1 CSC matrix of _accumulate; int64, since with int32
+# ones scipy's kernel takes no block of more than 2**31 - 1 entries
+_ONE_COLUMN = np.array([0, 1], dtype=np.int64)
+_ROW_ZERO = np.array([0], dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -183,6 +184,21 @@ def _truncated_coefficients(fn, b: float, order: int) -> np.ndarray:
     return c
 
 
+def _accumulate(y: np.ndarray, c: float, x: np.ndarray) -> None:
+    """``y += c * x`` in one pass of scipy's compiled CSC block product
+    kernel, which applies the 1 x 1 matrix ``[c]`` to ``x`` as one row of
+    ``x.size`` entries: no temporary, and bit for bit numpy's ``y += c * x``.
+
+    The kernel checks no sizes, so this checks that ``x`` and ``y`` are
+    C-contiguous float64 arrays of one size, and raises ``ValueError`` if not.
+    """
+    if not (x.dtype == y.dtype == np.float64 and x.flags.c_contiguous
+            and y.flags.c_contiguous and x.size == y.size):
+        raise ValueError("accumulate needs C-contiguous float64 arrays of one size")
+    _sparsetools.csc_matvecs(1, 1, x.size, _ONE_COLUMN, _ROW_ZERO, np.array([c]),
+                             x.reshape(-1), y.reshape(-1))
+
+
 def _reach_ends(a) -> np.ndarray:
     """For each row ``r``, one past the last row of ``a @ y`` that rows
     ``0 .. r`` of ``y`` can make non-zero, row ``r`` itself included: the
@@ -272,21 +288,17 @@ def chebyshev_apply(op: SparseOperator, fns, x: np.ndarray, order: int, *, out=N
                                  a.data if jj == 1 else signed[1 - jj % 2],
                                  newer.reshape(-1), older[:hi].reshape(-1))
         active = older[:hi].reshape(-1)
-        # BLAS calls on slabs of at most 8192 entries, which OpenBLAS runs on
-        # the calling thread (up to 10000); it splits a longer call over its
-        # thread pool, which on top of a filter pass's one process per core
-        # (see filters._workers) slows the pass down instead of speeding it up
-        slabs = [slice(lo, lo + _SLAB) for lo in range(0, active.size, _SLAB)]
-        # a NaN or an infinity anywhere makes the sum of magnitudes
-        # non-finite; BLAS reads the block once, numpy's pairwise sum slower
-        if jj > 1 and not np.isfinite(sum(dasum(active[cut]) for cut in slabs)):
-            raise NumericalError(f"non-finite Chebyshev intermediate at iteration {jj}")
+        # a NaN or an infinity anywhere makes the block's sum non-finite, and
+        # so does a sum past the float64 range; numpy's reduce allocates nothing
+        if jj > 1:
+            with np.errstate(over="ignore", invalid="ignore"):
+                finite = np.isfinite(np.add.reduce(active))
+            if not finite:
+                raise NumericalError(f"non-finite Chebyshev intermediate at iteration {jj}")
         sigma = 1.0 if jj % 4 < 2 else -1.0
         for acc, c in zip(accs, coeffs):
             if c[jj]:
-                target = acc[:hi].reshape(-1)
-                for cut in slabs:
-                    daxpy(active[cut], target[cut], a=sigma * c[jj])
+                _accumulate(acc[:hi], sigma * c[jj], active)
         newer, older = older, newer
     return outs
 

@@ -107,6 +107,22 @@ def heat_action(op: SparseOperator, t: float, s):
     return certified_action(op, heat_function(t), s)
 
 
+def overflowing_operator(kind: str):
+    """A two-vertex operator and a time whose heat-kernel row from vertex 0
+    leaves the float64 range at recurrence step 2, with no warning before it.
+
+    The mass 1/s makes the input s, and a spectral bound 100 times below the
+    true one makes the mapped matrix ``100 * stiffness - I``.  ``"inf"``: an
+    edge of weight 1, and the block is (-inf, +inf), whose sum is NaN.
+    ``"overflow"``: an off-diagonal entry of +1, and the block is finite,
+    about (-1.19e308, -1.19e308), but its sum overflows.
+    """
+    s, off = {"inf": (1e304, -1.0), "overflow": (3e303, 1.0)}[kind]
+    stiffness = sp.csr_matrix(np.array([[1.0, off], [off, 1.0]]))
+    op = SparseOperator(stiffness, np.full(2, 1.0 / s), _lambda_max=0.02 * s)
+    return op, 1.0 / op.lambda_max
+
+
 def rotated_frames(frames: FrameField, angles) -> FrameField:
     """``frames`` with each tangent basis rotated about its normal by ``angles``."""
     phi = np.asarray(angles, dtype=np.float64).reshape(-1, 1)

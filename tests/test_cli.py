@@ -22,6 +22,8 @@ from mahf.laplacian import cotan_operator, gaussian_knn_operator
 from mahf.spectral import HeatParams, heat_kernel_row
 from mahf.synthetic import flat_grid, icosphere
 
+from conftest import overflowing_operator
+
 
 @pytest.fixture
 def grid_inputs(tmp_path):
@@ -486,3 +488,41 @@ def test_cli_import_does_not_load_scipy_spatial():
     code = ("import sys, mahf.cli; sys.exit('scipy.spatial' in sys.modules "
             "or 'scipy.sparse.csgraph' in sys.modules)")
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_mesh_commands_load_neither_scipy_linalg_nor_scipy_spatial(tmp_path):
+    # the recurrence needs no BLAS wrapper and a mesh no kNN tree, so no mesh
+    # command, run to the end, loads either package
+    mesh = icosphere(1, 20.0)
+    mesh_path = tmp_path / "ico.off"
+    write_mesh(mesh_path, mesh)
+    signal = tmp_path / "s.csv"
+    signal.write_text("".join(f"{v:g}\n" for v in mesh.vertices[:, 0]))
+    commands = [
+        ["filter", "--signal", str(signal), "--t", "5", "--out", str(tmp_path / "f.ply")],
+        ["normal-variation", "--baseline", "mhw", "--t", "5", "--out", str(tmp_path / "m.ply")],
+        ["kernel", "--vertex", "3", "--t", "5", "--out", str(tmp_path / "k.ply")],
+    ]
+    code = ("import json, sys\n"
+            "from mahf.cli import main\n"
+            f"codes = [main(argv + ['--mesh', {str(mesh_path)!r}]) for argv in {commands!r}]\n"
+            "print(json.dumps([codes, sorted(m for m in ('scipy.linalg', 'scipy.spatial')"
+            " if m in sys.modules)]))\n")
+    src = str(Path(mahf.filters.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True)
+    assert json.loads(run.stdout) == [[0, 0, 0], []]
+
+
+@pytest.mark.parametrize("kind", ["inf", "overflow"])
+def test_nonfinite_block_exits_1_under_warnings_as_errors(tmp_path, monkeypatch, capsys, kind):
+    op, t = overflowing_operator(kind)
+    path = tmp_path / "pair.off"
+    write_mesh(path, Mesh(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]), np.zeros((0, 3))))
+    monkeypatch.setattr(mahf.cli, "_build_operator",
+                        lambda args, mesh, graphs=None: (op, "gaussian-knn"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["kernel", "--mesh", str(path), "--vertex", "0", "--t", repr(t),
+                     "--out", str(tmp_path / "k.ply")]) == 1
+    assert "non-finite Chebyshev intermediate at iteration 2" in capsys.readouterr().err

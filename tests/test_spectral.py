@@ -16,7 +16,7 @@ from mahf.spectral import (CHEB_TOL, HeatParams, certified_order, chebyshev_appl
 from mahf.synthetic import icosphere
 
 from conftest import (SPHERE_RADIUS, DenseOracle, certified_action, dense_heat_oracle,
-                      heat_action, within_steps)
+                      heat_action, overflowing_operator, within_steps)
 
 
 @pytest.fixture(scope="module")
@@ -142,6 +142,18 @@ def test_chebyshev_rejects_nonfinite_block(grid20_op):
     with pytest.raises(NumericalError,
                        match="non-finite Chebyshev intermediate at iteration 2"):
         chebyshev_apply(grid20_op, [heat_function(5.0)], x, 10)
+
+
+@pytest.mark.parametrize("kind", ["inf", "overflow"])
+def test_nonfinite_block_raises_numerical_error_under_warnings_as_errors(kind):
+    # numpy warns on the check's sum of a block holding +inf and -inf, and on
+    # a finite block whose sum overflows; neither warning may replace the error
+    op, t = overflowing_operator(kind)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError,
+                           match="non-finite Chebyshev intermediate at iteration 2"):
+            heat_kernel_row(op, HeatParams(t), 0)
 
 
 def reference_chebyshev(op, fns, x, order):
@@ -288,6 +300,22 @@ def test_csr_matvecs_row_slice_accumulates_in_place():
     expected = np.ones((3, 2))
     expected[1:] += (a @ x)[1:]
     assert np.array_equal(y, expected)
+
+
+def test_accumulate_matches_numpy_axpy_on_a_block_prefix():
+    rng = np.random.default_rng(17)
+    block = rng.standard_normal((40, 7))
+    acc = rng.standard_normal((40, 7))
+    expected = acc.copy()
+    expected[:23] += -0.37 * block[:23]
+    spectral._accumulate(acc[:23], -0.37, block[:23].reshape(-1))
+    # bit for bit, and nothing written past the prefix
+    assert np.array_equal(acc, expected)
+    for y, x in [(acc[:22], block[:23]), (acc[:23], block[:22]),
+                 (acc[:, :3], block[:, :3].copy()), (acc[:23], block[:23].astype(np.float32))]:
+        with pytest.raises(ValueError, match="C-contiguous float64 arrays of one size"):
+            spectral._accumulate(y, 1.0, x)
+    assert np.array_equal(acc, expected)
 
 
 def test_chebyshev_function_sequence_matches_separate_calls(ico642_op):
