@@ -174,11 +174,17 @@ def _suffixed(out: Path, tag: str) -> Path:
     return out.with_name(f"{out.stem}{tag}{out.suffix}")
 
 
+def _output_path(raw: str) -> Path:
+    """``--out`` as a path, checked for a .ply or .csv suffix before any work."""
+    out = Path(raw)
+    if out.suffix.lower() not in (".ply", ".csv"):
+        raise ValueError(f"output must be .ply or .csv, got {out.suffix!r}")
+    return out
+
+
 def _write_field(path: Path, mesh, field: VertexSignal):
-    fmt = path.suffix.lower().lstrip(".")
-    if fmt not in ("ply", "csv"):
-        raise ValueError(f"output must be .ply or .csv, got {path.suffix!r}")
-    write_response(path, mesh, field, fmt=fmt)
+    """Write ``field`` in the format of the suffix :func:`_output_path` checked."""
+    write_response(path, mesh, field, fmt=path.suffix.lower().lstrip("."))
 
 
 def _write_manifest(out: Path, command: str, parameters: dict, outputs: list[Path]):
@@ -212,6 +218,7 @@ def _filter_specs(args, ts_eff):
 
 
 def cmd_filter(args) -> int:
+    out = _output_path(args.out)
     mesh = _load_mesh(args)
     sources = [args.signal is not None, args.signal_property is not None, args.luminance]
     if sum(sources) != 1:
@@ -233,7 +240,6 @@ def cmd_filter(args) -> int:
     frames, _ = _frames_for(args, mesh, graphs)
     ts_raw, ts_eff = _effective_ts(args, op)
     responses = apply_filter(op, frames, mesh.vertices, _filter_specs(args, ts_eff), signal)
-    out = Path(args.out)
     outputs = []
     for t_raw, response in zip(ts_raw, responses):
         values = {"r2": response.r2, "real": response.r_real,
@@ -250,6 +256,7 @@ def cmd_filter(args) -> int:
 
 
 def cmd_normal_variation(args) -> int:
+    out = _output_path(args.out)
     mesh = _load_mesh(args)
     graphs = _knn_cache(mesh)
     op, kind = _build_operator(args, mesh, graphs)
@@ -263,7 +270,6 @@ def cmd_normal_variation(args) -> int:
     else:
         fields = normal_variation(mesh, op, build_frames(normals),
                                   _filter_specs(args, ts_eff))
-    out = Path(args.out)
     outputs = []
     for t_raw, field in zip(ts_raw, fields):
         path = _suffixed(out, f"_k{args.k}_t{t_raw:g}") if len(ts_raw) > 1 else out
@@ -281,21 +287,19 @@ def _load_field(path_str: str, property_name: str) -> VertexSignal:
 
 
 def cmd_fuse(args) -> int:
+    out = _output_path(args.out)
     a = _load_field(args.a, args.a_property)
     b = _load_field(args.b, args.b_property)
     if len(a) != len(b):
         raise SignalFormatError(f"field lengths differ: {len(a)} vs {len(b)}")
     fused = fuse(a, b, args.beta)
-    out = Path(args.out)
     if out.suffix.lower() == ".ply":
         if args.mesh is None:
             raise ValueError("PLY output requires --mesh")
         mesh = _load_mesh(args)
         _write_field(out, mesh, fused)
-    elif out.suffix.lower() == ".csv":
-        write_signal_csv(out, fused)
     else:
-        raise ValueError(f"output must be .ply or .csv, got {out.suffix!r}")
+        write_signal_csv(out, fused)
     _write_manifest(out, "fuse", {
         "a": str(args.a), "b": str(args.b),
         "a_property": args.a_property, "b_property": args.b_property,
@@ -305,13 +309,13 @@ def cmd_fuse(args) -> int:
 
 
 def cmd_kernel(args) -> int:
+    out = _output_path(args.out)
     mesh = _load_mesh(args)
-    op, kind = _build_operator(args, mesh)
     if not 0 <= args.vertex < mesh.n_vertices:
         raise ValueError(f"vertex {args.vertex} out of range for "
                          f"{mesh.n_vertices} vertices")
+    op, kind = _build_operator(args, mesh)
     ts_raw, ts_eff = _effective_ts(args, op)
-    out = Path(args.out)
     outputs = []
     rows = heat_kernel_row(op, [HeatParams(t, args.support_threshold) for t in ts_eff],
                            args.vertex)

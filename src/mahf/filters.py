@@ -34,8 +34,7 @@ from .errors import MahfError, NumericalError
 from .geometry import FrameField, effective_normals
 from .io_mesh import Mesh, VertexSignal, signal_values
 from .laplacian import SparseOperator, breadth_first
-from .spectral import (HeatParams, _truncated_coefficients, chebyshev_apply, heat_function,
-                       shared_order, threshold_row)
+from .spectral import HeatParams, chebyshev_apply, heat_function, shared_order, threshold_row
 
 _DEGENERATE_RTOL = 1e-9
 _CHUNK = 256
@@ -254,8 +253,9 @@ def _response_block(op: SparseOperator, frames: FrameField, positions: np.ndarra
     whichever process takes it, so the responses do not depend on the
     number of workers.  A child's exception is raised here once every child
     is reaped; if the pass itself fails, its children are killed first.
-    The coefficients of the pass's functions are derived before the fork,
-    so that each is derived once per pass, not once per process.
+    :func:`~mahf.spectral.shared_order` derives the expansions of the
+    pass's functions before the fork, so that each is derived once per
+    pass, not once per process.
 
     Memory: with ``n_t`` distinct times a chunk is
     ``w = 2 _CHUNK / (max(n_t, 3) + 1)`` columns wide, 128 at the default
@@ -292,9 +292,6 @@ def _response_block(op: SparseOperator, frames: FrameField, positions: np.ndarra
     width = max(1, 2 * _CHUNK // (max(len(fns), 3) + 1))
     step = -(-width // _SLICES)
     chunks = list(_chunks(op, width))
-    # derived before the fork, so that no worker derives them again
-    for fn in fns:
-        _truncated_coefficients(fn, op.lambda_max, order)
     # every worker writes its centres' rows in place, so the responses live
     # in one mapping shared across the fork
     shared = np.frombuffer(mmap.mmap(-1, 16 * len(specs) * signals.size), dtype=np.float64)

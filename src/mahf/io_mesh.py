@@ -173,7 +173,21 @@ def _fan_triangulate(indices, triangulate, path):
     return [(indices[0], indices[i], indices[i + 1]) for i in range(1, len(indices) - 1)]
 
 
-def _parse_off(path: Path, triangulate: bool) -> Mesh:
+def _face_records(rows, triangulate, path):
+    """Triangles of the ``n i0 ... i(n-1)`` face records of OFF and PLY."""
+    faces = []
+    for row in rows:
+        try:
+            vals = [int(t) for t in row.split()]
+        except ValueError:
+            raise MeshFormatError(f"{path}: non-numeric token in face record") from None
+        if not vals or len(vals) != vals[0] + 1:
+            raise MeshFormatError(f"{path}: face record arity mismatch")
+        faces.extend(_fan_triangulate(vals[1:], triangulate, path))
+    return faces
+
+
+def _parse_off(path: Path, triangulate: bool) -> dict:
     lines = _meaningful_lines(path.read_text())
     if not lines:
         raise MeshFormatError(f"{path}: empty file")
@@ -211,27 +225,14 @@ def _parse_off(path: Path, triangulate: bool) -> Mesh:
     if has_colors and len(colors) not in (0, nv):
         raise MeshFormatError(f"{path}: COFF vertex records missing color columns")
 
-    faces = []
-    for line in body[nv:]:
-        toks = line.split()
-        try:
-            row = [int(t) for t in toks]
-        except ValueError:
-            raise MeshFormatError(f"{path}: non-numeric token in face record") from None
-        if not row or len(row) != row[0] + 1:
-            raise MeshFormatError(f"{path}: face record arity mismatch")
-        faces.extend(_fan_triangulate(row[1:], triangulate, path))
-
-    kw = {}
+    fields = {"vertices": np.asarray(verts, dtype=np.float64).reshape(-1, 3),
+              "faces": _face_records(body[nv:], triangulate, path)}
     if colors:
-        kw["colors"] = _scale_colors(np.asarray(colors))
-    try:
-        return Mesh(np.asarray(verts, dtype=np.float64).reshape(-1, 3), faces, **kw)
-    except ValueError as exc:
-        raise MeshFormatError(f"{path}: {exc}") from None
+        fields["colors"] = _scale_colors(np.asarray(colors))
+    return fields
 
 
-def _parse_obj(path: Path, triangulate: bool) -> Mesh:
+def _parse_obj(path: Path, triangulate: bool) -> dict:
     verts, colors, vns = [], [], []
     corners: list[tuple[int, int | None]] = []
     face_arity: list[int] = []
@@ -283,17 +284,14 @@ def _parse_obj(path: Path, triangulate: bool) -> Mesh:
                 normals_match = False
         faces.extend(_fan_triangulate([c[0] for c in group], triangulate, path))
 
-    kw = {}
+    fields = {"vertices": np.asarray(verts, dtype=np.float64).reshape(-1, 3), "faces": faces}
     if colors:
         if len(colors) != len(verts):
             raise MeshFormatError(f"{path}: only some vertex records carry colors")
-        kw["colors"] = _scale_colors(np.asarray(colors))
+        fields["colors"] = _scale_colors(np.asarray(colors))
     if normals_match:
-        kw["normals"] = _unit_normals(np.asarray(vns, dtype=np.float64), path)
-    try:
-        return Mesh(np.asarray(verts, dtype=np.float64).reshape(-1, 3), faces, **kw)
-    except ValueError as exc:
-        raise MeshFormatError(f"{path}: {exc}") from None
+        fields["normals"] = _unit_normals(np.asarray(vns, dtype=np.float64), path)
+    return fields
 
 
 def _read_ply(path: Path, triangulate: bool):
@@ -379,14 +377,7 @@ def _read_ply(path: Path, triangulate: bool):
                 raise MeshFormatError(f"{path}: face count mismatch "
                                       f"(declared {count}, found {len(rows)})")
             cursor += count
-            for row in rows:
-                try:
-                    vals = [int(t) for t in row.split()]
-                except ValueError:
-                    raise MeshFormatError(f"{path}: non-numeric token in face record") from None
-                if not vals or len(vals) != vals[0] + 1:
-                    raise MeshFormatError(f"{path}: face record arity mismatch")
-                faces.extend(_fan_triangulate(vals[1:], triangulate, path))
+            faces.extend(_face_records(rows, triangulate, path))
         else:
             # unknown scalar-only elements are skipped row-by-row
             cursor += count
@@ -395,28 +386,26 @@ def _read_ply(path: Path, triangulate: bool):
     return columns, faces, int_typed
 
 
-def _mesh_from_ply(path: Path, triangulate: bool) -> Mesh:
+def _parse_ply(path: Path, triangulate: bool) -> dict:
     columns, faces, int_typed = _read_ply(path, triangulate)
     for axis in ("x", "y", "z"):
         if axis not in columns:
             raise MeshFormatError(f"{path}: vertex element lacks '{axis}' property")
-    verts = np.column_stack([columns["x"], columns["y"], columns["z"]])
-    kw = {}
+    fields = {"vertices": np.column_stack([columns["x"], columns["y"], columns["z"]]),
+              "faces": faces}
     if all(c in columns for c in ("red", "green", "blue")):
         rgb = np.column_stack([columns["red"], columns["green"], columns["blue"]])
         if {"red", "green", "blue"} & int_typed:
             rgb = rgb / 255.0
-        kw["colors"] = rgb
+        fields["colors"] = rgb
     if all(c in columns for c in ("nx", "ny", "nz")):
-        kw["normals"] = _unit_normals(
+        fields["normals"] = _unit_normals(
             np.column_stack([columns["nx"], columns["ny"], columns["nz"]]), path)
-    try:
-        return Mesh(verts, faces, **kw)
-    except ValueError as exc:
-        raise MeshFormatError(f"{path}: {exc}") from None
+    return fields
 
 
-_PARSERS = {"off": _parse_off, "obj": _parse_obj, "ply": _mesh_from_ply}
+# each returns the keyword arguments of the file's Mesh
+_PARSERS = {"off": _parse_off, "obj": _parse_obj, "ply": _parse_ply}
 
 
 def detect_format(path: str | Path) -> str:
@@ -440,7 +429,11 @@ def parse_mesh(path: str | Path, fmt: str | None = None, triangulate: bool = Fal
         parser = _PARSERS[fmt.lower()]
     except KeyError:
         raise MeshFormatError(f"unsupported mesh format {fmt!r}") from None
-    return parser(path, triangulate)
+    fields = parser(path, triangulate)
+    try:
+        return Mesh(**fields)
+    except ValueError as exc:
+        raise MeshFormatError(f"{path}: {exc}") from None
 
 
 def parse_signal(path: str | Path, *, property_name: str = "quality",

@@ -38,10 +38,9 @@ _REFERENCE_NODES = (64, 8192)
 # the ends of the interval alone loses up to ~1e-11 at thousands of terms.
 _PROBES = np.append(2.0 ** -np.arange(64), 0.0)
 _PROBE_TOL = 1e-6
-# Certified orders kept per (function, interval) and coefficients per
-# (function, interval, order): a pass calls the engine once per chunk with the
-# same functions, so each is derived once per pass.  Functions are keyed by
-# identity, so the entries of earlier passes only age out.
+# Certified expansions kept per (function, interval): a pass calls the engine
+# once per chunk with the same functions, so each is derived once per pass.
+# Functions are keyed by identity, so the entries of earlier passes only age out.
 _MEMO_SIZE = 64
 # Index arrays of the 1 x 1 CSC matrix of _accumulate; int64, since with int32
 # ones scipy's kernel takes no block of more than 2**31 - 1 entries
@@ -53,7 +52,7 @@ _ROW_ZERO = np.array([0], dtype=np.int64)
 class HeatParams:
     """Diffusion time and kernel support cutoff.
 
-    Every expansion runs at its certified order (see :func:`certified_order`).
+    Every expansion runs at its certified order (see :func:`certified_expansion`).
     """
 
     t: float
@@ -86,56 +85,57 @@ def _quadrature(values: np.ndarray) -> np.ndarray:
     return (np.exp(-0.5j * np.pi * np.arange(n) / n) * spectrum).real / n
 
 
-def chebyshev_coefficients(fn, b: float, order: int) -> np.ndarray:
-    """Chebyshev expansion coefficients of ``fn`` on [0, b].
-
-    Computed by Chebyshev-Gauss quadrature with ``order + 1`` nodes, which is
-    exact for the truncated expansion.  The leading coefficient is returned
-    un-halved; evaluation applies the conventional factor 1/2.
-    """
-    return _quadrature(fn(_chebyshev_nodes(b, order)))
-
-
 @lru_cache(maxsize=_MEMO_SIZE)
-def certified_order(fn, b: float) -> int:
-    """Smallest order (at least 1) whose relative coefficient tail
-    ``sum_{j>m} |c_j| / max|fn|`` is at most :data:`CHEB_TOL` for ``fn`` on
-    [0, b]; derived once per function and interval.
+def certified_expansion(fn, b: float) -> np.ndarray:
+    """Chebyshev coefficients of ``fn`` on [0, b] at its certified order:
+    the smallest order m (at least 1) whose relative coefficient tail
+    ``sum_{j>m} |c_j| / max|fn|`` is at most :data:`CHEB_TOL`.  Derived once
+    per function and interval, and returned read-only.
 
-    The coefficients come from a reference expansion whose node count
-    doubles until the certified order lies in its first half and the
-    truncation there matches ``fn`` at the probe points.  The reference then
-    resolves the decay of the coefficients, which for the entire functions
-    used here falls faster than geometrically past that order (Trefethen,
+    The ``m + 1`` coefficients come from Chebyshev-Gauss quadrature with
+    ``m + 1`` nodes, which is exact for the truncated expansion.  The leading
+    coefficient is returned un-halved; evaluation applies the conventional
+    factor 1/2.
+
+    The order comes from a reference expansion whose node count doubles
+    until the certified order lies in its first half and the truncation
+    there matches ``fn`` at the probe points.  The reference then resolves
+    the decay of the coefficients, which for the entire functions used here
+    falls faster than geometrically past that order (Trefethen,
     *Approximation Theory and Approximation Practice*, ch. 8), so the terms
     past the reference add nothing at this tolerance.  The tail bounds the
     uniform error of the order-m truncation on [0, b].  Raises
     :class:`NumericalError` when even the largest reference does not
     resolve ``fn``.
     """
-    if b <= 0:
-        return 1
-    probes = b * _PROBES
-    at_probes = fn(probes)
-    nodes, most = _REFERENCE_NODES
-    while nodes <= most:
-        values = fn(_chebyshev_nodes(b, nodes - 1))
-        scale = max(np.abs(values).max(), np.abs(at_probes).max())
-        if scale == 0:
-            return 1
-        c = _quadrature(values)
-        c[0] *= 0.5
-        tails = np.append(np.cumsum(np.abs(c[:0:-1]))[::-1], 0.0) / scale
-        m = int(np.argmax(tails <= CHEB_TOL))
-        if m < nodes // 2:
-            truncated = npcheb.chebval(2.0 * probes / b - 1.0, c[:m + 1])
-            if np.abs(truncated - at_probes).max() <= _PROBE_TOL * scale:
-                return max(1, m)
-        nodes *= 2
-    raise NumericalError(
-        f"Chebyshev expansion on [0, {b:g}] needs more than {most // 2} terms "
-        f"for a coefficient tail of {CHEB_TOL:g}; the scale t is too large "
-        "for this operator")
+    order = 1
+    if b > 0:
+        probes = b * _PROBES
+        at_probes = fn(probes)
+        nodes, most = _REFERENCE_NODES
+        while nodes <= most:
+            values = fn(_chebyshev_nodes(b, nodes - 1))
+            scale = max(np.abs(values).max(), np.abs(at_probes).max())
+            if scale == 0:
+                break
+            c = _quadrature(values)
+            c[0] *= 0.5
+            tails = np.append(np.cumsum(np.abs(c[:0:-1]))[::-1], 0.0) / scale
+            m = int(np.argmax(tails <= CHEB_TOL))
+            if m < nodes // 2:
+                truncated = npcheb.chebval(2.0 * probes / b - 1.0, c[:m + 1])
+                if np.abs(truncated - at_probes).max() <= _PROBE_TOL * scale:
+                    order = max(1, m)
+                    break
+            nodes *= 2
+        else:
+            raise NumericalError(
+                f"Chebyshev expansion on [0, {b:g}] needs more than {most // 2} terms "
+                f"for a coefficient tail of {CHEB_TOL:g}; the scale t is too large "
+                "for this operator")
+    coeffs = _quadrature(fn(_chebyshev_nodes(b, order)))
+    coeffs.flags.writeable = False
+    return coeffs
 
 
 def heat_function(t: float):
@@ -169,19 +169,7 @@ def shared_order(op: SparseOperator, fns) -> int:
     fns = list(fns)
     if not fns:
         raise ValueError("a fused Chebyshev pass needs at least one function")
-    return max(certified_order(fn, op.lambda_max) for fn in fns)
-
-
-@lru_cache(maxsize=_MEMO_SIZE)
-def _truncated_coefficients(fn, b: float, order: int) -> np.ndarray:
-    """Coefficients of ``fn`` at its certified order (at most ``order``),
-    zero-padded to ``order + 1`` terms; derived once per ``(fn, b, order)``
-    and returned read-only."""
-    m = min(order, certified_order(fn, b))
-    c = np.zeros(order + 1)
-    c[:m + 1] = chebyshev_coefficients(fn, b, m)
-    c.flags.writeable = False
-    return c
+    return max(len(certified_expansion(fn, op.lambda_max)) - 1 for fn in fns)
 
 
 def _accumulate(y: np.ndarray, c: float, x: np.ndarray) -> None:
@@ -219,9 +207,9 @@ def chebyshev_apply(op: SparseOperator, fns, x: np.ndarray, order: int, *, out=N
     ``order`` steps of the three-term recurrence on the mapped CSR, built
     once per call.  The blocks ``T_j`` do not depend on the function, only
     the coefficients do, so one recurrence fills the outputs of every
-    function.  Each function keeps only the terms up to its own certified
-    order (at most ``order``), so its output does not depend on the other
-    functions of the pass.
+    function.  Each function keeps the terms of its certified expansion up
+    to ``order`` and skips the steps past its end, so its output does not
+    depend on the other functions of the pass.
 
     ``T_j`` is non-zero only on rows within ``j`` steps of the non-zero rows
     of ``x``.  The recurrence runs on a prefix of the rows that holds them,
@@ -264,7 +252,7 @@ def chebyshev_apply(op: SparseOperator, fns, x: np.ndarray, order: int, *, out=N
         for f, o in zip(fns, outs):
             np.multiply(x, float(f(np.zeros(1))[0]), out=o)
         return outs
-    coeffs = [_truncated_coefficients(f, b, order) for f in fns]
+    coeffs = [certified_expansion(f, b)[:order + 1] for f in fns]
     a = _mapped(op, b)
     ends = _reach_ends(a)
     n = op.n
@@ -297,7 +285,7 @@ def chebyshev_apply(op: SparseOperator, fns, x: np.ndarray, order: int, *, out=N
                 raise NumericalError(f"non-finite Chebyshev intermediate at iteration {jj}")
         sigma = 1.0 if jj % 4 < 2 else -1.0
         for acc, c in zip(accs, coeffs):
-            if c[jj]:
+            if jj < len(c) and c[jj]:
                 _accumulate(acc[:hi], sigma * c[jj], active)
         newer, older = older, newer
     return outs

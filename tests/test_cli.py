@@ -218,11 +218,42 @@ def test_kernel_certified_order_at_large_time(tmp_path, grid_inputs):
     assert "order" not in parameters
 
 
-def test_kernel_vertex_out_of_range(tmp_path, grid_inputs):
-    _, mesh_path, _ = grid_inputs
+def refuse_calls(monkeypatch, *names):
+    """Make each named library entry point of the CLI fail if it is called."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the CLI did work before it checked its input")
+
+    for name in names:
+        monkeypatch.setattr(mahf.cli, name, refuse)
+
+
+def test_kernel_vertex_out_of_range(tmp_path, grid_inputs, capsys, monkeypatch):
+    # checked right after the mesh is parsed, before the operator is assembled
+    mesh, mesh_path, _ = grid_inputs
+    refuse_calls(monkeypatch, "cotan_operator", "gaussian_knn_operator", "heat_kernel_row")
     code = main(["kernel", "--mesh", str(mesh_path), "--vertex", "100000",
                  "--t", "5", "--out", str(tmp_path / "r.csv")])
     assert code == 2
+    assert capsys.readouterr().err == \
+        f"error: vertex 100000 out of range for {mesh.n_vertices} vertices\n"
+    assert not list(tmp_path.glob("r*"))
+
+
+@pytest.mark.parametrize("command", ["filter", "normal-variation", "kernel", "fuse"])
+def test_output_suffix_checked_before_any_work(tmp_path, grid_inputs, capsys, monkeypatch,
+                                               command):
+    _, mesh_path, signal_path = grid_inputs
+    refuse_calls(monkeypatch, "parse_mesh", "parse_signal", "cotan_operator",
+                 "gaussian_knn_operator", "apply_filter", "normal_variation",
+                 "mhw_normal_variation", "heat_kernel_row")
+    mesh, signal = ["--mesh", str(mesh_path)], str(signal_path)
+    argv = {"filter": ["filter", *mesh, "--signal", signal, "--t", "5"],
+            "normal-variation": ["normal-variation", *mesh, "--t", "5"],
+            "kernel": ["kernel", *mesh, "--vertex", "0", "--t", "5"],
+            "fuse": ["fuse", "--a", signal, "--b", signal, "--beta", "0.5"]}[command]
+    assert main(argv + ["--out", str(tmp_path / "r.txt")]) == 2
+    assert capsys.readouterr().err == "error: output must be .ply or .csv, got '.txt'\n"
+    assert not list(tmp_path.glob("r*"))
 
 
 def test_kernel_infinite_time_exits_2(tmp_path, grid_inputs, capsys):

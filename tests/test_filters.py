@@ -465,12 +465,12 @@ def test_chunk_width_shrinks_with_scale_count(monkeypatch, grid20, grid20_op,
 
 def test_coefficients_derived_once_per_pass(monkeypatch, tmp_path, grid20, grid20_op,
                                             grid20_frames):
-    # each scale's order is certified and its coefficients derived once per
-    # pass, however many chunks call the engine: each memo miss is one call
-    # of the unmemoized function.  The pass derives them before it forks, so
-    # its workers find them memoized: every quadrature, logged to a file that
-    # a worker's would reach too, runs in the pass's own process
-    memos = (spectral.certified_order, spectral._truncated_coefficients)
+    # each scale's certified expansion is derived once per pass, however
+    # many chunks call the engine: each memo miss is one derivation.  The
+    # pass derives them before it forks, so its workers find them memoized:
+    # every quadrature, logged to a file that a worker's would reach too,
+    # runs in the pass's own process
+    memo = spectral.certified_expansion
     log = tmp_path / "quadratures.log"
     quadrature, fork = spectral._quadrature, os.fork
     forks = []
@@ -494,11 +494,11 @@ def test_coefficients_derived_once_per_pass(monkeypatch, tmp_path, grid20, grid2
         counts = []
         for chunk in (16, 512):
             monkeypatch.setattr(filters, "_CHUNK", chunk)
-            before = [memo.cache_info().misses for memo in memos]
+            before = memo.cache_info().misses
             multiscale_apply(grid20_op, grid20_frames, grid20.vertices, 1, [5.0, 10.0, 20.0],
                              s)
-            counts.append([memo.cache_info().misses - b for memo, b in zip(memos, before)])
-        assert counts == [[3, 3], [3, 3]]
+            counts.append(memo.cache_info().misses - before)
+        assert counts == [3, 3]
         assert len(forks) == 2 * (workers - 1)
         assert set(log.read_text().split()) == {str(os.getpid())}
 

@@ -57,6 +57,24 @@ def test_parse_off_polygon_requires_flag(tmp_path):
     assert mesh.n_faces == 2
 
 
+@pytest.mark.parametrize("fmt", ["off", "ply"])
+@pytest.mark.parametrize("record, message", [("3 0 1 x", "non-numeric token in face record"),
+                                             ("4 0 1 2", "face record arity mismatch"),
+                                             ("4 0 1 2 3", "non-triangle face with 4 sides")])
+def test_face_record_errors(tmp_path, fmt, record, message):
+    # OFF and PLY share the "n i0 ... i(n-1)" face record and its errors
+    vertices = ["0 0 0", "1 0 0", "1 1 0", "0 1 0"]
+    if fmt == "off":
+        text = "OFF\n4 1 0\n" + "".join(f"{v}\n" for v in vertices) + f"{record}\n"
+    else:
+        text = ("ply\nformat ascii 1.0\nelement vertex 4\n"
+                "property float x\nproperty float y\nproperty float z\n"
+                "element face 1\nproperty list uchar int vertex_indices\nend_header\n"
+                + "".join(f"{v}\n" for v in vertices) + f"{record}\n")
+    with pytest.raises(MeshFormatError, match=message):
+        parse_mesh(_write(tmp_path, f"face.{fmt}", text))
+
+
 def test_parse_off_non_numeric(tmp_path):
     p = _write(tmp_path, "nan.off", "OFF\n3 1 0\n0 0 zero\n1 0 0\n0 1 0\n3 0 1 2\n")
     with pytest.raises(MeshFormatError, match="non-numeric"):

@@ -10,9 +10,8 @@ from scipy.sparse.linalg import expm_multiply
 import mahf.spectral as spectral
 from mahf.errors import NumericalError
 from mahf.laplacian import SparseOperator, breadth_first, cotan_operator
-from mahf.spectral import (CHEB_TOL, HeatParams, certified_order, chebyshev_apply,
-                           chebyshev_coefficients, heat_function, heat_kernel_row,
-                           shared_order, threshold_row, _truncated_coefficients)
+from mahf.spectral import (CHEB_TOL, HeatParams, certified_expansion, chebyshev_apply,
+                           heat_function, heat_kernel_row, shared_order, threshold_row)
 from mahf.synthetic import icosphere
 
 from conftest import (SPHERE_RADIUS, DenseOracle, certified_action, dense_heat_oracle,
@@ -157,10 +156,17 @@ def test_nonfinite_block_raises_numerical_error_under_warnings_as_errors(kind):
 
 
 def reference_chebyshev(op, fns, x, order):
-    """Plain three-term recurrence on the mapped operator in vertex order."""
+    """Plain three-term recurrence on the mapped operator in vertex order,
+    with each function's certified expansion cut or zero-padded to
+    ``order + 1`` terms."""
     b = op.lambda_max
     a = sp.diags(2.0 / (b * op.mass)) @ op.stiffness - sp.identity(op.n)
-    coeffs = [_truncated_coefficients(fn, b, order) for fn in fns]
+    coeffs = []
+    for fn in fns:
+        c = np.zeros(order + 1)
+        expansion = certified_expansion(fn, b)[:order + 1]
+        c[:len(expansion)] = expansion
+        coeffs.append(c)
     t_prev, t_cur = x, a @ x
     outs = [0.5 * c[0] * x + c[1] * t_cur for c in coeffs]
     for j in range(2, order + 1):
@@ -193,11 +199,14 @@ def test_chebyshev_matches_reference_recurrence(request, which):
     indicators[centres, np.arange(5)] = 1.0 / op.mass[centres]
     fns = [heat_function(5.0), heat_function(20.0), lambda x: x * np.exp(-10.0 * x)]
     order = shared_order(op, fns)
-    for x in (rng.standard_normal(op.n), indicators, rng.standard_normal((op.n, 4))):
-        for got, ref in zip(chebyshev_apply(op, fns, x, order),
-                            reference_chebyshev(op, fns, x, order)):
-            assert got.shape == x.shape
-            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+    # an order below every certified one truncates each certified series
+    assert order // 2 < min(len(certified_expansion(fn, op.lambda_max)) - 1 for fn in fns)
+    for steps in (order, order // 2):
+        for x in (rng.standard_normal(op.n), indicators, rng.standard_normal((op.n, 4))):
+            for got, ref in zip(chebyshev_apply(op, fns, x, steps),
+                                reference_chebyshev(op, fns, x, steps)):
+                assert got.shape == x.shape
+                assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
     # a degree-j polynomial carries the centres j levels: on their ball of
     # that depth the restricted operator gives the same columns, and the
     # full operator's are zero off it; depth 3 leaves vertices out, the
@@ -345,13 +354,14 @@ def test_chebyshev_default_order_fused_equals_single(ico642_op):
 # --- certified order ---
 
 def test_certified_order_rises_with_tb():
-    orders = [certified_order(heat_function(tb), 1.0) for tb in (0.0, 1.0, 10.0, 100.0, 1000.0)]
+    orders = [len(certified_expansion(heat_function(tb), 1.0)) - 1
+              for tb in (0.0, 1.0, 10.0, 100.0, 1000.0)]
     assert all(a < b for a, b in zip(orders, orders[1:]))
 
 
 def test_certified_order_at_t_zero():
     for b in (1e-3, 1.0, 250.0):
-        assert certified_order(heat_function(0.0), b) == 1
+        assert len(certified_expansion(heat_function(0.0), b)) == 2
 
 
 def test_certified_order_meets_tolerance():
@@ -360,8 +370,7 @@ def test_certified_order_meets_tolerance():
     for tb in (1.0, 10.0, 100.0, 1000.0):
         t = tb / b
         for fn in (heat_function(t), lambda x, t=t: x * np.exp(-t * x)):
-            m = certified_order(fn, b)
-            c = chebyshev_coefficients(fn, b, m)
+            c = certified_expansion(fn, b).copy()
             c[0] *= 0.5
             f = fn(x)
             err = np.abs(npcheb.chebval(2.0 * x / b - 1.0, c) - f).max()
@@ -370,18 +379,16 @@ def test_certified_order_meets_tolerance():
 
 def test_coefficients_are_memoized_read_only(ico162_op):
     fn, b = heat_function(5.0), ico162_op.lambda_max
-    coeffs = _truncated_coefficients(fn, b, 40)
-    assert _truncated_coefficients(fn, b, 40) is coeffs
+    coeffs = certified_expansion(fn, b)
+    assert certified_expansion(fn, b) is coeffs
     # every later pass reads this array, so none may write into it
     with pytest.raises(ValueError, match="read-only"):
         coeffs[0] = 1.0
-    # another order is its own entry
-    assert _truncated_coefficients(fn, b, 41).shape == (42,)
 
 
 def test_certified_order_bounded_search():
     with pytest.raises(NumericalError, match="too large"):
-        certified_order(heat_function(1e7), 1.0)
+        certified_expansion(heat_function(1e7), 1.0)
 
 
 def test_large_tb_default_order_matches_oracle(grid20_op):
