@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -43,10 +44,26 @@ def _add_operator_args(p):
                    help="gaussian width, or 'auto' for the mean k-th neighbor distance")
 
 
+def _float_in(lo: float, hi: float, requirement: str):
+    """An argparse type: a float in ``[lo, hi)``, so that a value out of range
+    is a usage error before any input is read."""
+    def parse(raw: str) -> float:
+        value = float(raw)
+        if not lo <= value < hi:
+            raise argparse.ArgumentTypeError(f"{requirement}, got {raw}")
+        return value
+    # argparse names the type in its message for a value that is no number
+    parse.__name__ = "float"
+    return parse
+
+
 def _add_heat_args(p):
-    p.add_argument("--t", dest="ts", action="append", type=float, required=True,
-                   metavar="T", help="diffusion time; repeat for a multiscale sweep")
-    p.add_argument("--support-threshold", type=float, default=1e-4,
+    p.add_argument("--t", dest="ts", action="append", required=True, metavar="T",
+                   type=_float_in(0, math.inf,
+                                  "diffusion time must be finite and nonnegative"),
+                   help="diffusion time; repeat for a multiscale sweep")
+    p.add_argument("--support-threshold", default=1e-4,
+                   type=_float_in(0, 1, "support threshold must lie in [0, 1)"),
                    help="relative kernel cutoff defining the localized support")
     p.add_argument("--area-normalize-t", action="store_true",
                    help="interpret t relative to a unit-area surface "
@@ -66,11 +83,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_operator_args(p)
     _add_heat_args(p)
     p.add_argument("--k", type=int, default=1, help="harmonic order")
-    p.add_argument("--signal", default=None, help="CSV file with one value per vertex")
-    p.add_argument("--signal-property", default=None,
-                   help="name of a per-vertex scalar property in the input PLY")
-    p.add_argument("--luminance", action="store_true",
-                   help="use the luminance of per-vertex colors as the signal")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--signal", default=None, help="CSV file with one value per vertex")
+    source.add_argument("--signal-property", default=None,
+                        help="name of a per-vertex scalar property in the input PLY")
+    source.add_argument("--luminance", action="store_true",
+                        help="use the luminance of per-vertex colors as the signal")
     p.add_argument("--luma-weights", type=float, nargs=3, default=list(REC601_WEIGHTS),
                    metavar=("R", "G", "B"), help="luminance conversion weights")
     p.add_argument("--field", choices=["r2", "real", "imag"], default="r2",
@@ -162,8 +180,6 @@ def _frames_for(args, mesh, graphs=None):
 
 def _effective_ts(args, op):
     ts = sorted(set(args.ts))
-    if any(t < 0 for t in ts):
-        raise ValueError("diffusion times must be nonnegative")
     if args.area_normalize_t:
         total = float(op.mass.sum())
         return ts, [t * total for t in ts]
@@ -182,11 +198,6 @@ def _output_path(raw: str) -> Path:
     return out
 
 
-def _write_field(path: Path, mesh, field: VertexSignal):
-    """Write ``field`` in the format of the suffix :func:`_output_path` checked."""
-    write_response(path, mesh, field, fmt=path.suffix.lower().lstrip("."))
-
-
 def _write_manifest(out: Path, command: str, parameters: dict, outputs: list[Path]):
     manifest = {
         "command": command,
@@ -198,8 +209,15 @@ def _write_manifest(out: Path, command: str, parameters: dict, outputs: list[Pat
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _common_parameters(args, kind, ts):
-    return {
+def _emit(command: str, args, out: Path, mesh, kind: str, ts: list[float],
+          fields: list[tuple[Path, VertexSignal]], **parameters):
+    """Write each ``(path, field)`` of ``fields`` through :func:`write_response`,
+    which takes the format from the suffix :func:`_output_path` checked, then
+    the manifest: the parameters every mesh command shares plus
+    ``parameters``."""
+    for path, field in fields:
+        write_response(path, mesh, field)
+    _write_manifest(out, command, {
         "mesh": str(args.mesh),
         "mesh_format": args.mesh_format,
         "triangulate": args.triangulate,
@@ -209,7 +227,9 @@ def _common_parameters(args, kind, ts):
         "t": ts,
         "support_threshold": args.support_threshold,
         "area_normalize_t": args.area_normalize_t,
-    }
+        "out": str(out),
+        **parameters,
+    }, [path for path, _ in fields])
 
 
 def _filter_specs(args, ts_eff):
@@ -220,10 +240,6 @@ def _filter_specs(args, ts_eff):
 def cmd_filter(args) -> int:
     out = _output_path(args.out)
     mesh = _load_mesh(args)
-    sources = [args.signal is not None, args.signal_property is not None, args.luminance]
-    if sum(sources) != 1:
-        raise ValueError("exactly one of --signal, --signal-property, --luminance "
-                         "must be given")
     if args.signal is not None:
         signal = parse_signal(args.signal, expected_length=mesh.n_vertices)
         source = {"signal": str(args.signal)}
@@ -240,18 +256,12 @@ def cmd_filter(args) -> int:
     frames, _ = _frames_for(args, mesh, graphs)
     ts_raw, ts_eff = _effective_ts(args, op)
     responses = apply_filter(op, frames, mesh.vertices, _filter_specs(args, ts_eff), signal)
-    outputs = []
-    for t_raw, response in zip(ts_raw, responses):
-        values = {"r2": response.r2, "real": response.r_real,
-                  "imag": response.r_imag}[args.field]
-        path = _suffixed(out, f"_k{args.k}_t{t_raw:g}")
-        _write_field(path, mesh, VertexSignal(values, name=args.field))
-        outputs.append(path)
-
-    parameters = _common_parameters(args, kind, ts_raw)
-    parameters.update(source)
-    parameters.update({"k": args.k, "field": args.field, "out": str(out)})
-    _write_manifest(out, "filter", parameters, outputs)
+    component = {"r2": "r2", "real": "r_real", "imag": "r_imag"}[args.field]
+    fields = [(_suffixed(out, f"_k{args.k}_t{t_raw:g}"),
+               VertexSignal(getattr(response, component), name=args.field))
+              for t_raw, response in zip(ts_raw, responses)]
+    _emit("filter", args, out, mesh, kind, ts_raw, fields,
+          k=args.k, field=args.field, **source)
     return 0
 
 
@@ -266,38 +276,26 @@ def cmd_normal_variation(args) -> int:
     ts_raw, ts_eff = _effective_ts(args, op)
     if args.baseline == "mhw":
         # the baseline is isotropic: it reads the normals, never frames
-        fields = mhw_normal_variation(mesh, op, [MhwSpec(t) for t in ts_eff])
+        results = mhw_normal_variation(mesh, op, [MhwSpec(t) for t in ts_eff])
     else:
-        fields = normal_variation(mesh, op, build_frames(normals),
-                                  _filter_specs(args, ts_eff))
-    outputs = []
-    for t_raw, field in zip(ts_raw, fields):
-        path = _suffixed(out, f"_k{args.k}_t{t_raw:g}") if len(ts_raw) > 1 else out
-        _write_field(path, mesh, field)
-        outputs.append(path)
-
-    parameters = _common_parameters(args, kind, ts_raw)
-    parameters.update({"k": args.k, "baseline": args.baseline, "out": str(out)})
-    _write_manifest(out, "normal-variation", parameters, outputs)
+        results = normal_variation(mesh, op, build_frames(normals),
+                                   _filter_specs(args, ts_eff))
+    fields = [(_suffixed(out, f"_k{args.k}_t{t_raw:g}") if len(ts_raw) > 1 else out, field)
+              for t_raw, field in zip(ts_raw, results)]
+    _emit("normal-variation", args, out, mesh, kind, ts_raw, fields,
+          k=args.k, baseline=args.baseline)
     return 0
-
-
-def _load_field(path_str: str, property_name: str) -> VertexSignal:
-    return parse_signal(path_str, property_name=property_name)
 
 
 def cmd_fuse(args) -> int:
     out = _output_path(args.out)
-    a = _load_field(args.a, args.a_property)
-    b = _load_field(args.b, args.b_property)
-    if len(a) != len(b):
-        raise SignalFormatError(f"field lengths differ: {len(a)} vs {len(b)}")
+    a = parse_signal(args.a, property_name=args.a_property)
+    b = parse_signal(args.b, property_name=args.b_property)
     fused = fuse(a, b, args.beta)
     if out.suffix.lower() == ".ply":
         if args.mesh is None:
             raise ValueError("PLY output requires --mesh")
-        mesh = _load_mesh(args)
-        _write_field(out, mesh, fused)
+        write_response(out, _load_mesh(args), fused)
     else:
         write_signal_csv(out, fused)
     _write_manifest(out, "fuse", {
@@ -316,17 +314,12 @@ def cmd_kernel(args) -> int:
                          f"{mesh.n_vertices} vertices")
     op, kind = _build_operator(args, mesh)
     ts_raw, ts_eff = _effective_ts(args, op)
-    outputs = []
     rows = heat_kernel_row(op, [HeatParams(t, args.support_threshold) for t in ts_eff],
                            args.vertex)
-    for t_raw, values in zip(ts_raw, rows):
-        path = _suffixed(out, f"_v{args.vertex}_t{t_raw:g}")
-        _write_field(path, mesh, VertexSignal(values, name="kernel"))
-        outputs.append(path)
-
-    parameters = _common_parameters(args, kind, ts_raw)
-    parameters.update({"vertex": args.vertex, "out": str(out)})
-    _write_manifest(out, "kernel", parameters, outputs)
+    fields = [(_suffixed(out, f"_v{args.vertex}_t{t_raw:g}"),
+               VertexSignal(values, name="kernel"))
+              for t_raw, values in zip(ts_raw, rows)]
+    _emit("kernel", args, out, mesh, kind, ts_raw, fields, vertex=args.vertex)
     return 0
 
 

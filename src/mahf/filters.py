@@ -68,10 +68,6 @@ class FilterResponse:
     r2: np.ndarray
     spec: FilterSpec
 
-    @classmethod
-    def from_components(cls, r_real, r_imag, spec) -> "FilterResponse":
-        return cls(r_real, r_imag, r_real ** 2 + r_imag ** 2, spec)
-
 
 def _unit_tangents(positions, frames: FrameField, centres, neighbours):
     """Direction of each neighbour seen from its centre, in the centre's tangent frame.
@@ -343,13 +339,21 @@ def _response_block(op: SparseOperator, frames: FrameField, positions: np.ndarra
             raise pickle.loads(payload)
         if code:
             raise MahfError(f"a filter worker process ended with exit code {code}")
-
-    for r_real, r_imag in responses:
-        bad = np.flatnonzero(~(np.isfinite(r_real).all(axis=1)
-                               & np.isfinite(r_imag).all(axis=1)))
-        if bad.size:
-            raise NumericalError(f"non-finite filter response at vertex {int(bad[0])}")
     return responses
+
+
+def _squared_modulus(r_real: np.ndarray, r_imag: np.ndarray) -> np.ndarray:
+    """Per vertex, ``r_real ** 2 + r_imag ** 2`` summed over the signals of
+    an (N, C) block pair of :func:`_response_block`.  A non-finite response,
+    which ``np.bincount`` sums make without a warning, or a square past the
+    float64 range raises :class:`NumericalError` naming the first such
+    vertex."""
+    with np.errstate(over="ignore"):
+        total = np.sum(r_real ** 2 + r_imag ** 2, axis=1)
+    bad = np.flatnonzero(~np.isfinite(total))
+    if bad.size:
+        raise NumericalError(f"non-finite squared filter response at vertex {int(bad[0])}")
+    return total
 
 
 def apply_filter(op: SparseOperator, frames: FrameField, positions,
@@ -368,7 +372,8 @@ def apply_filter(op: SparseOperator, frames: FrameField, positions,
     s : VertexSignal or (N,) array
         One value per vertex; any other shape raises ``ValueError``.  Must
         be finite; a NaN or infinity raises :class:`NumericalError` naming
-        the first such vertex.
+        the first such vertex, and so does a response or ``r2`` past the
+        float64 range.
     """
     specs = [spec] if isinstance(spec, FilterSpec) else list(spec)
     positions = np.asarray(positions, dtype=np.float64)
@@ -379,7 +384,8 @@ def apply_filter(op: SparseOperator, frames: FrameField, positions,
     if bad.size:
         raise NumericalError(f"non-finite signal value at vertex {int(bad[0])}")
     blocks = _response_block(op, frames, positions, specs, values.reshape(-1, 1))
-    responses = [FilterResponse.from_components(r_real[:, 0], r_imag[:, 0], sp)
+    responses = [FilterResponse(r_real[:, 0], r_imag[:, 0],
+                                _squared_modulus(r_real, r_imag), sp)
                  for sp, (r_real, r_imag) in zip(specs, blocks)]
     return responses[0] if isinstance(spec, FilterSpec) else responses
 
@@ -410,8 +416,7 @@ def normal_variation(mesh: Mesh, op: SparseOperator, frames: FrameField,
     specs = [spec] if isinstance(spec, FilterSpec) else list(spec)
     normals = effective_normals(mesh)
     blocks = _response_block(op, frames, mesh.vertices, specs, normals)
-    fields = [VertexSignal(np.sum(r_real ** 2 + r_imag ** 2, axis=1),
-                           name="normal_variation")
+    fields = [VertexSignal(_squared_modulus(r_real, r_imag), name="normal_variation")
               for r_real, r_imag in blocks]
     return fields[0] if isinstance(spec, FilterSpec) else fields
 

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from signal import SIGKILL
 
 import numpy as np
 import pytest
@@ -113,12 +114,19 @@ def test_filter_missing_signal_exits_2(tmp_path, grid_inputs, capsys):
     assert "nope.csv" in capsys.readouterr().err
 
 
-def test_filter_requires_exactly_one_source(tmp_path, grid_inputs):
+def test_filter_requires_exactly_one_source(tmp_path, grid_inputs, capsys, monkeypatch):
+    # argparse rejects a missing or doubled source before the mesh is read
     _, mesh_path, signal_path = grid_inputs
-    code = main(["filter", "--mesh", str(mesh_path), "--signal", str(signal_path),
-                 "--luminance", "--k", "1", "--t", "5",
-                 "--out", str(tmp_path / "r.csv")])
-    assert code == 2
+    refuse_calls(monkeypatch, *ENTRY_POINTS)
+    base = ["filter", "--mesh", str(mesh_path), "--k", "1", "--t", "5",
+            "--out", str(tmp_path / "r.csv")]
+    assert main(base + ["--signal", str(signal_path), "--luminance"]) == 2
+    assert "error: argument --luminance: not allowed with argument --signal" \
+        in capsys.readouterr().err
+    assert main(base) == 2
+    assert "error: one of the arguments --signal --signal-property --luminance " \
+        "is required" in capsys.readouterr().err
+    assert not list(tmp_path.glob("r*"))
 
 
 def test_filter_luminance_source(tmp_path, sphere_ply):
@@ -218,6 +226,13 @@ def test_kernel_certified_order_at_large_time(tmp_path, grid_inputs):
     assert "order" not in parameters
 
 
+# every library entry point that the CLI calls through its module globals
+ENTRY_POINTS = ("parse_mesh", "parse_signal", "cotan_operator", "gaussian_knn_operator",
+                "vertex_normals", "pca_normals", "build_frames", "apply_filter",
+                "normal_variation", "mhw_normal_variation", "heat_kernel_row",
+                "write_response", "write_signal_csv")
+
+
 def refuse_calls(monkeypatch, *names):
     """Make each named library entry point of the CLI fail if it is called."""
     def refuse(*args, **kwargs):
@@ -243,9 +258,7 @@ def test_kernel_vertex_out_of_range(tmp_path, grid_inputs, capsys, monkeypatch):
 def test_output_suffix_checked_before_any_work(tmp_path, grid_inputs, capsys, monkeypatch,
                                                command):
     _, mesh_path, signal_path = grid_inputs
-    refuse_calls(monkeypatch, "parse_mesh", "parse_signal", "cotan_operator",
-                 "gaussian_knn_operator", "apply_filter", "normal_variation",
-                 "mhw_normal_variation", "heat_kernel_row")
+    refuse_calls(monkeypatch, *ENTRY_POINTS)
     mesh, signal = ["--mesh", str(mesh_path)], str(signal_path)
     argv = {"filter": ["filter", *mesh, "--signal", signal, "--t", "5"],
             "normal-variation": ["normal-variation", *mesh, "--t", "5"],
@@ -253,6 +266,30 @@ def test_output_suffix_checked_before_any_work(tmp_path, grid_inputs, capsys, mo
             "fuse": ["fuse", "--a", signal, "--b", signal, "--beta", "0.5"]}[command]
     assert main(argv + ["--out", str(tmp_path / "r.txt")]) == 2
     assert capsys.readouterr().err == "error: output must be .ply or .csv, got '.txt'\n"
+    assert not list(tmp_path.glob("r*"))
+
+
+@pytest.mark.parametrize("command", ["filter", "normal-variation", "kernel"])
+@pytest.mark.parametrize("bad, message", [
+    (["--t", "-1"], "argument --t: diffusion time must be finite and nonnegative, got -1"),
+    (["--t", "5", "--t", "nan"],
+     "argument --t: diffusion time must be finite and nonnegative, got nan"),
+    (["--t", "5", "--support-threshold", "1"],
+     "argument --support-threshold: support threshold must lie in [0, 1), got 1"),
+    (["--t", "5", "--support-threshold=-1e-4"],
+     "argument --support-threshold: support threshold must lie in [0, 1), got -1e-4"),
+    (["--t", "soon"], "argument --t: invalid float value: 'soon'"),
+], ids=["negative-t", "nan-t", "threshold-1", "negative-threshold", "t-not-a-number"])
+def test_heat_arguments_checked_before_any_work(tmp_path, grid_inputs, capsys, monkeypatch,
+                                                command, bad, message):
+    _, mesh_path, signal_path = grid_inputs
+    refuse_calls(monkeypatch, *ENTRY_POINTS)
+    argv = {"filter": ["filter", "--signal", str(signal_path)],
+            "normal-variation": ["normal-variation"],
+            "kernel": ["kernel", "--vertex", "0"]}[command]
+    assert main(argv + ["--mesh", str(mesh_path), *bad,
+                        "--out", str(tmp_path / "r.csv")]) == 2
+    assert f"mahf {command}: error: {message}\n" in capsys.readouterr().err
     assert not list(tmp_path.glob("r*"))
 
 
@@ -277,7 +314,7 @@ def test_fuse_beta_zero_returns_first(tmp_path):
     assert np.array_equal(parse_signal(out).values, [1, 2, 3])
 
 
-def test_fuse_length_mismatch_exits_2(tmp_path):
+def test_fuse_length_mismatch_exits_2(tmp_path, capsys):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
     a.write_text("1\n2\n3\n")
@@ -285,9 +322,11 @@ def test_fuse_length_mismatch_exits_2(tmp_path):
     code = main(["fuse", "--a", str(a), "--b", str(b), "--beta", "0.5",
                  "--out", str(tmp_path / "f.csv")])
     assert code == 2
+    assert capsys.readouterr().err == "error: field lengths differ: 3 vs 2\n"
+    assert not list(tmp_path.glob("f*"))
 
 
-def test_fuse_ply_output_needs_mesh(tmp_path, grid_inputs):
+def test_fuse_ply_output_needs_mesh(tmp_path, grid_inputs, capsys):
     mesh, mesh_path, _ = grid_inputs
     a = tmp_path / "a.csv"
     n = mesh.n_vertices
@@ -295,19 +334,24 @@ def test_fuse_ply_output_needs_mesh(tmp_path, grid_inputs):
     out = tmp_path / "f.ply"
     assert main(["fuse", "--a", str(a), "--b", str(a), "--beta", "0.333333",
                  "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: PLY output requires --mesh\n"
+    assert not list(tmp_path.glob("f*"))
     assert main(["fuse", "--a", str(a), "--b", str(a), "--beta", "0.333333",
                  "--mesh", str(mesh_path), "--out", str(out)]) == 0
     fused = parse_signal(out, property_name="quality")
     assert np.allclose(fused.values, 1.0 + 0.333333)
 
 
-def test_cotangent_on_point_cloud_exits_2(tmp_path):
+def test_cotangent_on_point_cloud_exits_2(tmp_path, capsys):
     cloud = tmp_path / "cloud.off"
     cloud.write_text("OFF\n4 0 0\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n")
-    code = main(["filter", "--mesh", str(cloud), "--signal", str(cloud),
-                 "--operator", "cotangent", "--k", "1", "--t", "5",
+    code = main(["kernel", "--mesh", str(cloud), "--vertex", "0",
+                 "--operator", "cotangent", "--t", "5",
                  "--out", str(tmp_path / "r.csv")])
     assert code == 2
+    assert capsys.readouterr().err == ("error: cotangent operator requested for a point "
+                                       "cloud; use --operator gaussian-knn\n")
+    assert not list(tmp_path.glob("r*"))
 
 
 def test_gaussian_knn_point_cloud_runs(tmp_path):
@@ -322,6 +366,13 @@ def test_gaussian_knn_point_cloud_runs(tmp_path):
                  "--knn", "6", "--k", "1", "--t", "2", "--out", str(out)])
     assert code == 0
     assert (tmp_path / "r_k1_t2.csv").exists()
+    # a width far below the spacing leaves a graph without edges, whose
+    # spectral bound is 0: every order-1 response is 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["filter", "--mesh", str(cloud), "--signal", str(sig), "--knn", "6",
+                     "--sigma", "0.001", "--t", "2", "--out", str(tmp_path / "e.csv")]) == 0
+    assert not parse_signal(tmp_path / "e_k1_t2.csv").values.any()
 
 
 def test_point_cloud_command_builds_one_knn_graph(tmp_path, monkeypatch):
@@ -380,12 +431,13 @@ def test_mhw_baseline_builds_no_frames(tmp_path, monkeypatch):
               "--t", "5", "--out", str(tmp_path / "nv.ply")])
 
 
-def test_bad_sigma_exits_2(tmp_path, grid_inputs):
+def test_bad_sigma_exits_2(tmp_path, grid_inputs, capsys):
     _, mesh_path, signal_path = grid_inputs
     code = main(["filter", "--mesh", str(mesh_path), "--signal", str(signal_path),
                  "--operator", "gaussian-knn", "--sigma", "wide",
                  "--k", "1", "--t", "5", "--out", str(tmp_path / "r.csv")])
     assert code == 2
+    assert capsys.readouterr().err == "error: --sigma must be a number or 'auto', got 'wide'\n"
 
 
 def test_area_normalize_flag_recorded(tmp_path, grid_inputs):
@@ -507,8 +559,10 @@ def test_non_finite_normal_or_color_exits_2(tmp_path, capsys, case):
     assert not any(out.parent.iterdir())
 
 
-def test_usage_error_exits_2():
+def test_usage_error_exits_2(capsys):
     assert main(["filter", "--unknown-flag"]) == 2
+    assert "mahf filter: error: the following arguments are required: --mesh, --t, --out\n" \
+        in capsys.readouterr().err
 
 
 def test_cli_import_does_not_load_scipy_spatial():
@@ -543,6 +597,41 @@ def test_mesh_commands_load_neither_scipy_linalg_nor_scipy_spatial(tmp_path):
     run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=True)
     assert json.loads(run.stdout) == [[0, 0, 0], []]
+
+
+def test_overflowing_response_exits_1_under_warnings_as_errors(tmp_path, capsys):
+    # the responses to a step of height 1e200 are finite and their squares
+    # are not: a numerical error, not an input error, and no file is written
+    mesh = icosphere(2, 20.0)
+    mesh_path, signal_path = tmp_path / "ico.off", tmp_path / "step.csv"
+    write_mesh(mesh_path, mesh)
+    signal_path.write_text("".join(f"{v!r}\n" for v in
+                                   (1e200 * (mesh.vertices[:, 0] > 0)).tolist()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["filter", "--mesh", str(mesh_path), "--signal", str(signal_path),
+                     "--t", "5", "--out", str(tmp_path / "r.csv")]) == 1
+    assert capsys.readouterr().err.startswith(
+        "numerical error: non-finite squared filter response at vertex ")
+    assert not list(tmp_path.glob("r*"))
+
+
+def test_killed_worker_exits_1(tmp_path, grid_inputs, capsys, monkeypatch):
+    _, mesh_path, signal_path = grid_inputs
+    parent, recurrence = os.getpid(), mahf.filters.chebyshev_apply
+
+    def killed_in_child(*args, **kwargs):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), SIGKILL)
+        return recurrence(*args, **kwargs)
+
+    monkeypatch.setattr(mahf.filters, "_workers", lambda chunks: min(2, chunks))
+    monkeypatch.setattr(mahf.filters, "chebyshev_apply", killed_in_child)
+    assert main(["filter", "--mesh", str(mesh_path), "--signal", str(signal_path),
+                 "--t", "5", "--out", str(tmp_path / "r.csv")]) == 1
+    assert capsys.readouterr().err == \
+        f"internal error: a filter worker process ended with exit code {-SIGKILL}\n"
+    assert not list(tmp_path.glob("r*"))
 
 
 @pytest.mark.parametrize("kind", ["inf", "overflow"])

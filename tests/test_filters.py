@@ -13,14 +13,14 @@ import pytest
 
 import mahf.filters as filters
 import mahf.spectral as spectral
-from mahf.errors import NumericalError
+from mahf.errors import MahfError, NumericalError
 from mahf.filters import (FilterSpec, apply_filter, fuse, multiscale_apply,
                           normal_variation)
 from mahf.geometry import FrameField, build_frames, vertex_normals
 from mahf.io_mesh import Mesh, VertexSignal
 from mahf.laplacian import SparseOperator, cotan_operator, gaussian_knn_operator
-from mahf.spectral import (HeatParams, chebyshev_apply, heat_function, shared_order,
-                           threshold_row)
+from mahf.spectral import (HeatParams, chebyshev_apply, heat_function, heat_kernel_row,
+                           shared_order, threshold_row)
 from mahf.synthetic import icosphere, refine_midpoint
 
 from conftest import (GRID_SPACING, SPHERE_RADIUS, dense_heat_oracle, grid_columns_rows,
@@ -368,6 +368,63 @@ def test_nonfinite_raw_signal_names_input_vertex(ico162, ico162_op, ico162_frame
                      FilterSpec(1, HeatParams(5.0, 1e-4)), s)
 
 
+def test_overflowing_squared_response_names_vertex(ico162, ico162_op, ico162_frames):
+    # the responses to a step of height 1e200 are finite, but their squares
+    # pass the float64 range wherever the unit step's response is not 0
+    step = (ico162.vertices[:, 0] > 0).astype(float)
+    spec = FilterSpec(1, HeatParams(5.0))
+    unit = apply_filter(ico162_op, ico162_frames, ico162.vertices, spec, step)
+    first = int(np.flatnonzero(unit.r2)[0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError,
+                           match=f"non-finite squared filter response at vertex {first}$"):
+            apply_filter(ico162_op, ico162_frames, ico162.vertices, spec, 1e200 * step)
+
+
+@pytest.mark.parametrize("call", ["apply_filter", "normal_variation"])
+def test_non_finite_response_names_vertex(monkeypatch, path4_op, call):
+    # kernel entries of 1e308 on an identity-mass graph: np.bincount sums
+    # them past the float64 range without a warning, so the pass's result
+    # check is the only guard
+    def huge(op, fns, x, order, out):
+        for block in out:
+            block.fill(1e308)
+        return out
+
+    positions = np.arange(12.0).reshape(4, 3)
+    mesh = Mesh(positions, np.zeros((0, 3)), normals=np.tile([0.0, 0, 1], (4, 1)))
+    pinned_workers(monkeypatch, 1)
+    monkeypatch.setattr(filters, "chebyshev_apply", huge)
+    spec = FilterSpec(0, HeatParams(1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError,
+                           match="non-finite squared filter response at vertex 0$"):
+            if call == "apply_filter":
+                apply_filter(path4_op, z_frames(4), positions, spec, np.ones(4))
+            else:
+                normal_variation(mesh, path4_op, z_frames(4), spec)
+
+
+def test_edgeless_graph_filters_to_the_signal_itself():
+    # a Gaussian width far below the point spacing leaves no stored stiffness
+    # entry, so the spectral bound is 0 and exp(-t L) is the identity: the
+    # kernel row is the indicator, order 0 returns the signal and order 1,
+    # with only the self pair, returns 0
+    points = np.random.default_rng(0).uniform(0, 30, (80, 3))
+    op = gaussian_knn_operator(points, 6, 1e-3)
+    assert (op.stiffness.nnz, op.lambda_max) == (0, 0.0)
+    rows = heat_kernel_row(op, [HeatParams(0.0), HeatParams(5.0)], 3)
+    for row in rows:
+        assert np.array_equal(row, np.eye(80)[3])
+    s = np.sin(points[:, 0])
+    specs = [FilterSpec(0, HeatParams(5.0)), FilterSpec(1, HeatParams(5.0))]
+    smooth, edge = apply_filter(op, z_frames(80), points, specs, s)
+    assert np.array_equal(smooth.r_real, s)
+    assert not smooth.r_imag.any() and not edge.r2.any()
+
+
 def test_level_set_on_sphere(ico642, ico642_op):
     # two-level signal on a closed curved surface: the response ridge follows
     # the level-set boundary (the equator ring)
@@ -686,6 +743,28 @@ def test_worker_errors_reach_caller_and_leave_no_child(monkeypatch, grid20, grid
         apply_filter(grid20_op, grid20_frames, grid20.vertices,
                      FilterSpec(1, HeatParams(5.0)), step_signal(grid20))
     assert time.monotonic() - start < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_worker_killed_by_a_signal_raises_mahf_error(monkeypatch, grid20, grid20_op,
+                                                     grid20_frames):
+    # a child that dies by a signal sends no exception; its exit status is
+    # the error, raised once the pass has finished its own share
+    parent = os.getpid()
+
+    def recurrence(*args, **kwargs):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return chebyshev_apply(*args, **kwargs)
+
+    monkeypatch.setattr(filters, "_CHUNK", 16)
+    pinned_workers(monkeypatch, 2)
+    monkeypatch.setattr(filters, "chebyshev_apply", recurrence)
+    with pytest.raises(MahfError, match=f"exit code {-signal.SIGKILL}$") as raised:
+        apply_filter(grid20_op, grid20_frames, grid20.vertices,
+                     FilterSpec(1, HeatParams(5.0)), step_signal(grid20))
+    assert type(raised.value) is MahfError
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
