@@ -39,8 +39,9 @@ def _add_mesh_args(p):
 def _add_operator_args(p):
     p.add_argument("--operator", choices=["cotangent", "gaussian-knn"], default=None,
                    help="default: cotangent for meshes, gaussian-knn for point clouds")
-    p.add_argument("--knn", type=int, default=8, help="neighbor count for gaussian-knn")
-    p.add_argument("--sigma", default="auto",
+    p.add_argument("--knn", type=_int_from(1, "neighbor count must be at least 1"),
+                   default=8, help="neighbor count for gaussian-knn")
+    p.add_argument("--sigma", type=_sigma, default="auto",
                    help="gaussian width, or 'auto' for the mean k-th neighbor distance")
 
 
@@ -55,6 +56,32 @@ def _float_in(lo: float, hi: float, requirement: str):
     # argparse names the type in its message for a value that is no number
     parse.__name__ = "float"
     return parse
+
+
+def _int_from(lo: int, requirement: str):
+    """An argparse type: an integer of at least ``lo``, checked as
+    :func:`_float_in` checks a float."""
+    def parse(raw: str) -> int:
+        value = int(raw)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"{requirement}, got {raw}")
+        return value
+    parse.__name__ = "int"
+    return parse
+
+
+def _sigma(raw: str) -> str:
+    """An argparse type: ``auto`` or a positive finite width, kept as given
+    so that the manifest records it as typed."""
+    if raw != "auto":
+        try:
+            value = float(raw)
+        except ValueError:
+            value = math.nan
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(
+                f"sigma must be a positive finite number or 'auto', got {raw}")
+    return raw
 
 
 def _add_heat_args(p):
@@ -82,7 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_mesh_args(p)
     _add_operator_args(p)
     _add_heat_args(p)
-    p.add_argument("--k", type=int, default=1, help="harmonic order")
+    p.add_argument("--k", type=_int_from(0, "harmonic order must be nonnegative"),
+                   default=1, help="harmonic order")
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--signal", default=None, help="CSV file with one value per vertex")
     source.add_argument("--signal-property", default=None,
@@ -101,7 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_mesh_args(p)
     _add_operator_args(p)
     _add_heat_args(p)
-    p.add_argument("--k", type=int, default=1, help="harmonic order")
+    p.add_argument("--k", type=_int_from(0, "harmonic order must be nonnegative"),
+                   default=1, help="harmonic order")
     p.add_argument("--baseline", choices=["mhw"], default=None,
                    help="write the Mexican Hat Wavelet aggregate instead")
     p.add_argument("--out", required=True, help="output path (.ply or .csv)")
@@ -112,7 +141,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", required=True, help="second field (CSV or PLY)")
     p.add_argument("--a-property", default="quality")
     p.add_argument("--b-property", default="quality")
-    p.add_argument("--beta", type=float, required=True, help="weight of the second field")
+    p.add_argument("--beta", required=True,
+                   type=_float_in(0, math.inf, "beta must be finite and nonnegative"),
+                   help="weight of the second field")
     p.add_argument("--mesh", default=None, help="mesh file, required for PLY output")
     p.add_argument("--mesh-format", choices=["off", "obj", "ply"], default=None)
     p.add_argument("--triangulate", action="store_true")
@@ -133,15 +164,6 @@ def _load_mesh(args):
     return parse_mesh(args.mesh, fmt=args.mesh_format, triangulate=args.triangulate)
 
 
-def _sigma_value(raw):
-    if raw == "auto":
-        return "auto"
-    try:
-        return float(raw)
-    except ValueError:
-        raise ValueError(f"--sigma must be a number or 'auto', got {raw!r}") from None
-
-
 def _knn_cache(mesh):
     """``k -> knn(mesh.vertices, k)``, building each graph once."""
     # through the module, so that a wrapper installed on mahf.geometry.knn sees it
@@ -157,7 +179,8 @@ def _build_operator(args, mesh, graphs=None):
             raise OperatorError("cotangent operator requested for a point cloud; "
                                 "use --operator gaussian-knn")
         return cotan_operator(mesh), kind
-    return gaussian_knn_operator(mesh.vertices, args.knn, _sigma_value(args.sigma),
+    sigma = args.sigma if args.sigma == "auto" else float(args.sigma)
+    return gaussian_knn_operator(mesh.vertices, args.knn, sigma,
                                  nbrs=(graphs or _knn_cache(mesh))(args.knn)), kind
 
 

@@ -423,8 +423,8 @@ def normal_variation(mesh: Mesh, op: SparseOperator, frames: FrameField,
 
 def fuse(r_l2, r_n2, beta: float) -> VertexSignal:
     """Weighted sum of a luminance-response field and a normal-response field."""
-    if beta < 0:
-        raise ValueError(f"beta must be nonnegative, got {beta}")
+    if not 0 <= beta < math.inf:
+        raise ValueError(f"beta must be finite and nonnegative, got {beta}")
     a, b = signal_values(r_l2), signal_values(r_n2)
     if a.shape != b.shape:
         raise ValueError(f"field lengths differ: {a.shape[0]} vs {b.shape[0]}")

@@ -97,16 +97,218 @@ def effective_normals(mesh: Mesh) -> np.ndarray:
     return vertex_normals(mesh)
 
 
-def _tree_knn(points: np.ndarray, k: int) -> NeighborList:
-    # imported here so that mesh-only runs never load scipy.spatial
-    from scipy.spatial import cKDTree
+# The grid query's settings: candidate entries per selection block, points
+# whose m-th distance picks the first cell edge, and the ring size above
+# which a point tries a finer grid
+_BLOCK = 1 << 16
+_PILOTS = 256
+_CROWD = 256
+_EPS = np.finfo(np.float64).eps
+# (x, y) cell offsets of the nine z-columns of a 3 x 3 x 3 ring
+_COLUMNS = np.array([(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)])
 
+
+class _Grid:
+    """The points within three cell edges of some queries, sorted by the
+    key of their cubic cell; ``ok`` is false when a key could overflow."""
+
+    def __init__(self, points: np.ndarray, queries: np.ndarray, edge: float):
+        with np.errstate(over="ignore", invalid="ignore"):
+            lo = points[queries].min(axis=0) - 3 * edge
+            hi = points[queries].max(axis=0) + 3 * edge
+            dims = np.floor((hi - lo) / edge) + 1
+            self.ok = bool(np.isfinite(dims).all() and np.prod(dims) < 2.0 ** 62)
+        if not self.ok:
+            return
+        self.lo, self.edge = lo, edge
+        # twice the most that rounding the cell assignments can shift two
+        # points against each other
+        self.slack = 8 * _EPS * max(np.abs(lo).max(), np.abs(hi).max())
+        near = np.flatnonzero(np.all((points >= lo) & (points <= hi), axis=1))
+        ny, nz = int(dims[1]), int(dims[2])
+        self.strides = np.array([ny * nz, nz, 1], dtype=np.int64)
+        keys = self.cells(points[near]) @ self.strides
+        order = np.argsort(keys, kind="stable")
+        self.index, self.keys = near[order], keys[order]
+        # a last column at infinity pads short candidate rows
+        self.coords = np.full((3, near.size + 1), np.inf)
+        self.coords[:, :-1] = points[self.index].T
+
+    def cells(self, pts: np.ndarray) -> np.ndarray:
+        return np.floor((pts - self.lo) / self.edge).astype(np.int64)
+
+    def _find(self, keys, below, above):
+        return (np.searchsorted(self.keys, keys - below, "left"),
+                np.searchsorted(self.keys, keys + above, "right"))
+
+    def rings(self, cells: np.ndarray):
+        """Each cell's ring as nine runs of the sorted points, one per
+        z-column (first positions and lengths, (N, 9)), and each query's
+        cell among the returned rows."""
+        keys, inv = np.unique(cells @ self.strides, return_inverse=True)
+        first, end = self._find(keys[:, None] + _COLUMNS @ self.strides[:2], 1, 1)
+        return first, end - first, inv
+
+    def finer(self, cells: np.ndarray, counts: np.ndarray, crowd: int) -> np.ndarray:
+        """Levels down for queries whose rings hold ``counts`` > ``crowd``
+        points: one per factor 8 of excess, or to the coordinate range of
+        a cell holding over a 27th of a crowd; none from a cell of
+        coincident points, nor below an edge the rounding slack would blur."""
+        keys, inv = np.unique(cells @ self.strides, return_inverse=True)
+        first, end = self._find(keys, 0, 0)
+        bounds = np.column_stack([first, end]).reshape(-1)
+        ranges = (np.maximum.reduceat(self.coords, bounds, axis=1)[:, ::2]
+                  - np.minimum.reduceat(self.coords, bounds, axis=1)[:, ::2])
+        count, spread = (end - first)[inv], ranges.max(axis=0)[inv]
+        down = np.maximum(1, np.floor(np.log2(counts / crowd) / 3))
+        filled = count * 27 > crowd
+        with np.errstate(divide="ignore"):
+            down[filled] = np.maximum(down[filled], np.floor(np.log2(self.edge / spread[filled])))
+        down[(spread == 0) & (count > 1)] = 0
+        return np.minimum(down, np.floor(np.log2(self.edge / (64 * self.slack)))).astype(np.int64)
+
+
+def _nearest_in_runs(coords, queries, first, lens, m):
+    """The m least squared distances from each query point to the points in
+    its runs of ``coords`` columns, and their columns.
+
+    Each squared distance is ``(dx*dx + dy*dy) + dz*dz``, infinite without
+    a warning past the float range.  A row holding fewer than m points is
+    padded with infinite distances.  Returns the distances, the columns and
+    each row's point count.
+    """
+    b = queries.shape[0]
+    counts = lens.sum(axis=1)
+    width = max(int(counts.max()), m)
+    runs = lens.reshape(-1)
+    rel = np.arange(int(counts.sum()))
+    cols = np.full(b * width, coords.shape[1] - 1)
+    cols[np.repeat(np.arange(b) * width - np.cumsum(counts) + counts, counts) + rel] = \
+        np.repeat(first.reshape(-1) - np.cumsum(runs) + runs, runs) + rel
+    cols = cols.reshape(b, width)
+    x, y, z = coords
+    dx = x[cols] - queries[:, 0:1]
+    dy = y[cols] - queries[:, 1:2]
+    dz = z[cols] - queries[:, 2:3]
+    with np.errstate(over="ignore"):
+        d2 = (dx * dx + dy * dy) + dz * dz
+    sel = np.argpartition(d2, m - 1, axis=1)[:, :m]
+    return np.take_along_axis(d2, sel, axis=1), np.take_along_axis(cols, sel, axis=1), counts
+
+
+def _scan(points, rows, m, dist, idx):
+    """The exact scan: each row's m nearest points among all of them."""
     n = points.shape[0]
-    tree = cKDTree(points)
+    coords = np.ascontiguousarray(points.T)
+    step = max(1, _BLOCK // n)
+    for s in range(0, rows.size, step):
+        part = rows[s:s + step]
+        best, cols, _ = _nearest_in_runs(coords, points[part], np.zeros((part.size, 1), np.int64),
+                                         np.full((part.size, 1), n), m)
+        dist[part], idx[part] = np.sqrt(best), cols
+
+
+def _grid_query(points: np.ndarray, m: int):
+    """For each point, m of its nearest points, itself included unless m
+    others coincide with it: distances ``sqrt((dx*dx + dy*dy) + dz*dz)`` and
+    indices, (N, m) each, in no order but the largest distance last.
+
+    Each round buckets the points still open into cubic cells of one edge
+    per level, and each takes the m nearest of the candidates in its cell's
+    3 x 3 x 3 ring.  A point is certified when its m-th candidate lies
+    strictly inside the ring's guaranteed radius, less the rounding of the
+    cell assignment: then no point outside the ring is nearer.  An
+    uncertified point takes a coarser level in the next round, one whose
+    edge exceeds its m-th candidate's distance when the ring held m points;
+    a crowded ring first tries a finer one.  A grid whose cell keys could
+    overflow falls back to the exact scan, as do points with no finite span.
+    """
+    n = points.shape[0]
+    dist = np.empty((n, m))
+    idx = np.empty((n, m), dtype=np.int64)
+    span = (points.max(axis=0) - points.min(axis=0)).max()
+    edge = span / np.cbrt(n)
+    if not (np.isfinite(span) and edge > 0):
+        _scan(points, np.arange(n), m, dist, idx)
+        return dist, idx
+    # the first edge: a little above the m-th candidate distance of most of
+    # an even sample, from a grid sized for a volume; a sample whose ring
+    # there is far too crowded is skipped, and left to the refinement below
+    crowd = max(_CROWD, 16 * m)
+    every = np.arange(n)
+    grid = _Grid(points, every, edge)
+    pilots = every[::max(1, n // _PILOTS)]
+    first, lens, inv = grid.rings(grid.cells(points[pilots]))
+    calm = lens[inv].sum(axis=1) <= 4 * crowd
+    pilots, inv = pilots[calm], inv[calm]
+    if pilots.size:
+        best = _nearest_in_runs(grid.coords, points[pilots], first[inv], lens[inv], m)[0]
+        reach = np.sqrt(best[:, -1])
+        reach = reach[np.isfinite(reach) & (reach > 0)]
+        if reach.size:
+            edge = max(1.2 * np.quantile(reach, 0.75), span / 2 ** 20)
+    level = np.zeros(n, dtype=np.int64)
+    may_refine = np.ones(n, dtype=bool)
+    pending = every
+    while pending.size:
+        moved = []
+        for e in np.unique(level[pending]):
+            q = pending[level[pending] == e]
+            grid = _Grid(points, q, edge * 2.0 ** e)
+            if not grid.ok:
+                _scan(points, q, m, dist, idx)
+                continue
+            cells = grid.cells(points[q])
+            first, lens, inv = grid.rings(cells)
+            counts = lens.sum(axis=1)[inv]
+            busy = np.flatnonzero(may_refine[q] & (counts > crowd))
+            if busy.size:
+                down = grid.finer(cells[busy], counts[busy], crowd)
+                go = busy[down >= 1]
+                level[q[go]] -= down[down >= 1]
+                moved.append(q[go])
+                stay = np.ones(q.size, dtype=bool)
+                stay[go] = False
+                q, cells, inv, counts = q[stay], cells[stay], inv[stay], counts[stay]
+            if not q.size:
+                continue
+            may_refine[q] = False
+            # rows of like counts share a block, so that little is padded
+            by_count = np.argsort(counts, kind="stable")
+            q, cells, inv, counts = q[by_count], cells[by_count], inv[by_count], counts[by_count]
+            frac = (points[q] - grid.lo) / grid.edge - cells
+            radius = (grid.edge * (1 + np.minimum(frac, 1 - frac).min(axis=1))
+                      - grid.slack) * (1 - 8 * _EPS)
+            s = 0
+            while s < q.size:
+                far = min(q.size, s + _BLOCK // int(counts[s])) - 1
+                t = s + max(1, _BLOCK // int(counts[far]))
+                rows = q[s:t]
+                best, cols, held = _nearest_in_runs(grid.coords, points[rows],
+                                                    first[inv[s:t]], lens[inv[s:t]], m)
+                reach = np.sqrt(best[:, -1])
+                ok = (held == n) | (reach < radius[s:t])
+                dist[rows[ok]], idx[rows[ok]] = np.sqrt(best[ok]), grid.index[cols[ok]]
+                late = ~ok
+                if late.any():
+                    # past the m-th candidate's distance; a short ring grows
+                    # as if its points lay on a surface
+                    up = np.where(held[late] >= m,
+                                  1 + np.floor(np.log2(np.maximum(reach[late] / grid.edge, 1))),
+                                  1 + np.floor(np.log2(m / held[late]) / 2))
+                    level[rows[late]] += up.astype(np.int64)
+                    moved.append(rows[late])
+                s = t
+        pending = np.concatenate(moved or [every[:0]])
+    return dist, idx
+
+
+def _nearest(points: np.ndarray, k: int) -> NeighborList:
+    n = points.shape[0]
     # one extra candidate detects ties straddling the cut; tied rows are
     # recomputed by an exact scan so ties always go to the lower index
     m = min(n, k + 2)
-    dist, idx = tree.query(points, k=m)
+    dist, idx = _grid_query(points, m)
     scale = dist[:, -1].max() + 1.0
     is_self = idx == np.arange(n)[:, None]
     valid = m - np.count_nonzero(is_self, axis=1)
@@ -134,7 +336,7 @@ def knn(points: np.ndarray, k: int) -> NeighborList:
         raise ValueError(f"k must be at least 1, got {k}")
     if k >= n:
         raise ValueError(f"k={k} requires more than k points, got {n}")
-    return _tree_knn(points, k)
+    return _nearest(points, k)
 
 
 def next_level(pattern: sparse.csr_matrix, level: np.ndarray, seen: np.ndarray):

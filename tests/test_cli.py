@@ -229,7 +229,7 @@ def test_kernel_certified_order_at_large_time(tmp_path, grid_inputs):
 # every library entry point that the CLI calls through its module globals
 ENTRY_POINTS = ("parse_mesh", "parse_signal", "cotan_operator", "gaussian_knn_operator",
                 "vertex_normals", "pca_normals", "build_frames", "apply_filter",
-                "normal_variation", "mhw_normal_variation", "heat_kernel_row",
+                "normal_variation", "mhw_normal_variation", "heat_kernel_row", "fuse",
                 "write_response", "write_signal_csv")
 
 
@@ -289,6 +289,45 @@ def test_heat_arguments_checked_before_any_work(tmp_path, grid_inputs, capsys, m
             "kernel": ["kernel", "--vertex", "0"]}[command]
     assert main(argv + ["--mesh", str(mesh_path), *bad,
                         "--out", str(tmp_path / "r.csv")]) == 2
+    assert f"mahf {command}: error: {message}\n" in capsys.readouterr().err
+    assert not list(tmp_path.glob("r*"))
+
+
+_SIGMA_NEEDS = "sigma must be a positive finite number or 'auto'"
+
+
+@pytest.mark.parametrize("command, bad, message", [
+    ("filter", ["--k", "-1"], "argument --k: harmonic order must be nonnegative, got -1"),
+    ("normal-variation", ["--k", "-1"],
+     "argument --k: harmonic order must be nonnegative, got -1"),
+    ("filter", ["--k", "1.5"], "argument --k: invalid int value: '1.5'"),
+    ("filter", ["--knn", "0"], "argument --knn: neighbor count must be at least 1, got 0"),
+    ("normal-variation", ["--knn", "0"],
+     "argument --knn: neighbor count must be at least 1, got 0"),
+    ("kernel", ["--knn=-3"], "argument --knn: neighbor count must be at least 1, got -3"),
+    ("filter", ["--sigma", "wide"], f"argument --sigma: {_SIGMA_NEEDS}, got wide"),
+    ("normal-variation", ["--sigma", "0"], f"argument --sigma: {_SIGMA_NEEDS}, got 0"),
+    ("kernel", ["--sigma", "nan"], f"argument --sigma: {_SIGMA_NEEDS}, got nan"),
+    ("kernel", ["--sigma", "inf"], f"argument --sigma: {_SIGMA_NEEDS}, got inf"),
+    ("filter", ["--sigma=-1"], f"argument --sigma: {_SIGMA_NEEDS}, got -1"),
+    ("fuse", ["--beta", "nan"], "argument --beta: beta must be finite and nonnegative, got nan"),
+    ("fuse", ["--beta", "inf"], "argument --beta: beta must be finite and nonnegative, got inf"),
+    ("fuse", ["--beta=-0.5"], "argument --beta: beta must be finite and nonnegative, got -0.5"),
+], ids=["filter-negative-k", "nv-negative-k", "fractional-k", "filter-knn-0", "nv-knn-0",
+        "kernel-negative-knn", "sigma-word", "sigma-0", "sigma-nan", "sigma-inf",
+        "negative-sigma", "beta-nan", "beta-inf", "negative-beta"])
+def test_order_operator_and_weight_arguments_checked_before_any_work(
+        tmp_path, grid_inputs, capsys, monkeypatch, command, bad, message):
+    _, mesh_path, signal_path = grid_inputs
+    refuse_calls(monkeypatch, *ENTRY_POINTS)
+    mesh, signal = ["--mesh", str(mesh_path), "--t", "5"], str(signal_path)
+    argv = {"filter": ["filter", *mesh, "--signal", signal],
+            "normal-variation": ["normal-variation", *mesh],
+            "kernel": ["kernel", *mesh, "--vertex", "0"],
+            "fuse": ["fuse", "--a", signal, "--b", signal]}[command]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + [*bad, "--out", str(tmp_path / "r.csv")]) == 2
     assert f"mahf {command}: error: {message}\n" in capsys.readouterr().err
     assert not list(tmp_path.glob("r*"))
 
@@ -437,7 +476,21 @@ def test_bad_sigma_exits_2(tmp_path, grid_inputs, capsys):
                  "--operator", "gaussian-knn", "--sigma", "wide",
                  "--k", "1", "--t", "5", "--out", str(tmp_path / "r.csv")])
     assert code == 2
-    assert capsys.readouterr().err == "error: --sigma must be a number or 'auto', got 'wide'\n"
+    assert capsys.readouterr().err.endswith(
+        "mahf filter: error: argument --sigma: sigma must be a positive finite number "
+        "or 'auto', got wide\n")
+
+
+def test_sigma_recorded_as_typed(tmp_path):
+    pts = np.random.default_rng(2).uniform(0, 30, (60, 3))
+    cloud = tmp_path / "cloud.ply"
+    write_mesh(cloud, Mesh(pts, np.zeros((0, 3))))
+    for sigma in ("auto", "2.50", "1e1"):
+        out = tmp_path / f"s{sigma}.csv"
+        assert main(["kernel", "--mesh", str(cloud), "--vertex", "0", "--sigma", sigma,
+                     "--t", "1", "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / f"s{sigma}_manifest.json").read_text())
+        assert manifest["parameters"]["sigma"] == sigma
 
 
 def test_area_normalize_flag_recorded(tmp_path, grid_inputs):
@@ -566,8 +619,8 @@ def test_usage_error_exits_2(capsys):
 
 
 def test_cli_import_does_not_load_scipy_spatial():
-    # only point-cloud commands build a kNN tree; mesh commands skip its
-    # import, and the breadth-first balls need no graph package
+    # the library holds no kNN tree, and the breadth-first balls need no
+    # graph package
     src = str(Path(mahf.filters.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     code = ("import sys, mahf.cli; sys.exit('scipy.spatial' in sys.modules "
@@ -575,28 +628,43 @@ def test_cli_import_does_not_load_scipy_spatial():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
-def test_mesh_commands_load_neither_scipy_linalg_nor_scipy_spatial(tmp_path):
-    # the recurrence needs no BLAS wrapper and a mesh no kNN tree, so no mesh
-    # command, run to the end, loads either package
+def test_commands_load_neither_scipy_linalg_nor_scipy_spatial(tmp_path):
+    # the recurrence needs no BLAS wrapper and the kNN graph no tree, so no
+    # command, run to the end on a mesh or on a point cloud, loads either
+    # package
     mesh = icosphere(1, 20.0)
-    mesh_path = tmp_path / "ico.off"
+    mesh_path, cloud_path = tmp_path / "ico.off", tmp_path / "cloud.ply"
     write_mesh(mesh_path, mesh)
+    write_mesh(cloud_path, Mesh(icosphere(2, 20.0).vertices, np.zeros((0, 3))))
     signal = tmp_path / "s.csv"
     signal.write_text("".join(f"{v:g}\n" for v in mesh.vertices[:, 0]))
+    cloud_signal = tmp_path / "c.csv"
+    cloud_signal.write_text("1\n" * 162)
     commands = [
-        ["filter", "--signal", str(signal), "--t", "5", "--out", str(tmp_path / "f.ply")],
-        ["normal-variation", "--baseline", "mhw", "--t", "5", "--out", str(tmp_path / "m.ply")],
-        ["kernel", "--vertex", "3", "--t", "5", "--out", str(tmp_path / "k.ply")],
+        ["filter", "--mesh", str(mesh_path), "--signal", str(signal), "--t", "5",
+         "--out", str(tmp_path / "f.ply")],
+        ["normal-variation", "--mesh", str(mesh_path), "--baseline", "mhw", "--t", "5",
+         "--out", str(tmp_path / "m.ply")],
+        ["kernel", "--mesh", str(mesh_path), "--vertex", "3", "--t", "5",
+         "--out", str(tmp_path / "k.ply")],
+        ["filter", "--mesh", str(cloud_path), "--signal", str(cloud_signal), "--t", "5",
+         "--out", str(tmp_path / "cf.ply")],
+        ["normal-variation", "--mesh", str(cloud_path), "--t", "5",
+         "--out", str(tmp_path / "cn.ply")],
+        ["normal-variation", "--mesh", str(cloud_path), "--baseline", "mhw", "--t", "5",
+         "--out", str(tmp_path / "cm.ply")],
+        ["kernel", "--mesh", str(cloud_path), "--vertex", "3", "--t", "5",
+         "--out", str(tmp_path / "ck.ply")],
     ]
     code = ("import json, sys\n"
             "from mahf.cli import main\n"
-            f"codes = [main(argv + ['--mesh', {str(mesh_path)!r}]) for argv in {commands!r}]\n"
+            f"codes = [main(argv) for argv in {commands!r}]\n"
             "print(json.dumps([codes, sorted(m for m in ('scipy.linalg', 'scipy.spatial')"
             " if m in sys.modules)]))\n")
     src = str(Path(mahf.filters.__file__).resolve().parents[1])
     run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=True)
-    assert json.loads(run.stdout) == [[0, 0, 0], []]
+    assert json.loads(run.stdout) == [[0] * 7, []]
 
 
 def test_overflowing_response_exits_1_under_warnings_as_errors(tmp_path, capsys):

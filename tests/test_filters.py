@@ -995,6 +995,16 @@ def test_fuse_validation():
         fuse(VertexSignal([1.0]), VertexSignal([1.0]), -0.5)
 
 
+@pytest.mark.parametrize("beta", [np.nan, np.inf])
+def test_fuse_rejects_non_finite_beta(beta):
+    # checked before the sum: an infinite weight times a zero response
+    # would warn and give NaN, and a NaN weight spoils every value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="beta must be finite and nonnegative"):
+            fuse(VertexSignal([1.0, 2.0]), VertexSignal([0.0, 3.0]), beta)
+
+
 def test_filter_spec_validation():
     with pytest.raises(ValueError):
         FilterSpec(-1, HeatParams(1.0))

@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from mahf import geometry
 from mahf.errors import GeometryError
 from mahf.geometry import (build_frames, face_areas, knn, pca_normals,
                            vertex_areas, vertex_normals)
@@ -276,3 +279,100 @@ def test_knn_integer_lattice_ties():
         indices, distances = _oracle_knn(pts, k)
         assert np.array_equal(nbrs.indices, indices)
         assert np.array_equal(nbrs.distances, distances)
+
+
+# --- the grid query behind knn, on inputs that stress a grid ---
+
+def _sphere(n, seed, radius=50.0):
+    pts = np.random.default_rng(seed).standard_normal((n, 3))
+    return pts * (radius / np.linalg.norm(pts, axis=1, keepdims=True))
+
+
+def _two_density(n, seed):
+    """A full-size sphere beside a cube of side 1e-4 holding as many points."""
+    cube = np.random.default_rng(seed + 1).uniform(0, 1e-4, (n // 2, 3)) + [10.0, 0, 0]
+    return np.vstack([_sphere(n - n // 2, seed), cube])
+
+
+def _lattice(*sizes):
+    axes = [np.arange(float(s)) for s in sizes]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+
+
+_HARD_SETS = {
+    # cell assignments round by about 1e-10 here: a margin taken from the
+    # 1e-3 spacing alone would be far too small
+    "offset-1e6": lambda: 1e6 + 1e-3 * (_lattice(7, 7, 7)
+                                        + np.random.default_rng(1).uniform(0, 0.3, (343, 3))),
+    "tripled": lambda: np.repeat(_sphere(100, 2), 3, axis=0),
+    "line": lambda: np.column_stack([np.linspace(0, 1, 200), np.zeros(200), np.zeros(200)]),
+    "coincident": lambda: np.ones((20, 3)),
+    "two-density": lambda: _two_density(300, 3),
+    # points about 1e150 apart near 1e160: every squared distance stays finite
+    "near-1e160": lambda: 1e160 * (1 + 1e-10 * np.random.default_rng(4).uniform(0, 1, (200, 3))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_HARD_SETS))
+@pytest.mark.parametrize("k", [1, 3, 8])
+def test_knn_grid_stress_sets_match_oracle(name, k):
+    pts = _HARD_SETS[name]()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        nbrs = knn(pts, k)
+    indices, distances = _oracle_knn(pts, k)
+    assert np.array_equal(nbrs.indices, indices)
+    assert np.array_equal(nbrs.distances, distances)
+
+
+def test_knn_plane_lattice_every_k():
+    pts = _lattice(12, 12, 1)
+    for k in range(1, 9):
+        indices, distances = _oracle_knn(pts, k)
+        nbrs = knn(pts, k)
+        assert np.array_equal(nbrs.indices, indices)
+        assert np.array_equal(nbrs.distances, distances)
+
+
+def _tree_query(points, m):
+    """Each point's m nearest points, from scipy's kd-tree."""
+    from scipy.spatial import cKDTree
+    return cKDTree(points).query(points, k=m)
+
+
+@pytest.mark.parametrize("name", ["sphere", "two-density"])
+def test_knn_matches_kd_tree_candidates_bit_for_bit(monkeypatch, name):
+    # knn only needs a valid set of each point's m nearest; the kd-tree's
+    # set, ordered by the same steps, gives the same indices and distances
+    pts = _sphere(20000, 0) if name == "sphere" else _two_density(5000, 5)
+    grid = {k: knn(pts, k) for k in (1, 3, 8)}
+    monkeypatch.setattr(geometry, "_grid_query", _tree_query)
+    for k, nbrs in grid.items():
+        tree = knn(pts, k)
+        assert np.array_equal(nbrs.indices, tree.indices)
+        assert np.array_equal(nbrs.distances, tree.distances)
+
+
+def test_knn_overflowing_cell_keys_take_the_exact_scan(monkeypatch):
+    # two clouds 1e160 apart, each 1e150 across: refined to one level, the
+    # cell keys spanning both would overflow, so their points go to the
+    # exact scan, whose cross-cloud squared distances overflow quietly
+    rng = np.random.default_rng(6)
+    pts = 1e150 * rng.uniform(0, 1, (600, 3))
+    pts[300:] += 1e160
+    scanned = []
+    scan = geometry._scan
+
+    def recording(points, rows, m, dist, idx):
+        scanned.append(rows.size)
+        scan(points, rows, m, dist, idx)
+
+    monkeypatch.setattr(geometry, "_scan", recording)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        nbrs = knn(pts, 3)
+    assert sum(scanned) >= 500
+    with np.errstate(over="ignore"):
+        indices, distances = _oracle_knn(pts, 3)
+    assert np.array_equal(nbrs.indices, indices)
+    assert np.array_equal(nbrs.distances, distances)
