@@ -312,12 +312,12 @@ def cmd_normal_variation(args) -> int:
 
 def cmd_fuse(args) -> int:
     out = _output_path(args.out)
+    if out.suffix.lower() == ".ply" and args.mesh is None:
+        raise ValueError("PLY output requires --mesh")
     a = parse_signal(args.a, property_name=args.a_property)
     b = parse_signal(args.b, property_name=args.b_property)
     fused = fuse(a, b, args.beta)
     if out.suffix.lower() == ".ply":
-        if args.mesh is None:
-            raise ValueError("PLY output requires --mesh")
         write_response(out, _load_mesh(args), fused)
     else:
         write_signal_csv(out, fused)

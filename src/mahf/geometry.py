@@ -32,7 +32,7 @@ class FrameField:
 
 @dataclass(frozen=True)
 class NeighborList:
-    """Exact k-nearest neighbors: indices and ascending distances, self excluded."""
+    """Exact k-nearest neighbors, self excluded, in (distance, index) order."""
 
     indices: np.ndarray    # (N, k) int
     distances: np.ndarray  # (N, k) float
@@ -98,8 +98,8 @@ def effective_normals(mesh: Mesh) -> np.ndarray:
 
 
 # The grid query's settings: candidate entries per selection block, points
-# whose m-th distance picks the first cell edge, and the ring size above
-# which a point tries a finer grid
+# whose k-th neighbour distance picks the first cell edge, and the ring size
+# above which a point tries a finer grid
 _BLOCK = 1 << 16
 _PILOTS = 256
 _CROWD = 256
@@ -129,10 +129,13 @@ class _Grid:
         self.strides = np.array([ny * nz, nz, 1], dtype=np.int64)
         keys = self.cells(points[near]) @ self.strides
         order = np.argsort(keys, kind="stable")
-        self.index, self.keys = near[order], keys[order]
-        # a last column at infinity pads short candidate rows
+        near, self.keys = near[order], keys[order]
+        self.column = np.empty(points.shape[0], dtype=np.int64)
+        self.column[near] = np.arange(near.size)
+        # a last column at infinity, of index N, pads short candidate rows
+        self.index = np.append(near, points.shape[0])
         self.coords = np.full((3, near.size + 1), np.inf)
-        self.coords[:, :-1] = points[self.index].T
+        self.coords[:, :-1] = points[near].T
 
     def cells(self, pts: np.ndarray) -> np.ndarray:
         return np.floor((pts - self.lo) / self.edge).astype(np.int64)
@@ -168,18 +171,15 @@ class _Grid:
         return np.minimum(down, np.floor(np.log2(self.edge / (64 * self.slack)))).astype(np.int64)
 
 
-def _nearest_in_runs(coords, queries, first, lens, m):
-    """The m least squared distances from each query point to the points in
-    its runs of ``coords`` columns, and their columns.
-
-    Each squared distance is ``(dx*dx + dy*dy) + dz*dz``, infinite without
-    a warning past the float range.  A row holding fewer than m points is
-    padded with infinite distances.  Returns the distances, the columns and
-    each row's point count.
-    """
-    b = queries.shape[0]
+def _nearest_in_runs(coords, index, own, first, lens, k):
+    """Each query's k nearest points among its runs of ``coords`` columns,
+    its own column ``own`` skipped, in (distance, index) order: distances
+    ``sqrt((dx*dx + dy*dy) + dz*dz)``, infinite without a warning past the
+    float range or where a row holds fewer than k others; the points that
+    ``index`` maps their columns to; and each row's candidate count."""
+    b = own.size
     counts = lens.sum(axis=1)
-    width = max(int(counts.max()), m)
+    width = max(int(counts.max()), k + 1)
     runs = lens.reshape(-1)
     rel = np.arange(int(counts.sum()))
     cols = np.full(b * width, coords.shape[1] - 1)
@@ -187,54 +187,67 @@ def _nearest_in_runs(coords, queries, first, lens, m):
         np.repeat(first.reshape(-1) - np.cumsum(runs) + runs, runs) + rel
     cols = cols.reshape(b, width)
     x, y, z = coords
-    dx = x[cols] - queries[:, 0:1]
-    dy = y[cols] - queries[:, 1:2]
-    dz = z[cols] - queries[:, 2:3]
+    dx = x[cols] - x[own, None]
+    dy = y[cols] - y[own, None]
+    dz = z[cols] - z[own, None]
     with np.errstate(over="ignore"):
         d2 = (dx * dx + dy * dy) + dz * dz
-    sel = np.argpartition(d2, m - 1, axis=1)[:, :m]
-    return np.take_along_axis(d2, sel, axis=1), np.take_along_axis(cols, sel, axis=1), counts
+    # the query at infinity comes before the k-th of the k + 1 least only
+    # where the k-th distance is infinite, and so tied
+    is_own = cols == own[:, None]
+    d2[is_own] = np.inf
+    near = np.argpartition(d2, k, axis=1)[:, :k + 1]
+    dist = np.sqrt(np.take_along_axis(d2, near, axis=1))
+    idx = index[np.take_along_axis(cols, near, axis=1)]
+    order = np.lexsort((idx, dist))
+    dist, idx = np.take_along_axis(dist, order, axis=1), np.take_along_axis(idx, order, axis=1)
+    tied = dist[:, k] == dist[:, k - 1]
+    if tied.any():
+        # all candidates settle a tie at the k-th distance, the query last as NaN
+        d, i = np.sqrt(d2[tied]), index[cols[tied]]
+        d[is_own[tied]] = np.nan
+        order = np.lexsort((i, d))[:, :k + 1]
+        dist[tied], idx[tied] = np.take_along_axis(d, order, 1), np.take_along_axis(i, order, 1)
+    return dist[:, :k], idx[:, :k], counts
 
 
-def _scan(points, rows, m, dist, idx):
-    """The exact scan: each row's m nearest points among all of them."""
+def _scan(points, rows, k, dist, idx):
+    """The exact scan: each row's k nearest other points among all of them."""
     n = points.shape[0]
     coords = np.ascontiguousarray(points.T)
     step = max(1, _BLOCK // n)
     for s in range(0, rows.size, step):
         part = rows[s:s + step]
-        best, cols, _ = _nearest_in_runs(coords, points[part], np.zeros((part.size, 1), np.int64),
-                                         np.full((part.size, 1), n), m)
-        dist[part], idx[part] = np.sqrt(best), cols
+        first, lens = np.zeros((part.size, 1), np.int64), np.full((part.size, 1), n)
+        dist[part], idx[part], _ = _nearest_in_runs(coords, np.arange(n), part, first, lens, k)
 
 
-def _grid_query(points: np.ndarray, m: int):
-    """For each point, m of its nearest points, itself included unless m
-    others coincide with it: distances ``sqrt((dx*dx + dy*dy) + dz*dz)`` and
-    indices, (N, m) each, in no order but the largest distance last.
+def _grid_query(points: np.ndarray, k: int):
+    """Each point's k nearest other points, as :func:`knn` returns them.
 
     Each round buckets the points still open into cubic cells of one edge
-    per level, and each takes the m nearest of the candidates in its cell's
-    3 x 3 x 3 ring.  A point is certified when its m-th candidate lies
-    strictly inside the ring's guaranteed radius, less the rounding of the
-    cell assignment: then no point outside the ring is nearer.  An
+    per level, and each takes the k nearest others among the candidates in
+    its cell's 3 x 3 x 3 ring.  A point is certified when its k-th
+    neighbour lies strictly inside the ring's guaranteed radius, less the
+    rounding of the cell assignment: then every point outside the ring is
+    farther, so ties at the k-th distance are settled inside the ring.  An
     uncertified point takes a coarser level in the next round, one whose
-    edge exceeds its m-th candidate's distance when the ring held m points;
+    edge exceeds its k-th neighbour's distance when the ring held k others;
     a crowded ring first tries a finer one.  A grid whose cell keys could
     overflow falls back to the exact scan, as do points with no finite span.
     """
     n = points.shape[0]
-    dist = np.empty((n, m))
-    idx = np.empty((n, m), dtype=np.int64)
+    dist = np.empty((n, k))
+    idx = np.empty((n, k), dtype=np.int64)
     span = (points.max(axis=0) - points.min(axis=0)).max()
     edge = span / np.cbrt(n)
     if not (np.isfinite(span) and edge > 0):
-        _scan(points, np.arange(n), m, dist, idx)
-        return dist, idx
-    # the first edge: a little above the m-th candidate distance of most of
+        _scan(points, np.arange(n), k, dist, idx)
+        return NeighborList(idx, dist)
+    # the first edge: a little above the k-th neighbour distance of most of
     # an even sample, from a grid sized for a volume; a sample whose ring
     # there is far too crowded is skipped, and left to the refinement below
-    crowd = max(_CROWD, 16 * m)
+    crowd = max(_CROWD, 16 * (k + 1))
     every = np.arange(n)
     grid = _Grid(points, every, edge)
     pilots = every[::max(1, n // _PILOTS)]
@@ -242,8 +255,8 @@ def _grid_query(points: np.ndarray, m: int):
     calm = lens[inv].sum(axis=1) <= 4 * crowd
     pilots, inv = pilots[calm], inv[calm]
     if pilots.size:
-        best = _nearest_in_runs(grid.coords, points[pilots], first[inv], lens[inv], m)[0]
-        reach = np.sqrt(best[:, -1])
+        reach = _nearest_in_runs(grid.coords, grid.index, grid.column[pilots],
+                                 first[inv], lens[inv], k)[0][:, -1]
         reach = reach[np.isfinite(reach) & (reach > 0)]
         if reach.size:
             edge = max(1.2 * np.quantile(reach, 0.75), span / 2 ** 20)
@@ -256,7 +269,7 @@ def _grid_query(points: np.ndarray, m: int):
             q = pending[level[pending] == e]
             grid = _Grid(points, q, edge * 2.0 ** e)
             if not grid.ok:
-                _scan(points, q, m, dist, idx)
+                _scan(points, q, k, dist, idx)
                 continue
             cells = grid.cells(points[q])
             first, lens, inv = grid.rings(cells)
@@ -284,59 +297,45 @@ def _grid_query(points: np.ndarray, m: int):
                 far = min(q.size, s + _BLOCK // int(counts[s])) - 1
                 t = s + max(1, _BLOCK // int(counts[far]))
                 rows = q[s:t]
-                best, cols, held = _nearest_in_runs(grid.coords, points[rows],
-                                                    first[inv[s:t]], lens[inv[s:t]], m)
-                reach = np.sqrt(best[:, -1])
+                near, ids, held = _nearest_in_runs(grid.coords, grid.index, grid.column[rows],
+                                                   first[inv[s:t]], lens[inv[s:t]], k)
+                reach = near[:, -1]
                 ok = (held == n) | (reach < radius[s:t])
-                dist[rows[ok]], idx[rows[ok]] = np.sqrt(best[ok]), grid.index[cols[ok]]
+                dist[rows[ok]], idx[rows[ok]] = near[ok], ids[ok]
                 late = ~ok
                 if late.any():
-                    # past the m-th candidate's distance; a short ring grows
+                    # past the k-th neighbour's distance; a short ring grows
                     # as if its points lay on a surface
-                    up = np.where(held[late] >= m,
+                    up = np.where(held[late] > k,
                                   1 + np.floor(np.log2(np.maximum(reach[late] / grid.edge, 1))),
-                                  1 + np.floor(np.log2(m / held[late]) / 2))
+                                  1 + np.floor(np.log2((k + 1) / held[late]) / 2))
                     level[rows[late]] += up.astype(np.int64)
                     moved.append(rows[late])
                 s = t
         pending = np.concatenate(moved or [every[:0]])
-    return dist, idx
+    return NeighborList(idx, dist)
 
 
-def _nearest(points: np.ndarray, k: int) -> NeighborList:
-    n = points.shape[0]
-    # one extra candidate detects ties straddling the cut; tied rows are
-    # recomputed by an exact scan so ties always go to the lower index
-    m = min(n, k + 2)
-    dist, idx = _grid_query(points, m)
-    scale = dist[:, -1].max() + 1.0
-    is_self = idx == np.arange(n)[:, None]
-    valid = m - np.count_nonzero(is_self, axis=1)
-    # self goes last; the others by distance, then index
-    dist = np.where(is_self, np.inf, dist)
-    order = np.lexsort((idx, dist))
-    idx = np.take_along_axis(idx, order, axis=1)
-    dist = np.take_along_axis(dist, order, axis=1)
-    out_idx = np.ascontiguousarray(idx[:, :k], dtype=np.int64)
-    out_dist = np.ascontiguousarray(dist[:, :k])
-    tied = (valid < k) | ((valid > k) & (dist[:, k] - dist[:, k - 1] <= 1e-12 * scale))
-    for i in np.flatnonzero(tied):
-        d2 = np.sum((points - points[i]) ** 2, axis=1)
-        d2[i] = np.inf
-        order = np.lexsort((np.arange(n), d2))[:k]
-        out_idx[i], out_dist[i] = order, np.sqrt(d2[order])
-    return NeighborList(out_idx, out_dist)
+def as_xyz(values, name: str) -> np.ndarray:
+    """``values`` as a float64 array of shape (N, 3); ValueError otherwise."""
+    array = np.asarray(values, dtype=np.float64)
+    if array.ndim != 2 or array.shape[1] != 3:
+        raise ValueError(f"{name} must have shape (N, 3), got {array.shape}")
+    return array
 
 
 def knn(points: np.ndarray, k: int) -> NeighborList:
-    """Exact k-nearest neighbors by Euclidean distance, ties broken by lower index."""
-    points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    """Exact k nearest neighbours of N finite points, self excluded by index, in
+    (distance, index) order, so that each k-list is a prefix of any larger one."""
+    points = as_xyz(points, "points")
     n = points.shape[0]
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     if k >= n:
         raise ValueError(f"k={k} requires more than k points, got {n}")
-    return _nearest(points, k)
+    if not np.isfinite(points).all():
+        raise ValueError("points must be finite")
+    return _grid_query(points, k)
 
 
 def next_level(pattern: sparse.csr_matrix, level: np.ndarray, seen: np.ndarray):
@@ -378,7 +377,7 @@ def pca_normals(points: np.ndarray, k: int, *,
         ``knn(points, k)`` if the caller holds it already, as a point cloud's
         operator shares it; built here otherwise.  Its indices must be (N, k).
     """
-    points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    points = as_xyz(points, "points")
     n = points.shape[0]
     if k < 3:
         raise ValueError(f"k must be at least 3 for a plane fit, got {k}")
@@ -431,7 +430,7 @@ def build_frames(normals: np.ndarray) -> FrameField:
     least aligned with the normal (ties resolved in x, y, z order); the
     y axis completes the right-handed triad.
     """
-    n = np.asarray(normals, dtype=np.float64).reshape(-1, 3)
+    n = as_xyz(normals, "normals")
     norms = np.linalg.norm(n, axis=1)
     off = np.abs(norms - 1.0)
     # a NaN fails this test too, and argmax finds the first NaN

@@ -443,7 +443,7 @@ def parse_signal(path: str | Path, *, property_name: str = "quality",
     if not path.is_file():
         raise FileNotFoundError(f"no such signal file: {path}")
     if path.suffix.lower() == ".ply":
-        columns, _faces, _ = _read_ply(path, triangulate=False)
+        columns, _faces, _ = _read_ply(path, triangulate=True)
         if property_name not in columns:
             raise SignalFormatError(f"{path}: no per-vertex property named {property_name!r}")
         values, name = columns[property_name], property_name

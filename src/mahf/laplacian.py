@@ -16,7 +16,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import NumericalError, OperatorError
-from .geometry import NeighborList, knn, next_level, vertex_areas
+from .geometry import NeighborList, as_xyz, knn, next_level, vertex_areas
 from .io_mesh import Mesh
 
 _COT_CLAMP = 1e6
@@ -183,7 +183,7 @@ def gaussian_knn_operator(points: np.ndarray, k: int, sigma: float | str = "auto
     ``nbrs`` is ``knn(points, k)`` if the caller holds it already, as
     :func:`~mahf.geometry.pca_normals` may share it; its indices must be (N, k).
     """
-    points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    points = as_xyz(points, "points")
     n = points.shape[0]
     if nbrs is None:
         nbrs = knn(points, k)

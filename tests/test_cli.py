@@ -365,16 +365,18 @@ def test_fuse_length_mismatch_exits_2(tmp_path, capsys):
     assert not list(tmp_path.glob("f*"))
 
 
-def test_fuse_ply_output_needs_mesh(tmp_path, grid_inputs, capsys):
+def test_fuse_ply_output_needs_mesh(tmp_path, grid_inputs, capsys, monkeypatch):
     mesh, mesh_path, _ = grid_inputs
     a = tmp_path / "a.csv"
     n = mesh.n_vertices
     a.write_text("1\n" * n)
     out = tmp_path / "f.ply"
+    refuse_calls(monkeypatch, *ENTRY_POINTS)
     assert main(["fuse", "--a", str(a), "--b", str(a), "--beta", "0.333333",
                  "--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: PLY output requires --mesh\n"
     assert not list(tmp_path.glob("f*"))
+    monkeypatch.undo()
     assert main(["fuse", "--a", str(a), "--b", str(a), "--beta", "0.333333",
                  "--mesh", str(mesh_path), "--out", str(out)]) == 0
     fused = parse_signal(out, property_name="quality")
@@ -504,6 +506,38 @@ def test_area_normalize_flag_recorded(tmp_path, grid_inputs):
     assert manifest["parameters"]["area_normalize_t"] is True
 
 
+# a 4 x 4 grid of unit quads
+_CORNERS = [(x, y) for y in range(5) for x in range(5)]
+_QUADS = [(5 * y + x, 5 * y + x + 1, 5 * y + x + 6, 5 * y + x + 5)
+          for y in range(4) for x in range(4)]
+
+
+@pytest.mark.parametrize("command", ["filter", "fuse"])
+def test_signal_property_of_a_quad_ply(tmp_path, command):
+    # a PLY's faces are only checked when a signal is read from it, so a
+    # polygonal PLY's property reads as a triangle mesh's would
+    quads = tmp_path / "quads.ply"
+    quads.write_text("ply\nformat ascii 1.0\nelement vertex 25\nproperty float x\n"
+                     "property float y\nproperty float z\nproperty float quality\n"
+                     "element face 16\nproperty list uchar int vertex_indices\nend_header\n"
+                     + "".join(f"{x} {y} 0 {x * y % 3}\n" for x, y in _CORNERS)
+                     + "".join("4 %d %d %d %d\n" % f for f in _QUADS))
+    quality = parse_signal(quads, property_name="quality")
+    out = tmp_path / "out.csv"
+    if command == "filter":
+        argv = ["filter", "--mesh", str(quads), "--triangulate", "--signal-property", "quality",
+                "--k", "1", "--t", "5", "--out", str(out)]
+        written = tmp_path / "out_k1_t5.csv"
+        expected = _filter_response(parse_mesh(quads, triangulate=True), quality).r2
+    else:
+        argv = ["fuse", "--a", str(quads), "--a-property", "x", "--b", str(quads),
+                "--b-property", "quality", "--beta", "0.5", "--out", str(out)]
+        written = out
+        expected = fuse(parse_signal(quads, property_name="x"), quality, 0.5).values
+    assert main(argv) == 0
+    assert np.array_equal(parse_signal(written).values, expected)
+
+
 def _filter_response(mesh, signal):
     """The library call behind ``filter --k 1 --t 5`` on a mesh."""
     normals = mesh.normals if mesh.normals is not None else vertex_normals(mesh)
@@ -541,13 +575,9 @@ def test_flag_output_matches_library(tmp_path, grid_inputs, sphere_ply, flag):
         mesh = parse_mesh(txt, fmt="ply")
         expected = _filter_response(mesh, rgb_to_luminance(mesh)).r2
     elif flag == "triangulate":
-        # a 4 x 4 grid of unit quads
         quads = tmp_path / "quads.off"
-        corners = [(x, y) for y in range(5) for x in range(5)]
-        faces = [(5 * y + x, 5 * y + x + 1, 5 * y + x + 6, 5 * y + x + 5)
-                 for y in range(4) for x in range(4)]
-        quads.write_text("OFF\n25 16 0\n" + "".join(f"{x} {y} 0\n" for x, y in corners)
-                         + "".join("4 %d %d %d %d\n" % f for f in faces))
+        quads.write_text("OFF\n25 16 0\n" + "".join(f"{x} {y} 0\n" for x, y in _CORNERS)
+                         + "".join("4 %d %d %d %d\n" % f for f in _QUADS))
         argv = ["kernel", "--mesh", str(quads), "--vertex", "12", "--t", "0.5",
                 "--out", str(out)]
         needed = ["--triangulate"]

@@ -8,6 +8,7 @@ from mahf.errors import GeometryError
 from mahf.geometry import (build_frames, face_areas, knn, pca_normals,
                            vertex_areas, vertex_normals)
 from mahf.io_mesh import Mesh
+from mahf.laplacian import gaussian_knn_operator
 from mahf.synthetic import flat_grid, icosphere
 
 from conftest import rotated_frames
@@ -214,16 +215,18 @@ def test_knn_collinear():
     assert np.allclose(nbrs.distances[:, 0], [1, 1, 2])
 
 
-def _oracle_knn(points, k):
-    """Exact scan: indices (ties to the lower index) and their distances."""
+def _oracle_knn(points, k, rows=None):
+    """Exact scan of ``rows``, all by default: indices (ties to the lower
+    index) and their distances."""
     n = len(points)
-    idx = np.empty((n, k), dtype=int)
-    dist = np.empty((n, k))
-    for i in range(n):
+    rows = range(n) if rows is None else rows
+    idx = np.empty((len(rows), k), dtype=int)
+    dist = np.empty((len(rows), k))
+    for r, i in enumerate(rows):
         d = np.sqrt(np.sum((points - points[i]) ** 2, axis=1))
         d[i] = np.inf
-        idx[i] = sorted(range(n), key=lambda j: (d[j], j))[:k]
-        dist[i] = d[idx[i]]
+        idx[r] = sorted(range(n), key=lambda j: (d[j], j))[:k]
+        dist[r] = d[idx[r]]
     return idx, dist
 
 
@@ -310,6 +313,11 @@ _HARD_SETS = {
     "two-density": lambda: _two_density(300, 3),
     # points about 1e150 apart near 1e160: every squared distance stays finite
     "near-1e160": lambda: 1e160 * (1 + 1e-10 * np.random.default_rng(4).uniform(0, 1, (200, 3))),
+    # points 1 and 2 both lie at distance sqrt(2) from point 0, though their
+    # squared distances differ: fl(x * x) is the float after 2 for
+    # x = sqrt(2); eight far points make room for k = 8
+    "distance-tie": lambda: np.vstack([[0.0, 0, 0], [np.sqrt(2.0), 0, 0], [1.0, 1, 0],
+                                       100 + 10 * _lattice(2, 2, 2)]),
 }
 
 
@@ -334,23 +342,47 @@ def test_knn_plane_lattice_every_k():
         assert np.array_equal(nbrs.distances, distances)
 
 
-def _tree_query(points, m):
-    """Each point's m nearest points, from scipy's kd-tree."""
+def _tree_knn(points, k):
+    """Each point's k nearest others from scipy's kd-tree: its k + 2
+    nearest, ordered by (distance, index) with the point itself last; and
+    the rows tied at the end of that order, which the k + 2 cannot settle."""
     from scipy.spatial import cKDTree
-    return cKDTree(points).query(points, k=m)
+    dist, idx = cKDTree(points).query(points, k=k + 2)
+    dist = np.where(idx == np.arange(len(points))[:, None], np.inf, dist)
+    order = np.lexsort((idx, dist))
+    dist, idx = np.take_along_axis(dist, order, axis=1), np.take_along_axis(idx, order, axis=1)
+    return idx[:, :k], dist[:, :k], dist[:, k] == dist[:, k - 1]
 
 
 @pytest.mark.parametrize("name", ["sphere", "two-density"])
-def test_knn_matches_kd_tree_candidates_bit_for_bit(monkeypatch, name):
-    # knn only needs a valid set of each point's m nearest; the kd-tree's
-    # set, ordered by the same steps, gives the same indices and distances
+def test_knn_matches_kd_tree_candidates_bit_for_bit(name):
     pts = _sphere(20000, 0) if name == "sphere" else _two_density(5000, 5)
-    grid = {k: knn(pts, k) for k in (1, 3, 8)}
-    monkeypatch.setattr(geometry, "_grid_query", _tree_query)
-    for k, nbrs in grid.items():
-        tree = knn(pts, k)
-        assert np.array_equal(nbrs.indices, tree.indices)
-        assert np.array_equal(nbrs.distances, tree.distances)
+    for k in (1, 3, 8):
+        nbrs = knn(pts, k)
+        indices, distances, tied = _tree_knn(pts, k)
+        if tied.any():
+            indices[tied], distances[tied] = _oracle_knn(pts, k, np.flatnonzero(tied))
+        assert np.array_equal(nbrs.indices, indices)
+        assert np.array_equal(nbrs.distances, distances)
+
+
+@pytest.mark.parametrize("shape", [(6, 2), (18,), (2, 3, 3)])
+@pytest.mark.parametrize("call", [
+    lambda values: knn(values, 1),
+    lambda values: pca_normals(values, 3),
+    lambda values: gaussian_knn_operator(values, 1),
+    build_frames,
+], ids=["knn", "pca_normals", "gaussian_knn_operator", "build_frames"])
+def test_point_arrays_must_be_n_by_3(call, shape):
+    with pytest.raises(ValueError, match=r"must have shape \(N, 3\)"):
+        call(np.random.default_rng(0).random(shape))
+
+
+def test_knn_rejects_non_finite_points():
+    pts = np.random.default_rng(0).random((6, 3))
+    pts[4, 1] = np.nan
+    with pytest.raises(ValueError, match="points must be finite"):
+        knn(pts, 1)
 
 
 def test_knn_overflowing_cell_keys_take_the_exact_scan(monkeypatch):
