@@ -46,11 +46,11 @@ def _add_operator_args(p):
 
 
 def _float_in(lo: float, hi: float, requirement: str):
-    """An argparse type: a float in ``[lo, hi)``, so that a value out of range
-    is a usage error before any input is read."""
+    """An argparse type: a finite float in ``[lo, hi)``, so that a value out
+    of range is a usage error before any input is read."""
     def parse(raw: str) -> float:
         value = float(raw)
-        if not lo <= value < hi:
+        if not (lo <= value < hi and math.isfinite(value)):
             raise argparse.ArgumentTypeError(f"{requirement}, got {raw}")
         return value
     # argparse names the type in its message for a value that is no number
@@ -117,7 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="name of a per-vertex scalar property in the input PLY")
     source.add_argument("--luminance", action="store_true",
                         help="use the luminance of per-vertex colors as the signal")
-    p.add_argument("--luma-weights", type=float, nargs=3, default=list(REC601_WEIGHTS),
+    p.add_argument("--luma-weights", nargs=3, default=list(REC601_WEIGHTS),
+                   type=_float_in(-math.inf, math.inf, "luma weights must be finite"),
                    metavar=("R", "G", "B"), help="luminance conversion weights")
     p.add_argument("--field", choices=["r2", "real", "imag"], default="r2",
                    help="which response component to write")
@@ -268,7 +269,7 @@ def cmd_filter(args) -> int:
         source = {"signal": str(args.signal)}
     elif args.signal_property is not None:
         signal = parse_signal(args.mesh, property_name=args.signal_property,
-                              expected_length=mesh.n_vertices)
+                              expected_length=mesh.n_vertices, fmt=args.mesh_format)
         source = {"signal_property": args.signal_property}
     else:
         signal = rgb_to_luminance(mesh, weights=args.luma_weights)
@@ -290,6 +291,10 @@ def cmd_filter(args) -> int:
 
 def cmd_normal_variation(args) -> int:
     out = _output_path(args.out)
+    if args.baseline == "mhw":
+        # MhwSpec refuses t = 0, the one --t value it cannot take
+        for t in args.ts:
+            MhwSpec(t)
     mesh = _load_mesh(args)
     graphs = _knn_cache(mesh)
     op, kind = _build_operator(args, mesh, graphs)

@@ -4,7 +4,9 @@ Reads and writes the ASCII variants of OFF, OBJ and PLY plus newline-separated
 CSV columns for per-vertex scalars.  Vertex order is authoritative: every
 signal and response field is positionally aligned with the vertex sequence of
 the file it came from.  Binary PLY is rejected; ASCII keeps the surface
-testable and diffable.
+testable and diffable.  The numbers of every record stream through one
+conversion (``_numbers``), and every polygon is fanned from its first corner,
+in record order, by one triangulation (``_fan_triangles``).
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ _FMT = "%.17g"
 
 _PLY_INT_TYPES = {"char", "uchar", "short", "ushort", "int", "uint",
                   "int8", "uint8", "int16", "uint16", "int32", "uint32"}
-_PLY_FLOAT_TYPES = {"float", "double", "float32", "float64"}
 
 
 @dataclass(frozen=True)
@@ -128,11 +129,35 @@ def _meaningful_lines(text: str) -> list[str]:
     return out
 
 
-def _floats(tokens, path, what):
+def _numbers(rows, kind, path, what):
+    """Every token of ``rows`` (token sequences) through ``kind`` (``float``
+    or ``int``) into one flat array, streamed so that no list of all tokens
+    is built, and each row's token count."""
+    counts = []
+
+    def tokens():
+        for row in rows:
+            counts.append(len(row))
+            yield from row
+
     try:
-        return [float(t) for t in tokens]
+        values = np.fromiter(map(kind, tokens()), np.float64 if kind is float else np.int64)
     except ValueError as exc:
         raise MeshFormatError(f"{path}: non-numeric token in {what}: {exc}") from None
+    except OverflowError:
+        raise MeshFormatError(f"{path}: integer beyond int64 in {what}") from None
+    return values, np.array(counts, dtype=np.int64)
+
+
+def _vertex_records(lines, widths, path):
+    """Positions of the vertex records ``lines``, each of ``widths`` or at
+    least 6 columns, and the colors in columns 3-5 of those with 6 or more."""
+    values, columns = _numbers(map(str.split, lines), float, path, "vertex record")
+    bad = ~np.isin(columns, widths) & (columns < 6)
+    if bad.any():
+        raise MeshFormatError(f"{path}: vertex record with {columns[np.argmax(bad)]} columns")
+    at = (np.cumsum(columns) - columns)[:, None] + np.arange(3)
+    return values[at], values[at[columns >= 6] + 3]
 
 
 def _scale_colors(c: np.ndarray) -> np.ndarray:
@@ -161,30 +186,31 @@ def _unit_normals(m: np.ndarray, path) -> np.ndarray:
     return m / np.where(extreme, np.linalg.norm(m, axis=1), norms)[:, None]
 
 
-def _fan_triangulate(indices, triangulate, path):
-    if len(indices) < 3:
-        raise MeshFormatError(f"{path}: face with fewer than 3 vertices")
-    if len(indices) == 3:
-        return [tuple(indices)]
-    if not triangulate:
+def _fan_triangles(corners: np.ndarray, sides: np.ndarray, triangulate: bool, path):
+    """Triangles of the polygons listed one after another in ``corners``, with
+    ``sides`` corners each: fans from each first corner, in polygon order."""
+    bad = sides < 3 if triangulate else sides != 3
+    if bad.any():
+        n = int(sides[np.argmax(bad)])
+        if n < 3:
+            raise MeshFormatError(f"{path}: face with fewer than 3 vertices")
         raise MeshFormatError(
-            f"{path}: non-triangle face with {len(indices)} sides "
+            f"{path}: non-triangle face with {n} sides "
             "(pass triangulate=True to fan-triangulate)")
-    return [(indices[0], indices[i], indices[i + 1]) for i in range(1, len(indices) - 1)]
+    fans = sides - 2
+    first = np.repeat(np.cumsum(sides) - sides, fans)
+    # triangle j of a polygon joins its corners 0, j + 1 and j + 2
+    j = np.arange(first.size) - np.repeat(np.cumsum(fans) - fans, fans)
+    return corners[np.column_stack([first, first + j + 1, first + j + 2])]
 
 
 def _face_records(rows, triangulate, path):
     """Triangles of the ``n i0 ... i(n-1)`` face records of OFF and PLY."""
-    faces = []
-    for row in rows:
-        try:
-            vals = [int(t) for t in row.split()]
-        except ValueError:
-            raise MeshFormatError(f"{path}: non-numeric token in face record") from None
-        if not vals or len(vals) != vals[0] + 1:
-            raise MeshFormatError(f"{path}: face record arity mismatch")
-        faces.extend(_fan_triangulate(vals[1:], triangulate, path))
-    return faces
+    values, counts = _numbers(map(str.split, rows), int, path, "face record")
+    heads = np.cumsum(counts) - counts
+    if np.any(values[heads] != counts - 1):
+        raise MeshFormatError(f"{path}: face record arity mismatch")
+    return _fan_triangles(np.delete(values, heads), counts - 1, triangulate, path)
 
 
 def _parse_off(path: Path, triangulate: bool) -> dict:
@@ -212,92 +238,65 @@ def _parse_off(path: Path, triangulate: bool) -> dict:
         raise MeshFormatError(
             f"{path}: count mismatch (declared {nv} vertices and {nf} faces, "
             f"found {len(body)} records)")
-    verts, colors = [], []
-    for line in body[:nv]:
-        row = _floats(line.split(), path, "vertex record")
-        if len(row) == 3:
-            verts.append(row)
-        elif len(row) >= 6:
-            verts.append(row[:3])
-            colors.append(row[3:6])
-        else:
-            raise MeshFormatError(f"{path}: vertex record with {len(row)} columns")
+    vertices, colors = _vertex_records(body[:nv], (3,), path)
     if has_colors and len(colors) not in (0, nv):
         raise MeshFormatError(f"{path}: COFF vertex records missing color columns")
 
-    fields = {"vertices": np.asarray(verts, dtype=np.float64).reshape(-1, 3),
-              "faces": _face_records(body[nv:], triangulate, path)}
-    if colors:
-        fields["colors"] = _scale_colors(np.asarray(colors))
+    fields = {"vertices": vertices, "faces": _face_records(body[nv:], triangulate, path)}
+    if len(colors):
+        fields["colors"] = _scale_colors(colors)
     return fields
 
 
+def _corner_tokens(record: str) -> list[str]:
+    """The vertex and the normal index token of each ``v[/vt[/vn]]`` corner of
+    an OBJ face record; "0", which names no record, stands for no normal."""
+    corners = [corner.split("/") + ["", ""] for corner in record.split()]
+    return [token for parts in corners for token in (parts[0], parts[2] or "0")]
+
+
 def _parse_obj(path: Path, triangulate: bool) -> dict:
-    verts, colors, vns = [], [], []
-    corners: list[tuple[int, int | None]] = []
-    face_arity: list[int] = []
+    records = {"v": [], "vn": [], "f": []}
+    before = []   # the numbers of v and vn records read before each f record
     for line in _meaningful_lines(path.read_text()):
-        toks = line.split()
-        key = toks[0]
-        if key == "v":
-            row = _floats(toks[1:], path, "vertex record")
-            if len(row) in (3, 4):
-                verts.append(row[:3])
-            elif len(row) >= 6:
-                verts.append(row[:3])
-                colors.append(row[3:6])
-            else:
-                raise MeshFormatError(f"{path}: vertex record with {len(row)} columns")
-        elif key == "vn":
-            row = _floats(toks[1:], path, "normal record")
-            if len(row) != 3:
-                raise MeshFormatError(f"{path}: vn record with {len(row)} columns")
-            vns.append(row)
-        elif key == "f":
-            refs = toks[1:]
-            face_arity.append(len(refs))
-            for ref in refs:
-                parts = ref.split("/")
-                if not parts[0]:
-                    raise MeshFormatError(f"{path}: face token missing vertex index: {ref!r}")
-                try:
-                    vi = int(parts[0])
-                    ni = int(parts[2]) if len(parts) >= 3 and parts[2] else None
-                except ValueError:
-                    raise MeshFormatError(f"{path}: non-numeric face token {ref!r}") from None
-                vi = vi - 1 if vi > 0 else len(verts) + vi
-                if ni is not None:
-                    ni = ni - 1 if ni > 0 else len(vns) + ni
-                corners.append((vi, ni))
+        key, *rest = line.split(None, 1)
+        if key in records:
+            if key == "f":
+                before.append((len(records["v"]), len(records["vn"])))
+            records[key].append(rest[0] if rest else "")
         # vt, usemtl, mtllib, g, o, s and friends are ignored
 
-    faces = []
-    pos = 0
-    normals_match = bool(vns) and len(vns) == len(verts)
-    for arity in face_arity:
-        group = corners[pos:pos + arity]
-        pos += arity
-        for ref_v, ref_n in group:
-            if ref_n is not None and ref_n != ref_v:
-                # per-corner normals that do not mirror vertex order cannot be
-                # attached as per-vertex data
-                normals_match = False
-        faces.extend(_fan_triangulate([c[0] for c in group], triangulate, path))
-
-    fields = {"vertices": np.asarray(verts, dtype=np.float64).reshape(-1, 3), "faces": faces}
-    if colors:
-        if len(colors) != len(verts):
+    vertices, colors = _vertex_records(records["v"], (3, 4), path)
+    fields = {"vertices": vertices}
+    if len(colors):
+        if len(colors) != len(vertices):
             raise MeshFormatError(f"{path}: only some vertex records carry colors")
-        fields["colors"] = _scale_colors(np.asarray(colors))
-    if normals_match:
-        fields["normals"] = _unit_normals(np.asarray(vns, dtype=np.float64), path)
+        fields["colors"] = _scale_colors(colors)
+
+    vns, columns = _numbers(map(str.split, records["vn"]), float, path, "normal record")
+    if np.any(columns != 3):
+        raise MeshFormatError(
+            f"{path}: vn record with {columns[np.argmax(columns != 3)]} columns")
+
+    refs, tokens = _numbers(map(_corner_tokens, records["f"]), int, path, "face record")
+    sides = tokens // 2
+    refs = refs.reshape(-1, 2)
+    # indices count from 1, and back from the last record read so far when negative
+    read = np.repeat(np.array(before, dtype=np.int64).reshape(-1, 2), sides, axis=0)
+    index = np.where(refs > 0, refs - 1, read + refs)
+    fields["faces"] = _fan_triangles(index[:, 0], sides, triangulate, path)
+    named = refs[:, 1] != 0
+    # per-corner normals that do not mirror vertex order cannot be attached
+    # as per-vertex data
+    if vns.size and vns.size == vertices.size and \
+            np.array_equal(index[named, 0], index[named, 1]):
+        fields["normals"] = _unit_normals(vns.reshape(-1, 3), path)
     return fields
 
 
 def _read_ply(path: Path, triangulate: bool):
     """Parse an ASCII PLY into (vertex column table, faces, int-typed names)."""
-    lines = [ln.rstrip("\n") for ln in path.read_text().splitlines()]
-    it = iter(line.strip() for line in lines)
+    it = (line.strip() for line in path.read_text().splitlines())
     try:
         first = next(tok for tok in it if tok)
     except StopIteration:
@@ -347,23 +346,22 @@ def _read_ply(path: Path, triangulate: bool):
     cursor = 0
     columns: dict[str, np.ndarray] = {}
     int_typed: set[str] = set()
-    faces: list[tuple[int, int, int]] = []
+    face_rows: list[str] = []
     for name, count, props in elements:
+        rows = data[cursor:cursor + count]
+        cursor += count
+        if name in ("vertex", "face") and len(rows) < count:
+            raise MeshFormatError(f"{path}: {name} count mismatch "
+                                  f"(declared {count}, found {len(rows)})")
         if name == "vertex":
             if any(t == "list" for t, _ in props):
                 raise MeshFormatError(f"{path}: list properties on vertices are unsupported")
-            rows = data[cursor:cursor + count]
-            if len(rows) < count:
-                raise MeshFormatError(f"{path}: vertex count mismatch "
-                                      f"(declared {count}, found {len(rows)})")
-            cursor += count
-            table = np.empty((count, len(props)), dtype=np.float64)
-            for r, row in enumerate(rows):
-                toks = row.split()
-                if len(toks) != len(props):
-                    raise MeshFormatError(f"{path}: vertex row has {len(toks)} columns, "
-                                          f"expected {len(props)}")
-                table[r] = _floats(toks, path, "vertex record")
+            values, counts = _numbers(map(str.split, rows), float, path, "vertex record")
+            wrong = counts != len(props)
+            if wrong.any():
+                raise MeshFormatError(f"{path}: vertex row has {counts[np.argmax(wrong)]} "
+                                      f"columns, expected {len(props)}")
+            table = values.reshape(count, len(props))
             for c, (ptype, pname) in enumerate(props):
                 columns[pname] = table[:, c]
                 if ptype in _PLY_INT_TYPES:
@@ -372,18 +370,11 @@ def _read_ply(path: Path, triangulate: bool):
             if len(props) != 1 or props[0][0] != "list" or \
                     props[0][1] not in ("vertex_indices", "vertex_index"):
                 raise MeshFormatError(f"{path}: unsupported face properties")
-            rows = data[cursor:cursor + count]
-            if len(rows) < count:
-                raise MeshFormatError(f"{path}: face count mismatch "
-                                      f"(declared {count}, found {len(rows)})")
-            cursor += count
-            faces.extend(_face_records(rows, triangulate, path))
-        else:
-            # unknown scalar-only elements are skipped row-by-row
-            cursor += count
+            face_rows += rows
+        # the rows of other elements are skipped
     if cursor < len(data):
         raise MeshFormatError(f"{path}: trailing content after declared elements")
-    return columns, faces, int_typed
+    return columns, _face_records(face_rows, triangulate, path), int_typed
 
 
 def _parse_ply(path: Path, triangulate: bool) -> dict:
@@ -437,12 +428,19 @@ def parse_mesh(path: str | Path, fmt: str | None = None, triangulate: bool = Fal
 
 
 def parse_signal(path: str | Path, *, property_name: str = "quality",
-                 expected_length: int | None = None) -> VertexSignal:
-    """Read a per-vertex scalar from a CSV column or a PLY vertex property."""
+                 expected_length: int | None = None,
+                 fmt: str | None = None) -> VertexSignal:
+    """Read a per-vertex scalar from a CSV column or a PLY vertex property;
+    ``fmt`` (off, obj, ply, or None to infer from the suffix) is the file's
+    format, as in :func:`parse_mesh`, and any other format reads as CSV."""
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"no such signal file: {path}")
-    if path.suffix.lower() == ".ply":
+    fmt = (fmt or path.suffix.lstrip(".")).lower()
+    if fmt in ("off", "obj"):
+        raise SignalFormatError(f"{path}: an {fmt.upper()} file has no per-vertex "
+                                "scalar properties; read them from a PLY file")
+    if fmt == "ply":
         columns, _faces, _ = _read_ply(path, triangulate=True)
         if property_name not in columns:
             raise SignalFormatError(f"{path}: no per-vertex property named {property_name!r}")
@@ -486,18 +484,11 @@ def _vertex_rows(mesh: Mesh) -> np.ndarray:
     return mesh.vertices
 
 
-def write_mesh(path: str | Path, mesh: Mesh, fmt: str | None = None) -> None:
-    """Serialize a mesh as OFF/OBJ/PLY-ascii, round-trippable bit-exactly."""
+def write_mesh(path: str | Path, mesh: Mesh) -> None:
+    """Serialize a mesh as OFF/OBJ/PLY-ascii, in the format of the path's
+    suffix, round-trippable bit-exactly."""
     path = Path(path)
-    fmt = (fmt or detect_format(path)).lower()
-    if fmt == "off":
-        _write_off(path, mesh)
-    elif fmt == "obj":
-        _write_obj(path, mesh)
-    elif fmt == "ply":
-        _write_ply(path, mesh, field=None)
-    else:
-        raise MeshFormatError(f"unsupported mesh format {fmt!r}")
+    _WRITERS[detect_format(path)](path, mesh)
 
 
 def _rows_text(row_fmt: str, rows: np.ndarray) -> str:
@@ -530,7 +521,7 @@ def _write_obj(path: Path, mesh: Mesh) -> None:
             fh.write(_rows_text("f %d %d %d\n", mesh.faces + 1))
 
 
-def _write_ply(path: Path, mesh: Mesh, field: VertexSignal | None) -> None:
+def _write_ply(path: Path, mesh: Mesh, field: VertexSignal | None = None) -> None:
     columns = [_vertex_rows(mesh)]
     row_fmt = _floats_fmt(columns[0].shape[1])
     if mesh.colors is not None:
@@ -556,9 +547,13 @@ def _write_ply(path: Path, mesh: Mesh, field: VertexSignal | None) -> None:
         fh.write(_rows_text("3 %d %d %d\n", mesh.faces))
 
 
-def write_response(path: str | Path, mesh: Mesh, field: VertexSignal,
-                   fmt: str | None = None) -> None:
-    """Emit a response field for external visualization.
+# each writes a mesh to a path
+_WRITERS = {"off": _write_off, "obj": _write_obj, "ply": _write_ply}
+
+
+def write_response(path: str | Path, mesh: Mesh, field: VertexSignal) -> None:
+    """Emit a response field for external visualization, in the format of
+    the path's suffix.
 
     PLY output carries the field as a per-vertex float property named
     ``quality``; CSV output is one value per vertex in vertex order.
@@ -567,7 +562,7 @@ def write_response(path: str | Path, mesh: Mesh, field: VertexSignal,
     if len(field) != mesh.n_vertices:
         raise ValueError(f"field has {len(field)} values for a mesh with "
                          f"{mesh.n_vertices} vertices")
-    fmt = (fmt or path.suffix.lower().lstrip(".")).lower()
+    fmt = path.suffix.lower().lstrip(".")
     if fmt == "ply":
         _write_ply(path, mesh, field)
     elif fmt == "csv":

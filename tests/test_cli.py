@@ -150,6 +150,32 @@ def test_filter_signal_property_source(tmp_path, grid_inputs):
     assert (tmp_path / "q_k0_t5.csv").exists()
 
 
+def test_signal_property_read_in_the_mesh_format(tmp_path, grid_inputs, capsys):
+    # --mesh-format names the format of the file the property is read from
+    mesh, grid_off, _ = grid_inputs
+    ply = tmp_path / "q.ply"
+    write_response(ply, mesh, VertexSignal(mesh.vertices[:, 0] * mesh.vertices[:, 1]))
+    txt = tmp_path / "q.txt"
+    txt.write_bytes(ply.read_bytes())
+    outputs = []
+    for path, given in ((ply, []), (txt, ["--mesh-format", "ply"])):
+        out = tmp_path / f"{path.suffix[1:]}.csv"
+        assert main(["filter", "--mesh", str(path), *given, "--signal-property", "quality",
+                     "--t", "5", "--out", str(out)]) == 0
+        outputs.append((tmp_path / f"{out.stem}_k1_t5.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+    # an OFF or OBJ file carries no per-vertex property
+    grid_obj = tmp_path / "grid.obj"
+    write_mesh(grid_obj, mesh)
+    for path in (grid_off, grid_obj):
+        assert main(["filter", "--mesh", str(path), "--signal-property", "quality",
+                     "--t", "5", "--out", str(tmp_path / "r.csv")]) == 2
+        fmt = path.suffix[1:].upper()
+        assert capsys.readouterr().err == (f"error: {path}: an {fmt} file has no per-vertex "
+                                           "scalar properties; read them from a PLY file\n")
+    assert not list(tmp_path.glob("r*"))
+
+
 def test_normal_variation_and_mhw_baseline(tmp_path, grid_inputs):
     _, mesh_path, _ = grid_inputs
     for extra, name in (([], "nv.csv"), (["--baseline", "mhw"], "mhw.csv")):
@@ -313,9 +339,13 @@ _SIGMA_NEEDS = "sigma must be a positive finite number or 'auto'"
     ("fuse", ["--beta", "nan"], "argument --beta: beta must be finite and nonnegative, got nan"),
     ("fuse", ["--beta", "inf"], "argument --beta: beta must be finite and nonnegative, got inf"),
     ("fuse", ["--beta=-0.5"], "argument --beta: beta must be finite and nonnegative, got -0.5"),
+    ("filter", ["--luma-weights", "0.3", "nan", "0.1"],
+     "argument --luma-weights: luma weights must be finite, got nan"),
+    ("filter", ["--luma-weights", "0.3", "0.6", "inf"],
+     "argument --luma-weights: luma weights must be finite, got inf"),
 ], ids=["filter-negative-k", "nv-negative-k", "fractional-k", "filter-knn-0", "nv-knn-0",
         "kernel-negative-knn", "sigma-word", "sigma-0", "sigma-nan", "sigma-inf",
-        "negative-sigma", "beta-nan", "beta-inf", "negative-beta"])
+        "negative-sigma", "beta-nan", "beta-inf", "negative-beta", "luma-nan", "luma-inf"])
 def test_order_operator_and_weight_arguments_checked_before_any_work(
         tmp_path, grid_inputs, capsys, monkeypatch, command, bad, message):
     _, mesh_path, signal_path = grid_inputs
@@ -329,6 +359,16 @@ def test_order_operator_and_weight_arguments_checked_before_any_work(
         warnings.simplefilter("error")
         assert main(argv + [*bad, "--out", str(tmp_path / "r.csv")]) == 2
     assert f"mahf {command}: error: {message}\n" in capsys.readouterr().err
+    assert not list(tmp_path.glob("r*"))
+
+
+def test_mhw_zero_time_checked_before_any_work(tmp_path, grid_inputs, capsys, monkeypatch):
+    # t = 0 is a valid heat scale but no MHW scale
+    _, mesh_path, _ = grid_inputs
+    refuse_calls(monkeypatch, *ENTRY_POINTS)
+    assert main(["normal-variation", "--mesh", str(mesh_path), "--baseline", "mhw",
+                 "--t", "5", "--t", "0", "--out", str(tmp_path / "r.csv")]) == 2
+    assert capsys.readouterr().err == "error: MHW scale must be finite and positive, got 0.0\n"
     assert not list(tmp_path.glob("r*"))
 
 

@@ -358,3 +358,104 @@ def test_writers_match_per_line_reference(tmp_path):
             out = tmp_path / f"r.{kind}"
             write_response(out, mesh, field)
             assert out.read_bytes() == _reference_text(kind, mesh, field).encode(), kind
+
+
+# --- reader behaviours, one small file each ---
+
+_TRI_QUAD_PENTA = "3 0 1 2\n4 2 3 4 5\n5 0 2 4 5 6\n"
+# record order, each polygon fanned from its first corner
+_FANS = [[0, 1, 2], [2, 3, 4], [2, 4, 5], [0, 2, 4], [0, 4, 5], [0, 5, 6]]
+_SEVEN = [[0.5, 0, 0], [1, 0.25, 0], [1, 1, -3e-7], [0, 1, 0], [-1, 0.5, 0],
+          [-1, -1, 1e5], [0, -1, 2]]
+_SEVEN_TEXT = "".join(" ".join(repr(float(c)) for c in v) + "\n" for v in _SEVEN)
+_PLY_XYZ = "property float x\nproperty float y\nproperty float z\n"
+_PLY_FACES = "property list uchar int vertex_indices\n"
+_TRI = [[0.0, 0, 0], [1, 0, 0], [0, 1, 0]]
+
+# name: (file name, text, triangulate, expected fields or an error substring)
+_READER_CASES = {
+    "off-polygons": ("m.off", f"OFF\n7 3 0\n{_SEVEN_TEXT}{_TRI_QUAD_PENTA}", True,
+                     {"vertices": _SEVEN, "faces": _FANS}),
+    "ply-polygons": ("m.ply", "ply\nformat ascii 1.0\nelement vertex 7\n" + _PLY_XYZ
+                     + "element face 3\n" + _PLY_FACES + "end_header\n"
+                     + _SEVEN_TEXT + _TRI_QUAD_PENTA, True,
+                     {"vertices": _SEVEN, "faces": _FANS}),
+    "obj-polygons": ("m.obj", "".join(f"v {line}" for line in _SEVEN_TEXT.splitlines(True))
+                     + "f 1 2 3\nf 3/1 4/2 5/3 6/4\nf 1//1 3//3 5//5 6//6 7//7\n", True,
+                     {"vertices": _SEVEN, "faces": _FANS}),
+    "obj-negative-before-more-vertices": (
+        "m.obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\nf -3 -2 -1\nv 1 1 0\nv 2 1 0\nf -3 -2 -1\n",
+        False, {"vertices": _TRI + [[1, 1, 0], [2, 1, 0]], "faces": [[0, 1, 2], [2, 3, 4]]}),
+    # the normal index -1 counts back from the one vn record read so far
+    "obj-negative-normal-before-more-normals": (
+        "m.obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\nvn 0 0 1\nf 1//-1 2//2 3//3\n"
+        "vn 0 1 0\nvn 1 0 0\n", False,
+        {"vertices": _TRI, "faces": [[0, 1, 2]], "normals": [[0, 0, 1], [0, 1, 0], [1, 0, 0]]}),
+    "obj-v-with-w": ("m.obj", "v 0 0 0 1\nv 1 0 0 0.5\nv 0 1 0 1\nf 1 2 3\n", False,
+                     {"vertices": _TRI, "faces": [[0, 1, 2]]}),
+    "off-tabs": ("m.off", "OFF\n3\t1\t0\n0\t0 0\n1\t0\t0\n0 1\t0\n3\t0\t1\t2\n", False,
+                 {"vertices": _TRI, "faces": [[0, 1, 2]]}),
+    "obj-tabs": ("m.obj", "v\t0 0\t0\nv\t1\t0\t0\nv 0\t1 0\nvn\t0\t0\t1\nvn 0 0 1\n"
+                 "vn 0 0\t1\nf\t1//1\t2//2 3//3\n", False,
+                 {"vertices": _TRI, "faces": [[0, 1, 2]], "normals": [[0, 0, 1]] * 3}),
+    "ply-tabs": ("m.ply", "ply\nformat ascii 1.0\nelement vertex 3\n" + _PLY_XYZ
+                 + "element face 1\n" + _PLY_FACES + "end_header\n"
+                 "0\t0\t0\n1\t0 0\n0 1\t0\n3\t0\t1\t2\n", False,
+                 {"vertices": _TRI, "faces": [[0, 1, 2]]}),
+    "ply-comment-obj-info": ("m.ply", "ply\nformat ascii 1.0\ncomment made by hand\n"
+                             "obj_info a single triangle\nelement vertex 3\ncomment xyz\n"
+                             + _PLY_XYZ + "element face 1\n" + _PLY_FACES + "end_header\n"
+                             "0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n", False,
+                             {"vertices": _TRI, "faces": [[0, 1, 2]]}),
+    "ply-unknown-element": ("m.ply", "ply\nformat ascii 1.0\nelement vertex 3\n" + _PLY_XYZ
+                            + "element material 2\nproperty float shine\n"
+                            "property uchar index\nelement face 1\n" + _PLY_FACES
+                            + "end_header\n0 0 0\n1 0 0\n0 1 0\n0.5 1\n0.25 2\n3 0 1 2\n",
+                            False, {"vertices": _TRI, "faces": [[0, 1, 2]]}),
+    "ply-trailing-content": ("m.ply", "ply\nformat ascii 1.0\nelement vertex 3\n" + _PLY_XYZ
+                             + "element face 1\n" + _PLY_FACES + "end_header\n"
+                             "0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n3 2 1 0\n", False,
+                             "trailing content after declared elements"),
+    "off-trailing-content": ("m.off", "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n3 2 1 0\n",
+                             False, "count mismatch"),
+    "off-crlf": ("m.off", "OFF\r\n3 1 0\r\n0 0 0\r\n1 0 0\r\n0 1 0\r\n3 0 1 2\r\n", False,
+                 {"vertices": _TRI, "faces": [[0, 1, 2]]}),
+    "ply-crlf": ("m.ply", ("ply\nformat ascii 1.0\nelement vertex 3\n" + _PLY_XYZ
+                           + "element face 1\n" + _PLY_FACES + "end_header\n"
+                           "0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n").replace("\n", "\r\n"), False,
+                 {"vertices": _TRI, "faces": [[0, 1, 2]]}),
+    "obj-crlf": ("m.obj", "v 0 0 0\r\nv 1 0 0\r\nv 0 1 0\r\nf 1 2 3\r\n", False,
+                 {"vertices": _TRI, "faces": [[0, 1, 2]]}),
+    "coff-byte-colors": ("m.off", "COFF\n3 1 0\n0 0 0 255 0 51\n1 0 0 0 255 0\n"
+                         "0 1 0 0 102 255\n3 0 1 2\n", False,
+                         {"vertices": _TRI, "faces": [[0, 1, 2]],
+                          "colors": [[1, 0, 0.2], [0, 1, 0], [0, 0.4, 1]]}),
+    "coff-missing-color-row": ("m.off", "COFF\n3 1 0\n0 0 0 1 0 0\n1 0 0\n"
+                               "0 1 0 0 0 1\n3 0 1 2\n", False,
+                               "COFF vertex records missing color columns"),
+    "obj-some-colors": ("m.obj", "v 0 0 0 1 0 0\nv 1 0 0\nv 0 1 0 0 0 1\nf 1 2 3\n", False,
+                        "only some vertex records carry colors"),
+    "ply-vertex-list": ("m.ply", "ply\nformat ascii 1.0\nelement vertex 3\n" + _PLY_XYZ
+                        + "property list uchar int tags\nelement face 1\n" + _PLY_FACES
+                        + "end_header\n0 0 0 1 7\n1 0 0 1 7\n0 1 0 1 7\n3 0 1 2\n", False,
+                        "list properties on vertices are unsupported"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_READER_CASES))
+def test_reader_behaviours(tmp_path, case):
+    name, text, triangulate, expected = _READER_CASES[case]
+    path = tmp_path / name
+    path.write_bytes(text.encode())
+    if isinstance(expected, str):
+        with pytest.raises(MeshFormatError, match=expected):
+            parse_mesh(path, triangulate=triangulate)
+        return
+    mesh = parse_mesh(path, triangulate=triangulate)
+    for field in ("vertices", "faces", "colors", "normals"):
+        got, want = getattr(mesh, field), expected.get(field)
+        if want is None:
+            assert got is None, field
+        else:
+            dtype = np.int64 if field == "faces" else np.float64
+            assert got.dtype == dtype and np.array_equal(got, np.asarray(want, dtype)), field
