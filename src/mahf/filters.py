@@ -137,7 +137,7 @@ def _chunks(op: SparseOperator, width: int):
     for start in range(0, op.n, width):
         parts, size = [], min(width, op.n - start)
         while size > 0:
-            parts.append(breadth_first(op.stiffness, [int(np.argmin(assigned))], assigned,
+            parts.append(breadth_first(op, [int(np.argmin(assigned))], assigned,
                                        size=size))
             size -= parts[-1].shape[0]
         yield np.concatenate(parts)
@@ -300,7 +300,7 @@ def _response_block(op: SparseOperator, frames: FrameField, positions: np.ndarra
         indicator = np.zeros(n * min(width, n))
         kernels = [np.empty(n * min(width, n)) for _ in fns]
         for chunk in share:
-            ball = breadth_first(op.stiffness, chunk, np.zeros(n, dtype=bool), levels=order)
+            ball = breadth_first(op, chunk, np.zeros(n, dtype=bool), levels=order)
             w = chunk.shape[0]
             x = indicator[:ball.shape[0] * w].reshape(-1, w)
             diagonal = np.diag_indices(w)

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
+from .csr import from_coo, row_entries
 from .errors import GeometryError
 from .io_mesh import Mesh
 
@@ -338,22 +338,19 @@ def knn(points: np.ndarray, k: int) -> NeighborList:
     return _grid_query(points, k)
 
 
-def next_level(pattern: sparse.csr_matrix, level: np.ndarray, seen: np.ndarray):
+def next_level(pattern, level: np.ndarray, seen: np.ndarray):
     """The next level of a breadth-first search: the vertices not yet
-    ``seen`` that ``pattern`` links to ``level``, and for each the vertex of
-    ``level`` that found it.
+    ``seen`` that the CSR ``pattern`` (anything with ``indptr`` and
+    ``indices``) links to ``level``, and for each the vertex of ``level``
+    that found it.
 
     The vertices of ``level`` scan their rows of the pattern in turn, each
     in stored order; a vertex is found by the first scan that reaches it,
     and the level lists vertices in the order they are found.  Marks
     nothing in ``seen``.
     """
-    indptr, indices = pattern.indptr, pattern.indices
-    starts = indptr[level]
-    counts = indptr[level + 1] - starts
-    ends = np.cumsum(counts)
-    gather = np.repeat(starts - ends + counts, counts)
-    reached = indices[gather + np.arange(gather.shape[0])]
+    entries, ends = row_entries(pattern.indptr, level)
+    reached = pattern.indices[entries]
     fresh = np.flatnonzero(~seen[reached])
     first = fresh[np.sort(np.unique(reached[fresh], return_index=True)[1])]
     return reached[first], level[np.searchsorted(ends, first, side="right")]
@@ -404,9 +401,8 @@ def pca_normals(points: np.ndarray, k: int, *,
     # COO sorts each row, so a level scans its neighbours in index order
     rows = np.repeat(np.arange(n), k)
     cols = nbrs.indices.reshape(-1)
-    pattern = sparse.csr_matrix((np.ones(2 * rows.shape[0]),
-                                 (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
-                                shape=(n, n))
+    pattern = from_coo(n, np.concatenate([rows, cols]), np.concatenate([cols, rows]),
+                       np.ones(2 * rows.shape[0]))
     seen = np.zeros(n, dtype=bool)
     for seed in np.lexsort((np.arange(n), -points[:, 2])):
         if seen[seed]:

@@ -325,7 +325,7 @@ def _read_ply(path: Path, triangulate: bool):
         elif toks[0] == "property":
             if not elements:
                 raise MeshFormatError(f"{path}: property before any element")
-            if toks[1] == "list":
+            if toks[1:2] == ["list"]:
                 if len(toks) != 5:
                     raise MeshFormatError(f"{path}: malformed list property")
                 elements[-1][2].append(("list", toks[4]))

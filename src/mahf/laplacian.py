@@ -10,11 +10,10 @@ Gaussian kNN weights with identity mass.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
+from .csr import Csr, canonical, from_coo, index_dtype, pruned, row_entries, sparsetools
 from .errors import NumericalError, OperatorError
 from .geometry import NeighborList, as_xyz, knn, next_level, vertex_areas
 from .io_mesh import Mesh
@@ -26,35 +25,64 @@ _LANCZOS_STEPS = 20
 _BREAKDOWN = 1e-12
 
 
-@dataclass
 class SparseOperator:
     """Symmetric stiffness plus positive diagonal mass.
 
+    ``stiffness`` is a :class:`~mahf.csr.Csr` or a tuple of its arrays
+    ``(indptr, indices, data)``, a scipy sparse matrix or a dense array.
+
     Attributes
     ----------
-    stiffness : csr_matrix
-        Symmetric N x N matrix.  An assembled operator's rows sum to zero;
-        a :meth:`restricted` one's do not at its boundary, where the
-        entries of edges leaving the vertex set are dropped.
+    indptr, indices, data : arrays
+        The symmetric N x N stiffness in CSR form, float64 data.  An
+        assembled operator's rows sum to zero; a :meth:`restricted` one's do
+        not at its boundary, where the entries of edges leaving the vertex
+        set are dropped.
     mass : (N,) array
         Positive, finite diagonal entries; all ones for graph operators.
+    stiffness : scipy csr_matrix
+        A view over ``indptr``, ``indices`` and ``data``, built on first
+        read.  No library code reads it, so a command never imports
+        ``scipy.sparse``; tests and benchmarks may.
     """
 
-    stiffness: sparse.csr_matrix
-    mass: np.ndarray
-    _lambda_max: float | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        self.mass = np.ascontiguousarray(np.asarray(self.mass, dtype=np.float64)).reshape(-1)
-        self.stiffness = sparse.csr_matrix(self.stiffness)
-        if self.stiffness.shape != (self.n, self.n):
+    def __init__(self, stiffness, mass: np.ndarray, _lambda_max: float | None = None):
+        self.mass = np.ascontiguousarray(np.asarray(mass, dtype=np.float64)).reshape(-1)
+        self._lambda_max = _lambda_max
+        self._stiffness = None
+        if isinstance(stiffness, tuple):
+            self.indptr, self.indices, self.data = stiffness
+            shape = (self.indptr.shape[0] - 1,) * 2
+        elif hasattr(stiffness, "tocsr"):
+            s = stiffness.tocsr()
+            self.indptr, self.indices, self.data = s.indptr, s.indices, s.data
+            shape = s.shape
+        else:
+            dense = np.asarray(stiffness, dtype=np.float64)
+            shape = dense.shape
+            if dense.ndim == 2:
+                rows, cols = np.nonzero(dense)
+                self.indptr, self.indices, self.data = from_coo(shape[0], rows, cols,
+                                                                dense[rows, cols])
+        if shape != (self.n, self.n):
             raise ValueError("stiffness and mass sizes disagree")
+        self.data = np.asarray(self.data, dtype=np.float64)
         if not np.all((self.mass > 0) & np.isfinite(self.mass)):
             raise ValueError("mass entries must be positive and finite")
 
     @property
     def n(self) -> int:
         return self.mass.shape[0]
+
+    @property
+    def stiffness(self):
+        """The stiffness as a scipy ``csr_matrix`` over the operator's own
+        arrays, built on first read; reading it imports ``scipy.sparse``."""
+        if self._stiffness is None:
+            from scipy import sparse
+            self._stiffness = sparse.csr_matrix((self.data, self.indices, self.indptr),
+                                                shape=(self.n, self.n), copy=False)
+        return self._stiffness
 
     @property
     def lambda_max(self) -> float:
@@ -68,14 +96,23 @@ class SparseOperator:
         keeps :attr:`lambda_max`: by Cauchy interlacing, the eigenvalues of a
         principal submatrix of ``mass^-1/2 stiffness mass^-1/2`` stay in the
         whole matrix's range."""
-        return SparseOperator(self.stiffness[vertices][:, vertices], self.mass[vertices],
-                              _lambda_max=self.lambda_max)
+        vertices = np.asarray(vertices, dtype=np.intp)
+        position = np.full(self.n, -1, dtype=self.indices.dtype)
+        position[vertices] = np.arange(vertices.shape[0])
+        entries, ends = row_entries(self.indptr, vertices)
+        cols = position[self.indices[entries]]
+        keep = cols >= 0
+        kept = np.concatenate(([0], np.cumsum(keep)))
+        indptr = kept[np.concatenate(([0], ends))].astype(self.indptr.dtype)
+        return SparseOperator(Csr(indptr, cols[keep], self.data[entries[keep]]),
+                              self.mass[vertices], _lambda_max=self.lambda_max)
 
 
-def breadth_first(pattern: sparse.csr_matrix, sources, seen: np.ndarray, *,
+def breadth_first(pattern, sources, seen: np.ndarray, *,
                   levels: int | None = None, size: int | None = None) -> np.ndarray:
     """``sources``, then each level of vertices not yet ``seen`` that the
-    pattern reaches from them, in the order the previous level found them.
+    CSR ``pattern`` (an operator, or anything with ``indptr`` and
+    ``indices``) reaches from them, in the order the previous level found them.
 
     Marks every listed vertex in ``seen``.  Stops after ``levels`` levels,
     or at ``size`` vertices, cutting the last level short.  A degree-``j``
@@ -84,7 +121,7 @@ def breadth_first(pattern: sparse.csr_matrix, sources, seen: np.ndarray, *,
     found = [np.asarray(sources, dtype=np.intp)]
     seen[found[0]] = True
     count = found[0].shape[0]
-    for _ in range(pattern.shape[0] if levels is None else levels):
+    for _ in range(seen.shape[0] if levels is None else levels):
         if size is not None and count >= size:
             break
         level = next_level(pattern, found[-1], seen)[0]
@@ -98,8 +135,29 @@ def breadth_first(pattern: sparse.csr_matrix, sources, seen: np.ndarray, *,
     return np.concatenate(found)
 
 
+def _row_sums(indptr: np.ndarray, data: np.ndarray) -> np.ndarray:
+    """Each row's sum of ``data``, by one reduction per stored row, as
+    scipy sums a CSR matrix along its rows."""
+    sums = np.zeros(indptr.shape[0] - 1)
+    stored = np.flatnonzero(np.diff(indptr))
+    sums[stored] = np.add.reduceat(data, indptr[stored])
+    return sums
+
+
+def _binop(kernel, a: Csr, b: Csr) -> Csr:
+    """Entry-wise ``kernel`` (a csr_*_csr routine) of two n x n CSR arrays,
+    with scipy's output sizes; the kernel stores no zero result."""
+    n, most = a.indptr.shape[0] - 1, a.indices.shape[0] + b.indices.shape[0]
+    idx = index_dtype(most)
+    indptr, indices, data = np.empty(n + 1, idx), np.empty(most, idx), np.empty(most)
+    kernel(n, n, a.indptr.astype(idx, copy=False), a.indices.astype(idx, copy=False), a.data,
+           b.indptr.astype(idx, copy=False), b.indices.astype(idx, copy=False), b.data,
+           indptr, indices, data)
+    return pruned(indptr, indices, data)
+
+
 def _stiffness_from_edges(n: int, edge_i: np.ndarray, edge_j: np.ndarray,
-                          weights: np.ndarray) -> sparse.csr_matrix:
+                          weights: np.ndarray) -> Csr:
     """Assemble D - W from one weight per undirected edge.
 
     Both triangle entries of an edge receive the identical float, so the
@@ -113,9 +171,9 @@ def _stiffness_from_edges(n: int, edge_i: np.ndarray, edge_j: np.ndarray,
     rows = np.concatenate([edge_i, edge_j, np.arange(n)])
     cols = np.concatenate([edge_j, edge_i, np.arange(n)])
     vals = np.concatenate([-weights, -weights, diag])
-    stiffness = sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    stiffness.eliminate_zeros()
-    return stiffness
+    indptr, indices, data = from_coo(n, rows, cols, vals)
+    sparsetools.csr_eliminate_zeros(n, n, indptr, indices, data)
+    return pruned(indptr, indices, data)
 
 
 def cotan_operator(mesh: Mesh) -> SparseOperator:
@@ -169,8 +227,8 @@ def cotan_operator(mesh: Mesh) -> SparseOperator:
     if not np.all(np.isfinite(weights)):
         raise OperatorError("non-finite cotangent weight (degenerate face)")
 
-    stiffness = _stiffness_from_edges(n, uniq // n, uniq % n, weights)
-    return SparseOperator(stiffness, vertex_areas(mesh))
+    return SparseOperator(_stiffness_from_edges(n, uniq // n, uniq % n, weights),
+                          vertex_areas(mesh))
 
 
 def gaussian_knn_operator(points: np.ndarray, k: int, sigma: float | str = "auto", *,
@@ -199,11 +257,14 @@ def gaussian_knn_operator(points: np.ndarray, k: int, sigma: float | str = "auto
     rows = np.repeat(np.arange(n), k)
     cols = nbrs.indices.reshape(-1)
     vals = np.exp(-nbrs.distances.reshape(-1) ** 2 / (2.0 * sigma ** 2))
-    w = sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    w_sym = w.maximum(w.T)
-    deg = np.asarray(w_sym.sum(axis=1)).reshape(-1)
-    stiffness = (sparse.diags(deg) - w_sym).tocsr()
-    return SparseOperator(stiffness, np.ones(n))
+    w = from_coo(n, rows, cols, vals)
+    idx = w.indptr.dtype
+    w_t = Csr(np.empty(n + 1, idx), np.empty_like(w.indices), np.empty_like(w.data))
+    sparsetools.csr_tocsc(n, n, *w, *w_t)
+    w_sym = _binop(sparsetools.csr_maximum_csr, w, w_t)
+    diag = Csr(np.arange(n + 1, dtype=idx), np.arange(n, dtype=idx),
+               _row_sums(w_sym.indptr, w_sym.data))
+    return SparseOperator(_binop(sparsetools.csr_minus_csr, diag, w_sym), np.ones(n))
 
 
 def estimate_lambda_max(op: SparseOperator) -> float:
@@ -218,17 +279,21 @@ def estimate_lambda_max(op: SparseOperator) -> float:
     in practice but is not proven in general.  Raises :class:`NumericalError`
     on a non-finite entry, as from an infinite stiffness or a NaN mass.
     """
-    inv_sqrt = sparse.diags(1.0 / np.sqrt(op.mass))
-    a = (inv_sqrt @ op.stiffness @ inv_sqrt).tocsr()
+    inv_sqrt = 1.0 / np.sqrt(op.mass)
+    rows = np.repeat(np.arange(op.n), np.diff(op.indptr))
+    a = canonical(op.indptr.copy(), op.indices.copy(),
+                  inv_sqrt[rows] * op.data * inv_sqrt[op.indices])
     if not np.all(np.isfinite(a.data)):
         raise NumericalError("non-finite entry in the normalized stiffness; "
                              "no spectral bound exists")
-    gershgorin = float(abs(a).sum(axis=1).max())
+    gershgorin = float(_row_sums(a.indptr, np.abs(a.data)).max())
     v, previous = np.cos(np.arange(op.n) + 0.5), np.zeros(op.n)
     v /= np.linalg.norm(v)
     alphas, betas = [], [0.0]
     for _ in range(min(_LANCZOS_STEPS, op.n)):
-        w = a @ v - betas[-1] * previous
+        w = np.zeros(op.n)
+        sparsetools.csr_matvec(op.n, op.n, *a, v, w)
+        w -= betas[-1] * previous
         alphas.append(v @ w)
         w -= alphas[-1] * v
         betas.append(float(np.linalg.norm(w)))

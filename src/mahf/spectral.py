@@ -16,9 +16,8 @@ from typing import Sequence
 
 import numpy as np
 from numpy.polynomial import chebyshev as npcheb
-from scipy import sparse
-from scipy.sparse import _sparsetools
 
+from .csr import Csr, canonical, sparsetools
 from .errors import NumericalError
 from .laplacian import SparseOperator, breadth_first
 
@@ -143,7 +142,7 @@ def heat_function(t: float):
     return lambda x: np.exp(-t * x)
 
 
-def _mapped(op: SparseOperator, b: float) -> sparse.csr_matrix:
+def _mapped(op: SparseOperator, b: float) -> Csr:
     """``(2/b) mass^-1 stiffness - I``, which maps [0, b] to [-1, 1], as one
     CSR matrix with sorted column indices in each row.
 
@@ -151,16 +150,12 @@ def _mapped(op: SparseOperator, b: float) -> sparse.csr_matrix:
     the diagonal, and each row stores its diagonal, so the pattern is the
     stiffness pattern plus the diagonal.
     """
-    s = op.stiffness
-    data = np.repeat((2.0 / b) / op.mass, np.diff(s.indptr))
-    data *= s.data
+    data = np.repeat((2.0 / b) / op.mass, np.diff(op.indptr))
+    data *= op.data
     # a -1 appended to each row adds to the row's diagonal entry, if stored
-    a = sparse.csr_matrix((np.insert(data, s.indptr[1:], -1.0),
-                           np.insert(s.indices, s.indptr[1:], np.arange(op.n)),
-                           s.indptr + np.arange(op.n + 1, dtype=s.indptr.dtype)),
-                          shape=s.shape)
-    a.sum_duplicates()
-    return a
+    return canonical(op.indptr + np.arange(op.n + 1, dtype=op.indptr.dtype),
+                     np.insert(op.indices, op.indptr[1:], np.arange(op.n)),
+                     np.insert(data, op.indptr[1:], -1.0))
 
 
 def shared_order(op: SparseOperator, fns) -> int:
@@ -183,8 +178,8 @@ def _accumulate(y: np.ndarray, c: float, x: np.ndarray) -> None:
     if not (x.dtype == y.dtype == np.float64 and x.flags.c_contiguous
             and y.flags.c_contiguous and x.size == y.size):
         raise ValueError("accumulate needs C-contiguous float64 arrays of one size")
-    _sparsetools.csc_matvecs(1, 1, x.size, _ONE_COLUMN, _ROW_ZERO, np.array([c]),
-                             x.reshape(-1), y.reshape(-1))
+    sparsetools.csc_matvecs(1, 1, x.size, _ONE_COLUMN, _ROW_ZERO, np.array([c]),
+                            x.reshape(-1), y.reshape(-1))
 
 
 def _reach_ends(a) -> np.ndarray:
@@ -272,9 +267,9 @@ def chebyshev_apply(op: SparseOperator, fns, x: np.ndarray, order: int, *, out=N
         np.multiply(newer[:hi], 0.5 * c[0], out=acc[:hi])
     for jj in range(1, order + 1):
         hi = int(ends[hi - 1]) if hi else 0
-        _sparsetools.csr_matvecs(hi, n, width, a.indptr[:hi + 1], a.indices,
-                                 a.data if jj == 1 else signed[1 - jj % 2],
-                                 newer.reshape(-1), older[:hi].reshape(-1))
+        sparsetools.csr_matvecs(hi, n, width, a.indptr[:hi + 1], a.indices,
+                                a.data if jj == 1 else signed[1 - jj % 2],
+                                newer.reshape(-1), older[:hi].reshape(-1))
         active = older[:hi].reshape(-1)
         # a NaN or an infinity anywhere makes the block's sum non-finite, and
         # so does a sum past the float64 range; numpy's reduce allocates nothing
@@ -323,7 +318,7 @@ def heat_kernel_row(op: SparseOperator, params: HeatParams | Sequence[HeatParams
     specs = [params] if isinstance(params, HeatParams) else list(params)
     fns = {p.t: heat_function(p.t) for p in specs}
     order = shared_order(op, fns.values())
-    ball = breadth_first(op.stiffness, [i], np.zeros(op.n, dtype=bool), levels=order)
+    ball = breadth_first(op, [i], np.zeros(op.n, dtype=bool), levels=order)
     x = np.zeros(ball.shape[0])
     x[0] = 1.0 / op.mass[i]
     columns = dict(zip(fns, chebyshev_apply(op.restricted(ball), fns.values(), x, order)))

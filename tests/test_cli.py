@@ -259,6 +259,16 @@ ENTRY_POINTS = ("parse_mesh", "parse_signal", "cotan_operator", "gaussian_knn_op
                 "write_response", "write_signal_csv")
 
 
+def test_bare_property_line_in_ply_header_exits_2(tmp_path, capsys):
+    path = tmp_path / "m.ply"
+    path.write_text("ply\nformat ascii 1.0\nelement vertex 3\nproperty\nend_header\n0\n1\n2\n")
+    code = main(["normal-variation", "--mesh", str(path), "--t", "5",
+                 "--out", str(tmp_path / "r.csv")])
+    assert code == 2
+    assert "malformed property line" in capsys.readouterr().err
+    assert not list(tmp_path.glob("r*"))
+
+
 def refuse_calls(monkeypatch, *names):
     """Make each named library entry point of the CLI fail if it is called."""
     def refuse(*args, **kwargs):
@@ -688,20 +698,31 @@ def test_usage_error_exits_2(capsys):
         in capsys.readouterr().err
 
 
-def test_cli_import_does_not_load_scipy_spatial():
-    # the library holds no kNN tree, and the breadth-first balls need no
-    # graph package
+# the scipy modules a mahf process may hold: none but the extension of
+# scipy's compiled sparse kernels, which the library loads by itself
+_SCIPY_LOADED = ("sorted(m for m in sys.modules if m.startswith('scipy') "
+                 "and m != 'scipy.sparse._sparsetools')")
+
+
+def _run_src(code, *args):
     src = str(Path(mahf.filters.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    code = ("import sys, mahf.cli; sys.exit('scipy.spatial' in sys.modules "
-            "or 'scipy.sparse.csgraph' in sys.modules)")
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True)
+
+
+def test_cli_import_does_not_load_scipy_spatial():
+    # the library holds no kNN tree, the breadth-first balls need no graph
+    # package, and the operators are plain CSR arrays: importing the CLI
+    # loads no scipy package at all, scipy.sparse and scipy.spatial included
+    run = _run_src(f"import json, sys, mahf.cli; print(json.dumps({_SCIPY_LOADED}))")
+    assert json.loads(run.stdout) == []
 
 
 def test_commands_load_neither_scipy_linalg_nor_scipy_spatial(tmp_path):
-    # the recurrence needs no BLAS wrapper and the kNN graph no tree, so no
-    # command, run to the end on a mesh or on a point cloud, loads either
-    # package
+    # the recurrence needs no BLAS wrapper, the kNN graph no tree and the
+    # operators no scipy.sparse, so no command, run to the end on a mesh or
+    # on a point cloud, loads any scipy package
     mesh = icosphere(1, 20.0)
     mesh_path, cloud_path = tmp_path / "ico.off", tmp_path / "cloud.ply"
     write_mesh(mesh_path, mesh)
@@ -713,10 +734,14 @@ def test_commands_load_neither_scipy_linalg_nor_scipy_spatial(tmp_path):
     commands = [
         ["filter", "--mesh", str(mesh_path), "--signal", str(signal), "--t", "5",
          "--out", str(tmp_path / "f.ply")],
+        ["normal-variation", "--mesh", str(mesh_path), "--t", "5",
+         "--out", str(tmp_path / "n.ply")],
         ["normal-variation", "--mesh", str(mesh_path), "--baseline", "mhw", "--t", "5",
          "--out", str(tmp_path / "m.ply")],
         ["kernel", "--mesh", str(mesh_path), "--vertex", "3", "--t", "5",
          "--out", str(tmp_path / "k.ply")],
+        ["fuse", "--a", str(signal), "--b", str(signal), "--beta", "0.5",
+         "--out", str(tmp_path / "fu.csv")],
         ["filter", "--mesh", str(cloud_path), "--signal", str(cloud_signal), "--t", "5",
          "--out", str(tmp_path / "cf.ply")],
         ["normal-variation", "--mesh", str(cloud_path), "--t", "5",
@@ -726,15 +751,35 @@ def test_commands_load_neither_scipy_linalg_nor_scipy_spatial(tmp_path):
         ["kernel", "--mesh", str(cloud_path), "--vertex", "3", "--t", "5",
          "--out", str(tmp_path / "ck.ply")],
     ]
-    code = ("import json, sys\n"
-            "from mahf.cli import main\n"
-            f"codes = [main(argv) for argv in {commands!r}]\n"
-            "print(json.dumps([codes, sorted(m for m in ('scipy.linalg', 'scipy.spatial')"
-            " if m in sys.modules)]))\n")
-    src = str(Path(mahf.filters.__file__).resolve().parents[1])
-    run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
-                         capture_output=True, text=True, check=True)
-    assert json.loads(run.stdout) == [[0] * 7, []]
+    run = _run_src("import json, sys\n"
+                   "from mahf.cli import main\n"
+                   f"codes = [main(argv) for argv in {commands!r}]\n"
+                   f"print(json.dumps([codes, {_SCIPY_LOADED}]))\n")
+    assert json.loads(run.stdout) == [[0] * len(commands), []]
+
+
+def test_filter_pass_alike_with_scipy_sparse_imported_before_or_after(tmp_path):
+    # imported first, scipy.sparse lends the library its kernel extension;
+    # imported after, it loads a second copy of the same extension
+    code = """
+import sys
+import numpy as np
+if sys.argv[1] == "before":
+    import scipy.sparse
+from mahf import FilterSpec, HeatParams, apply_filter, build_frames, cotan_operator, vertex_normals
+from mahf.csr import sparsetools
+from mahf.synthetic import icosphere
+import scipy.sparse
+mesh = icosphere(2, 20.0)
+r = apply_filter(cotan_operator(mesh), build_frames(vertex_normals(mesh)), mesh.vertices,
+                 FilterSpec(1, HeatParams(5.0)), mesh.vertices[:, 0])
+np.save(sys.argv[2], np.stack([r.r_real, r.r_imag, r.r2]))
+print(sparsetools is scipy.sparse._sparsetools)
+"""
+    shared = {order: _run_src(code, order, str(tmp_path / order)).stdout
+              for order in ("before", "after")}
+    assert shared == {"before": "True\n", "after": "False\n"}
+    assert np.array_equal(np.load(tmp_path / "before.npy"), np.load(tmp_path / "after.npy"))
 
 
 def test_overflowing_response_exits_1_under_warnings_as_errors(tmp_path, capsys):

@@ -435,6 +435,8 @@ _READER_CASES = {
                                "COFF vertex records missing color columns"),
     "obj-some-colors": ("m.obj", "v 0 0 0 1 0 0\nv 1 0 0\nv 0 1 0 0 0 1\nf 1 2 3\n", False,
                         "only some vertex records carry colors"),
+    "ply-bare-property": ("m.ply", "ply\nformat ascii 1.0\nelement vertex 3\nproperty\n"
+                          "end_header\n0\n1\n2\n", False, "malformed property line"),
     "ply-vertex-list": ("m.ply", "ply\nformat ascii 1.0\nelement vertex 3\n" + _PLY_XYZ
                         + "property list uchar int tags\nelement face 1\n" + _PLY_FACES
                         + "end_header\n0 0 0 1 7\n1 0 0 1 7\n0 1 0 1 7\n3 0 1 2\n", False,

@@ -115,6 +115,16 @@ def test_shared_knn_graph_changes_nothing():
             pca_normals(pts, 6, nbrs=wrong)
 
 
+def test_stiffness_is_a_csr_matrix_over_the_operator_arrays(ico162_op):
+    pts = np.random.default_rng(3).uniform(0, 10, (120, 3))
+    for op in (ico162_op, gaussian_knn_operator(pts, 6),
+               ico162_op.restricted(np.arange(40, 0, -1))):
+        s = op.stiffness
+        assert isinstance(s, sp.csr_matrix) and s is op.stiffness
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(s, part), getattr(op, part))
+
+
 def test_lambda_max_two_node(two_node_op):
     est = estimate_lambda_max(two_node_op)
     assert 2.0 <= est <= 2.02 * (1 + 1e-12)

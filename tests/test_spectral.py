@@ -258,13 +258,13 @@ def test_recurrence_rows_are_the_reached_levels(monkeypatch, request, which):
     fn = heat_function(5.0)
     order = shared_order(op, [fn])
     rows = []
-    matvecs = spectral._sparsetools.csr_matvecs
+    matvecs = spectral.sparsetools.csr_matvecs
 
     def recording(n_row, *args):
         rows.append(n_row)
         return matvecs(n_row, *args)
 
-    monkeypatch.setattr(spectral._sparsetools, "csr_matvecs", recording)
+    monkeypatch.setattr(spectral.sparsetools, "csr_matvecs", recording)
     for depth in (3, order):
         ball = breadth_first(op.stiffness, centres, np.zeros(op.n, dtype=bool), levels=depth)
         x = np.zeros((ball.shape[0], 5))
