@@ -21,9 +21,8 @@ from .errors import (GeometryError, MahfError, MeshFormatError, NumericalError,
                      OperatorError, SignalFormatError)
 from .filters import FilterSpec, apply_filter, fuse, normal_variation
 from .geometry import build_frames, pca_normals, vertex_normals
-from .io_mesh import (REC601_WEIGHTS, Mesh, VertexSignal, parse_mesh,
-                      parse_signal, rgb_to_luminance, write_response,
-                      write_signal_csv)
+from .io_mesh import (REC601_WEIGHTS, Mesh, VertexSignal, parse_mesh, parse_mesh_property,
+                      parse_signal, rgb_to_luminance, write_response, write_signal_csv)
 from .laplacian import cotan_operator, gaussian_knn_operator
 from .spectral import HeatParams, heat_kernel_row
 
@@ -263,17 +262,19 @@ def _filter_specs(args, ts_eff):
 
 def cmd_filter(args) -> int:
     out = _output_path(args.out)
-    mesh = _load_mesh(args)
-    if args.signal is not None:
-        signal = parse_signal(args.signal, expected_length=mesh.n_vertices)
-        source = {"signal": str(args.signal)}
-    elif args.signal_property is not None:
-        signal = parse_signal(args.mesh, property_name=args.signal_property,
-                              expected_length=mesh.n_vertices, fmt=args.mesh_format)
+    if args.signal_property is not None:
+        # one read of the PLY gives the mesh and its property
+        mesh, signal = parse_mesh_property(args.mesh, args.signal_property,
+                                           fmt=args.mesh_format, triangulate=args.triangulate)
         source = {"signal_property": args.signal_property}
     else:
-        signal = rgb_to_luminance(mesh, weights=args.luma_weights)
-        source = {"luminance": True, "luma_weights": list(args.luma_weights)}
+        mesh = _load_mesh(args)
+        if args.signal is not None:
+            signal = parse_signal(args.signal, expected_length=mesh.n_vertices)
+            source = {"signal": str(args.signal)}
+        else:
+            signal = rgb_to_luminance(mesh, weights=args.luma_weights)
+            source = {"luminance": True, "luma_weights": list(args.luma_weights)}
 
     graphs = _knn_cache(mesh)
     op, kind = _build_operator(args, mesh, graphs)

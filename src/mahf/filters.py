@@ -259,13 +259,13 @@ def _response_block(op: SparseOperator, frames: FrameField, positions: np.ndarra
     product kernel costs about the same per column from 128 columns up and
     loses efficiency below, so the narrower chunk saves memory for free.
     While a chunk runs, at most ``(2 + n_t)`` float64 blocks of
-    ``|ball| x w`` hold data: the recurrence's two and one kernel block per
-    time, at most 3 KiB per ball row for one time and 5 KiB for three or
-    more.  The input indicator beside them holds only the chunk's ``w``
+    ``|ball| x w`` hold data: the two halves of the recurrence's one
+    ``2 |ball| x w`` buffer and one kernel block per time, at most 3 KiB
+    per ball row for one time and 5 KiB for three or more.  The input indicator beside them holds only the chunk's ``w``
     diagonal entries.  The indicator and the kernel buffers are reserved
     once per pass, ``N x w`` each, and a chunk writes only their first
     ``|ball| x w``, so their pages past the largest ball are never touched.
-    Each recurrence allocates its own two blocks and arrays the size of the
+    Each recurrence allocates its own buffer and arrays the size of the
     ball's operator.  The masks add one bool block of ``|ball| x w`` per
     distinct (time, threshold).  Each worker holds its own pass buffers and
     chunk blocks, so the memory summed over the processes grows with the

@@ -378,7 +378,10 @@ def _read_ply(path: Path, triangulate: bool):
 
 
 def _parse_ply(path: Path, triangulate: bool) -> dict:
-    columns, faces, int_typed = _read_ply(path, triangulate)
+    return _ply_fields(path, *_read_ply(path, triangulate))
+
+
+def _ply_fields(path: Path, columns: dict, faces: np.ndarray, int_typed: set) -> dict:
     for axis in ("x", "y", "z"):
         if axis not in columns:
             raise MeshFormatError(f"{path}: vertex element lacks '{axis}' property")
@@ -412,15 +415,37 @@ def parse_mesh(path: str | Path, fmt: str | None = None, triangulate: bool = Fal
     Raises :class:`MeshFormatError` for any malformed input; a partially
     constructed mesh never escapes.
     """
+    path, fmt = _mesh_source(path, fmt)
+    return _mesh(path, _PARSERS[fmt](path, triangulate))
+
+
+def parse_mesh_property(path: str | Path, property_name: str, fmt: str | None = None,
+                        triangulate: bool = False) -> tuple[Mesh, VertexSignal]:
+    """A mesh and its per-vertex property ``property_name`` from one read of
+    a PLY file: what :func:`parse_mesh` and then :func:`parse_signal` of
+    the same file give, with the same errors in the same order."""
+    path, fmt = _mesh_source(path, fmt)
+    if fmt != "ply":
+        # an OFF or OBJ file holds no property: the two calls raise their errors
+        return parse_mesh(path, fmt, triangulate), parse_signal(
+            path, property_name=property_name, fmt=fmt)
+    columns, faces, int_typed = _read_ply(path, triangulate)
+    mesh = _mesh(path, _ply_fields(path, columns, faces, int_typed))
+    return mesh, _signal(path, _ply_property(path, columns, property_name), property_name)
+
+
+def _mesh_source(path: str | Path, fmt: str | None) -> tuple[Path, str]:
+    """The mesh file's path and its format, lower case, checked."""
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"no such mesh file: {path}")
     fmt = fmt or detect_format(path)
-    try:
-        parser = _PARSERS[fmt.lower()]
-    except KeyError:
-        raise MeshFormatError(f"unsupported mesh format {fmt!r}") from None
-    fields = parser(path, triangulate)
+    if fmt.lower() not in _PARSERS:
+        raise MeshFormatError(f"unsupported mesh format {fmt!r}")
+    return path, fmt.lower()
+
+
+def _mesh(path: Path, fields: dict) -> Mesh:
     try:
         return Mesh(**fields)
     except ValueError as exc:
@@ -441,15 +466,23 @@ def parse_signal(path: str | Path, *, property_name: str = "quality",
         raise SignalFormatError(f"{path}: an {fmt.upper()} file has no per-vertex "
                                 "scalar properties; read them from a PLY file")
     if fmt == "ply":
-        columns, _faces, _ = _read_ply(path, triangulate=True)
-        if property_name not in columns:
-            raise SignalFormatError(f"{path}: no per-vertex property named {property_name!r}")
-        values, name = columns[property_name], property_name
+        columns = _read_ply(path, triangulate=True)[0]
+        values, name = _ply_property(path, columns, property_name), property_name
     else:
         values, name = _read_csv_column(path)
     if expected_length is not None and len(values) != expected_length:
         raise SignalFormatError(f"{path}: signal has {len(values)} values, "
                                 f"expected {expected_length}")
+    return _signal(path, values, name)
+
+
+def _ply_property(path: Path, columns: dict, property_name: str) -> np.ndarray:
+    if property_name not in columns:
+        raise SignalFormatError(f"{path}: no per-vertex property named {property_name!r}")
+    return columns[property_name]
+
+
+def _signal(path: Path, values: np.ndarray, name: str) -> VertexSignal:
     try:
         return VertexSignal(values, name=name)
     except ValueError as exc:

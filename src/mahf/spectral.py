@@ -41,10 +41,8 @@ _PROBE_TOL = 1e-6
 # once per chunk with the same functions, so each is derived once per pass.
 # Functions are keyed by identity, so the entries of earlier passes only age out.
 _MEMO_SIZE = 64
-# Index arrays of the 1 x 1 CSC matrix of _accumulate; int64, since with int32
-# ones scipy's kernel takes no block of more than 2**31 - 1 entries
-_ONE_COLUMN = np.array([0, 1], dtype=np.int64)
-_ROW_ZERO = np.array([0], dtype=np.int64)
+# sigma_j of the signed blocks S_j = sigma_j T_j, by j % 4
+_SIGNS = (1.0, 1.0, -1.0, -1.0)
 
 
 @dataclass(frozen=True)
@@ -167,19 +165,46 @@ def shared_order(op: SparseOperator, fns) -> int:
     return max(len(certified_expansion(fn, op.lambda_max)) - 1 for fn in fns)
 
 
-def _accumulate(y: np.ndarray, c: float, x: np.ndarray) -> None:
-    """``y += c * x`` in one pass of scipy's compiled CSC block product
-    kernel, which applies the 1 x 1 matrix ``[c]`` to ``x`` as one row of
-    ``x.size`` entries: no temporary, and bit for bit numpy's ``y += c * x``.
+def _accumulate(y: np.ndarray, blocks: np.ndarray, terms) -> None:
+    """``y += c * blocks[first:first + len(y)]`` for each ``(c, first)`` of
+    the one or two ``terms``, in their order, in one call of scipy's compiled
+    CSR block product kernel.
 
-    The kernel checks no sizes, so this checks that ``x`` and ``y`` are
-    C-contiguous float64 arrays of one size, and raises ``ValueError`` if not.
+    The kernel applies to ``blocks`` a ``len(y) x len(blocks)`` matrix with
+    one entry per term in each row, row ``r``'s at column ``first + r``, and
+    adds a row's products to row ``r`` of ``y`` in the entries' order.  So
+    each element of ``y`` is read and written once and gets
+    ``(y + c1 x1) + c2 x2``: bit for bit numpy's ``y += c1 * x1`` followed by
+    ``y += c2 * x2``, with no temporary block.
+
+    The kernel checks no sizes, so this checks that ``y`` and ``blocks`` are
+    2-D C-contiguous float64 arrays of one row width with every term's rows
+    inside ``blocks``, and raises ``ValueError`` if not.
     """
-    if not (x.dtype == y.dtype == np.float64 and x.flags.c_contiguous
-            and y.flags.c_contiguous and x.size == y.size):
-        raise ValueError("accumulate needs C-contiguous float64 arrays of one size")
-    sparsetools.csc_matvecs(1, 1, x.size, _ONE_COLUMN, _ROW_ZERO, np.array([c]),
-                            x.reshape(-1), y.reshape(-1))
+    rows, size, k = y.shape[0], blocks.shape[0], len(terms)
+    if not (y.ndim == blocks.ndim == 2 and y.dtype == blocks.dtype == np.float64
+            and y.flags.c_contiguous and blocks.flags.c_contiguous
+            and y.shape[1] == blocks.shape[1] and k in (1, 2)
+            and all(0 <= first <= size - rows for _, first in terms)):
+        raise ValueError("accumulate needs 2-D C-contiguous float64 arrays of one width "
+                         "and one or two terms inside the blocks")
+    indices = np.empty(k * rows, dtype=np.int64)
+    data = np.empty(k * rows)
+    for i, (c, first) in enumerate(terms):
+        indices[i::k] = np.arange(first, first + rows)
+        data[i::k] = c
+    indptr = np.arange(0, k * rows + 1, k, dtype=np.int64)
+    sparsetools.csr_matvecs(rows, size, y.shape[1], indptr, indices, data,
+                            blocks.reshape(-1), y.reshape(-1))
+
+
+def _finite_sum(block: np.ndarray) -> bool:
+    """Whether the sum of ``block`` is finite: not if the block holds a NaN
+    or an infinity, nor if its sum leaves the float64 range.  numpy's
+    reduce allocates nothing, and its overflow and invalid-value warnings
+    are silenced, so the answer is the same under warnings as errors."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return bool(np.isfinite(np.add.reduce(block.reshape(-1))))
 
 
 def _reach_ends(a) -> np.ndarray:
@@ -219,6 +244,25 @@ def chebyshev_apply(op: SparseOperator, fns, x: np.ndarray, order: int, *, out=N
     the prefix is exactly the levels reached so far; a dense input covers
     every row from the start.
 
+    The two live blocks are the two halves of one ``(2 N, w)`` buffer.
+    Right after an even step both ``T_{j-1}`` and ``T_j`` are live, so each
+    function takes both terms in one :func:`_accumulate` call, and reads and
+    writes its output once per two steps; an odd last step adds its term
+    alone.  A term whose coefficient is exactly 0 is left out.
+
+    Raises :class:`~mahf.errors.NumericalError` naming the first step from
+    the second whose block has a non-finite sum: one holding a NaN or an
+    infinity, or finite with a sum past the float64 range.  Only the last
+    block's sum is checked; if it is not finite, the recurrence runs again
+    with every step checked, to name that step.  A NaN or an infinity in a
+    block spreads to every later block: each row of the mapped CSR stores
+    its diagonal, so row ``r`` of ``T_{j+1}`` adds a non-finite product to
+    row ``r`` of ``T_{j-1}``, and the prefix of rows only grows.  So a
+    non-finite block always fails the last check, whatever the coefficients.
+    The one block that every step's check would reject and this rule may
+    pass is a finite middle block whose sum alone overflowed, with a last
+    block whose sum is finite; no error is raised for it.
+
     ``out``, if given, is a sequence of one C-contiguous float64 array per
     function, each shaped like ``x`` and apart from it; they receive the
     outputs, their previous contents overwritten, and are returned as a list.
@@ -255,35 +299,58 @@ def chebyshev_apply(op: SparseOperator, fns, x: np.ndarray, order: int, *, out=N
     width = x2.shape[1]
     nonzero = np.flatnonzero(x2.any(axis=1))
     hi = int(nonzero[-1]) + 1 if nonzero.size else 0
-
-    # S_j = sigma_j T_j with sigma = +, +, -, -, +, ... turns each step into
-    # a pure accumulate into S_{j-1}'s buffer: S_{j+1} = S_{j-1} + 2A S_j
-    # for even j and S_{j-1} - 2A S_j for odd j
-    signed = (2.0 * a.data, -2.0 * a.data)
-    newer, older = np.zeros((n, width)), np.zeros((n, width))
-    newer[:hi] = x2[:hi]
+    blocks = np.zeros((2 * n, width))
+    blocks[:hi] = x2[:hi]
     accs = [o.reshape(n, width) for o in outs]
     for acc, c in zip(accs, coeffs):
-        np.multiply(newer[:hi], 0.5 * c[0], out=acc[:hi])
-    for jj in range(1, order + 1):
+        np.multiply(blocks[:hi], 0.5 * c[0], out=acc[:hi])
+    # S_j = sigma_j T_j is non-zero on its first his[j] rows.  After each even
+    # step j, each function adds its terms j - 1 and j on the rows of S_j;
+    # S_{j-1} adds exact zeros past its own rows, to output rows still +0.0,
+    # which changes no bit.  An odd last step adds its term alone.
+    his = [hi]
+    for hi in _recurrence(a, ends, blocks, hi, order):
+        his.append(hi)
+        j = len(his) - 1
+        if j % 2 and j < order:
+            continue
+        for acc, c in zip(accs, coeffs):
+            terms = [i for i in range(j - 1 + j % 2, min(j + 1, len(c))) if c[i]]
+            if terms:
+                _accumulate(acc[:his[terms[-1]]], blocks,
+                            [(_SIGNS[i % 4] * c[i], i % 2 * n) for i in terms])
+    if order > 1 and not _finite_sum(blocks[order % 2 * n:][:hi]):
+        # name the first block that fails the check, as the check of every
+        # step would have
+        blocks.fill(0.0)
+        blocks[:his[0]] = x2[:his[0]]
+        for j, hi in enumerate(_recurrence(a, ends, blocks, his[0], order), 1):
+            if j > 1 and not _finite_sum(blocks[j % 2 * n:][:hi]):
+                raise NumericalError(f"non-finite Chebyshev intermediate at iteration {j}")
+    return outs
+
+
+def _recurrence(a: Csr, ends: np.ndarray, blocks: np.ndarray, hi: int, order: int):
+    """Run ``order`` steps of the signed Chebyshev recurrence on the mapped
+    CSR ``a``, in place in ``blocks``: its first half holds ``S_0`` on its
+    first ``hi`` rows and zeros past them, its second half zeros.  Step ``j``
+    writes ``S_j`` into half ``j % 2`` and then yields the count of its rows.
+
+    ``S_j = sigma_j T_j`` with ``sigma = +, +, -, -, +, ...`` turns each step
+    into one accumulation into ``S_{j-2}``'s half: ``S_j = S_{j-2} + 2A S_{j-1}``
+    for odd ``j`` and ``S_{j-2} - 2A S_{j-1}`` for even ``j``.  That is one
+    in-place call of scipy's CSR block product kernel on the rows step ``j``
+    reaches, one past the last row that the rows of ``S_{j-1}`` reach.
+    """
+    n, width = blocks.shape[0] // 2, blocks.shape[1]
+    signed = (2.0 * a.data, -2.0 * a.data)
+    for j in range(1, order + 1):
         hi = int(ends[hi - 1]) if hi else 0
         sparsetools.csr_matvecs(hi, n, width, a.indptr[:hi + 1], a.indices,
-                                a.data if jj == 1 else signed[1 - jj % 2],
-                                newer.reshape(-1), older[:hi].reshape(-1))
-        active = older[:hi].reshape(-1)
-        # a NaN or an infinity anywhere makes the block's sum non-finite, and
-        # so does a sum past the float64 range; numpy's reduce allocates nothing
-        if jj > 1:
-            with np.errstate(over="ignore", invalid="ignore"):
-                finite = np.isfinite(np.add.reduce(active))
-            if not finite:
-                raise NumericalError(f"non-finite Chebyshev intermediate at iteration {jj}")
-        sigma = 1.0 if jj % 4 < 2 else -1.0
-        for acc, c in zip(accs, coeffs):
-            if jj < len(c) and c[jj]:
-                _accumulate(acc[:hi], sigma * c[jj], active)
-        newer, older = older, newer
-    return outs
+                                a.data if j == 1 else signed[1 - j % 2],
+                                blocks[(1 - j % 2) * n:][:n].reshape(-1),
+                                blocks[j % 2 * n:][:hi].reshape(-1))
+        yield hi
 
 
 def threshold_row(row: np.ndarray, threshold: float):

@@ -12,6 +12,7 @@ import pytest
 import mahf.cli
 import mahf.filters
 import mahf.geometry
+import mahf.io_mesh
 import mahf.laplacian
 from mahf.cli import main
 from mahf.errors import GeometryError, MeshFormatError
@@ -176,6 +177,26 @@ def test_signal_property_read_in_the_mesh_format(tmp_path, grid_inputs, capsys):
     assert not list(tmp_path.glob("r*"))
 
 
+def test_signal_property_parses_the_ply_once(tmp_path, grid_inputs, monkeypatch):
+    mesh, _, _ = grid_inputs
+    ply = tmp_path / "q.ply"
+    write_response(ply, mesh, VertexSignal(np.sin(mesh.vertices[:, 0]), name="quality"))
+    reads = []
+    read_ply = mahf.io_mesh._read_ply
+
+    def counting(path, triangulate):
+        reads.append(path)
+        return read_ply(path, triangulate)
+
+    monkeypatch.setattr(mahf.io_mesh, "_read_ply", counting)
+    out = tmp_path / "q.csv"
+    assert main(["filter", "--mesh", str(ply), "--signal-property", "quality",
+                 "--t", "5", "--out", str(out)]) == 0
+    assert reads == [ply]
+    expected = _filter_response(parse_mesh(ply), parse_signal(ply, property_name="quality"))
+    assert np.array_equal(parse_signal(tmp_path / "q_k1_t5.csv").values, expected.r2)
+
+
 def test_normal_variation_and_mhw_baseline(tmp_path, grid_inputs):
     _, mesh_path, _ = grid_inputs
     for extra, name in (([], "nv.csv"), (["--baseline", "mhw"], "mhw.csv")):
@@ -253,7 +274,8 @@ def test_kernel_certified_order_at_large_time(tmp_path, grid_inputs):
 
 
 # every library entry point that the CLI calls through its module globals
-ENTRY_POINTS = ("parse_mesh", "parse_signal", "cotan_operator", "gaussian_knn_operator",
+ENTRY_POINTS = ("parse_mesh", "parse_mesh_property", "parse_signal", "cotan_operator",
+                "gaussian_knn_operator",
                 "vertex_normals", "pca_normals", "build_frames", "apply_filter",
                 "normal_variation", "mhw_normal_variation", "heat_kernel_row", "fuse",
                 "write_response", "write_signal_csv")

@@ -155,6 +155,43 @@ def test_nonfinite_block_raises_numerical_error_under_warnings_as_errors(kind):
             heat_kernel_row(op, HeatParams(t), 0)
 
 
+def test_last_step_overflowing_sum_raises_at_that_step():
+    # blocks 1 and 2 have finite sums; block 3, the last, is finite, about
+    # (1.58e308, 1.58e308), but its sum overflows
+    op, t = overflowing_operator("overflow")
+    x = np.array([1e301, 0.0])
+    fns = [heat_function(t)]
+    with pytest.raises(NumericalError, match="iteration 3"):
+        stepwise_chebyshev(op, fns, x, 3)
+    stepwise_chebyshev(op, fns, x, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError,
+                           match="non-finite Chebyshev intermediate at iteration 3"):
+            chebyshev_apply(op, fns, x, 3)
+
+
+def test_nonfinite_block_at_zero_coefficients_raises_at_that_step(monkeypatch):
+    # block 2 is (-inf, +inf), and every function's coefficient from step 2
+    # on is exactly 0: the outputs stay finite, yet the call raises at step 2
+    op, _ = overflowing_operator("inf")
+    fns = [heat_function(1.0), heat_function(2.0)]
+    coeffs = {fns[0]: np.array([1.0, 0.5, 0.0, 0.0, 0.0]),
+              fns[1]: np.array([0.5, -0.25, 0.0, 0.0, 0.0, 0.0])}
+    monkeypatch.setattr(spectral, "certified_expansion", lambda fn, b: coeffs[fn])
+    x = np.array([1e304, 0.0])
+    with monkeypatch.context() as unchecked:
+        unchecked.setattr(spectral, "_finite_sum", lambda block: True)
+        assert all(np.isfinite(out).all() for out in chebyshev_apply(op, fns, x, 4))
+    with pytest.raises(NumericalError, match="iteration 2"):
+        stepwise_chebyshev(op, fns, x, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError,
+                           match="non-finite Chebyshev intermediate at iteration 2"):
+            chebyshev_apply(op, fns, x, 4)
+
+
 def reference_chebyshev(op, fns, x, order):
     """Plain three-term recurrence on the mapped operator in vertex order,
     with each function's certified expansion cut or zero-padded to
@@ -260,9 +297,11 @@ def test_recurrence_rows_are_the_reached_levels(monkeypatch, request, which):
     rows = []
     matvecs = spectral.sparsetools.csr_matvecs
 
-    def recording(n_row, *args):
-        rows.append(n_row)
-        return matvecs(n_row, *args)
+    def recording(n_row, n_col, *args):
+        # the block products; the accumulations read both blocks, 2 n_col rows
+        if n_col == ball.shape[0]:
+            rows.append(n_row)
+        return matvecs(n_row, n_col, *args)
 
     monkeypatch.setattr(spectral.sparsetools, "csr_matvecs", recording)
     for depth in (3, order):
@@ -313,18 +352,116 @@ def test_csr_matvecs_row_slice_accumulates_in_place():
 
 def test_accumulate_matches_numpy_axpy_on_a_block_prefix():
     rng = np.random.default_rng(17)
-    block = rng.standard_normal((40, 7))
+    blocks = rng.standard_normal((80, 7))
     acc = rng.standard_normal((40, 7))
-    expected = acc.copy()
-    expected[:23] += -0.37 * block[:23]
-    spectral._accumulate(acc[:23], -0.37, block[:23].reshape(-1))
-    # bit for bit, and nothing written past the prefix
+    for terms in ([(-0.37, 0)], [(0.61, 40)], [(-0.37, 40), (0.61, 0)], [(0.25, 3), (-1.5, 50)]):
+        before = acc.copy()
+        expected = acc.copy()
+        for c, first in terms:
+            expected[:23] += c * blocks[first:first + 23]
+        spectral._accumulate(acc[:23], blocks, terms)
+        # bit for bit, and nothing written past the prefix
+        assert np.array_equal(acc, expected)
+        assert np.array_equal(acc[23:], before[23:])
+    for y, b, terms in [(acc[:23], blocks[:, :3].copy(), [(1.0, 0)]),
+                        (acc[:, :3], blocks[:, :3].copy(), [(1.0, 0)]),
+                        (acc[:23], blocks.astype(np.float32), [(1.0, 0)]),
+                        (acc[:23].reshape(-1), blocks, [(1.0, 0)]),
+                        (acc[:23], blocks, [(1.0, 58)]),
+                        (acc[:23], blocks, [(1.0, -1)]),
+                        (acc[:23], blocks, []),
+                        (acc[:23], blocks, [(1.0, 0), (1.0, 40), (1.0, 20)])]:
+        with pytest.raises(ValueError, match="accumulate needs"):
+            spectral._accumulate(y, b, terms)
     assert np.array_equal(acc, expected)
-    for y, x in [(acc[:22], block[:23]), (acc[:23], block[:22]),
-                 (acc[:, :3], block[:, :3].copy()), (acc[:23], block[:23].astype(np.float32))]:
-        with pytest.raises(ValueError, match="C-contiguous float64 arrays of one size"):
-            spectral._accumulate(y, 1.0, x)
-    assert np.array_equal(acc, expected)
+
+
+def stepwise_chebyshev(op, fns, x, order):
+    """The recurrence of :func:`chebyshev_apply` with one numpy ``y += c * x``
+    per function and step, and the block sum checked at every step from the
+    second: the rule the paired accumulation and the single end-of-call
+    check must reproduce bit for bit and iteration for iteration."""
+    b = op.lambda_max
+    a = spectral._mapped(op, b)
+    ends = spectral._reach_ends(a)
+    coeffs = [spectral.certified_expansion(fn, b)[:order + 1] for fn in fns]
+    n = op.n
+    x2 = np.asarray(x, dtype=np.float64).reshape(n, -1)
+    width = x2.shape[1]
+    nonzero = np.flatnonzero(x2.any(axis=1))
+    hi = int(nonzero[-1]) + 1 if nonzero.size else 0
+    newer, older = np.zeros((n, width)), np.zeros((n, width))
+    newer[:hi] = x2[:hi]
+    accs = [np.zeros((n, width)) for _ in fns]
+    for acc, c in zip(accs, coeffs):
+        acc[:hi] = newer[:hi] * (0.5 * c[0])
+    for j in range(1, order + 1):
+        hi = int(ends[hi - 1]) if hi else 0
+        data = a.data if j == 1 else (2.0 if j % 2 else -2.0) * a.data
+        _sparsetools.csr_matvecs(hi, n, width, a.indptr[:hi + 1], a.indices, data,
+                                 newer.reshape(-1), older[:hi].reshape(-1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            if j > 1 and not np.isfinite(np.add.reduce(older[:hi].reshape(-1))):
+                raise NumericalError(f"non-finite Chebyshev intermediate at iteration {j}")
+            sigma = 1.0 if j % 4 < 2 else -1.0
+            for acc, c in zip(accs, coeffs):
+                if j < len(c) and c[j]:
+                    acc[:hi] += (sigma * c[j]) * older[:hi]
+        newer, older = older, newer
+    return [acc.reshape(np.shape(x)) for acc in accs]
+
+
+def test_paired_accumulation_matches_stepwise_axpy(monkeypatch, ico162_op):
+    # heat at t = 5 ends at the odd order 9, halfway through the pair (9, 10);
+    # the patched function has exact zeros at odd and even steps, which the
+    # accumulation leaves out
+    op = ico162_op
+    b = op.lambda_max
+    fns = [heat_function(5.0), heat_function(20.0), lambda x: x * np.exp(-10.0 * x)]
+    holes = heat_function(3.0)
+    patched = certified_expansion(holes, b).copy()
+    patched[[2, 5, 6]] = 0.0
+    monkeypatch.setattr(spectral, "certified_expansion",
+                        lambda fn, b: patched if fn is holes else certified_expansion(fn, b))
+    fns.append(holes)
+    orders = [len(spectral.certified_expansion(fn, b)) - 1 for fn in fns]
+    assert orders[0] % 2 == 1 and orders[0] < max(orders)
+    rng = np.random.default_rng(23)
+    indicators = np.zeros((op.n, 4))
+    indicators[rng.choice(op.n, 4, replace=False), np.arange(4)] = 1.0
+    for order in (max(orders), max(orders) + 1, orders[0], 6, 1, 2):
+        for x in (rng.standard_normal(op.n), rng.standard_normal((op.n, 3)), indicators):
+            for got, ref in zip(chebyshev_apply(op, fns, x, order),
+                                stepwise_chebyshev(op, fns, x, order)):
+                assert np.array_equal(got, ref)
+                assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+
+@pytest.mark.parametrize("order", [9, 14, 15])
+def test_healthy_call_checks_once_and_accumulates_once_per_pair(monkeypatch, ico162_op, order):
+    op = ico162_op
+    fns = [heat_function(5.0), heat_function(20.0)]
+    x = np.zeros((op.n, 3))
+    x[[4, 40, 90], np.arange(3)] = 1.0
+    calls = {"products": 0, "accumulations": 0, "checks": 0}
+    matvecs, finite_sum = spectral.sparsetools.csr_matvecs, spectral._finite_sum
+
+    def recording(n_row, n_col, *args):
+        calls["products" if n_col == op.n else "accumulations"] += 1
+        return matvecs(n_row, n_col, *args)
+
+    def checking(block):
+        calls["checks"] += 1
+        return finite_sum(block)
+
+    monkeypatch.setattr(spectral.sparsetools, "csr_matvecs", recording)
+    monkeypatch.setattr(spectral, "_finite_sum", checking)
+    chebyshev_apply(op, fns, x, order)
+    # no re-run, one check of the last block, and at most one accumulation
+    # call per function and pair of steps, besides the first term's multiply
+    assert calls["products"] == order
+    assert calls["checks"] == 1
+    assert calls["accumulations"] <= len(fns) * -(-order // 2)
 
 
 def test_chebyshev_function_sequence_matches_separate_calls(ico642_op):
