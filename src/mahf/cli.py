@@ -154,7 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_mesh_args(p)
     _add_operator_args(p)
     _add_heat_args(p)
-    p.add_argument("--vertex", type=int, required=True, help="source vertex index")
+    p.add_argument("--vertex", type=_int_from(0, "vertex index must be nonnegative"),
+                   required=True, help="source vertex index")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_kernel)
     return parser
@@ -201,12 +202,22 @@ def _frames_for(args, mesh, graphs=None):
     return build_frames(normals), normals
 
 
-def _effective_ts(args, op):
+def _distinct_ts(args) -> list[float]:
+    """The distinct ``--t`` values, increasing.  Each names its file by ``{t:g}``,
+    a monotone rounding, so two that would name one file are neighbours."""
     ts = sorted(set(args.ts))
+    for a, b in zip(ts, ts[1:]):
+        if f"{a:g}" == f"{b:g}":
+            raise ValueError(f"--t {a!r} and --t {b!r} would write one file (_t{a:g}); "
+                             "scales must differ when rounded to 6 significant digits")
+    return ts
+
+
+def _effective_ts(args, ts, op):
     if args.area_normalize_t:
         total = float(op.mass.sum())
-        return ts, [t * total for t in ts]
-    return ts, ts
+        return [t * total for t in ts]
+    return ts
 
 
 def _suffixed(out: Path, tag: str) -> Path:
@@ -214,10 +225,13 @@ def _suffixed(out: Path, tag: str) -> Path:
 
 
 def _output_path(raw: str) -> Path:
-    """``--out`` as a path, checked for a .ply or .csv suffix before any work."""
+    """``--out`` as a path, checked for a .ply or .csv suffix and an existing
+    directory before any work."""
     out = Path(raw)
     if out.suffix.lower() not in (".ply", ".csv"):
         raise ValueError(f"output must be .ply or .csv, got {out.suffix!r}")
+    if not out.parent.is_dir():
+        raise FileNotFoundError(f"no such output directory: {out.parent}")
     return out
 
 
@@ -262,6 +276,7 @@ def _filter_specs(args, ts_eff):
 
 def cmd_filter(args) -> int:
     out = _output_path(args.out)
+    ts = _distinct_ts(args)
     if args.signal_property is not None:
         # one read of the PLY gives the mesh and its property
         mesh, signal = parse_mesh_property(args.mesh, args.signal_property,
@@ -279,22 +294,23 @@ def cmd_filter(args) -> int:
     graphs = _knn_cache(mesh)
     op, kind = _build_operator(args, mesh, graphs)
     frames, _ = _frames_for(args, mesh, graphs)
-    ts_raw, ts_eff = _effective_ts(args, op)
+    ts_eff = _effective_ts(args, ts, op)
     responses = apply_filter(op, frames, mesh.vertices, _filter_specs(args, ts_eff), signal)
     component = {"r2": "r2", "real": "r_real", "imag": "r_imag"}[args.field]
-    fields = [(_suffixed(out, f"_k{args.k}_t{t_raw:g}"),
+    fields = [(_suffixed(out, f"_k{args.k}_t{t:g}"),
                VertexSignal(getattr(response, component), name=args.field))
-              for t_raw, response in zip(ts_raw, responses)]
-    _emit("filter", args, out, mesh, kind, ts_raw, fields,
+              for t, response in zip(ts, responses)]
+    _emit("filter", args, out, mesh, kind, ts, fields,
           k=args.k, field=args.field, **source)
     return 0
 
 
 def cmd_normal_variation(args) -> int:
     out = _output_path(args.out)
+    ts = _distinct_ts(args)
     if args.baseline == "mhw":
         # MhwSpec refuses t = 0, the one --t value it cannot take
-        for t in args.ts:
+        for t in ts:
             MhwSpec(t)
     mesh = _load_mesh(args)
     graphs = _knn_cache(mesh)
@@ -302,16 +318,16 @@ def cmd_normal_variation(args) -> int:
     normals = _normals_for(args, mesh, graphs)
     if mesh.normals is None:
         mesh = Mesh(mesh.vertices, mesh.faces, colors=mesh.colors, normals=normals)
-    ts_raw, ts_eff = _effective_ts(args, op)
+    ts_eff = _effective_ts(args, ts, op)
     if args.baseline == "mhw":
         # the baseline is isotropic: it reads the normals, never frames
         results = mhw_normal_variation(mesh, op, [MhwSpec(t) for t in ts_eff])
     else:
         results = normal_variation(mesh, op, build_frames(normals),
                                    _filter_specs(args, ts_eff))
-    fields = [(_suffixed(out, f"_k{args.k}_t{t_raw:g}") if len(ts_raw) > 1 else out, field)
-              for t_raw, field in zip(ts_raw, results)]
-    _emit("normal-variation", args, out, mesh, kind, ts_raw, fields,
+    fields = [(_suffixed(out, f"_k{args.k}_t{t:g}") if len(ts) > 1 else out, field)
+              for t, field in zip(ts, results)]
+    _emit("normal-variation", args, out, mesh, kind, ts, fields,
           k=args.k, baseline=args.baseline)
     return 0
 
@@ -337,18 +353,17 @@ def cmd_fuse(args) -> int:
 
 def cmd_kernel(args) -> int:
     out = _output_path(args.out)
+    ts = _distinct_ts(args)
     mesh = _load_mesh(args)
     if not 0 <= args.vertex < mesh.n_vertices:
         raise ValueError(f"vertex {args.vertex} out of range for "
                          f"{mesh.n_vertices} vertices")
     op, kind = _build_operator(args, mesh)
-    ts_raw, ts_eff = _effective_ts(args, op)
-    rows = heat_kernel_row(op, [HeatParams(t, args.support_threshold) for t in ts_eff],
-                           args.vertex)
-    fields = [(_suffixed(out, f"_v{args.vertex}_t{t_raw:g}"),
-               VertexSignal(values, name="kernel"))
-              for t_raw, values in zip(ts_raw, rows)]
-    _emit("kernel", args, out, mesh, kind, ts_raw, fields, vertex=args.vertex)
+    rows = heat_kernel_row(op, [HeatParams(t, args.support_threshold)
+                                for t in _effective_ts(args, ts, op)], args.vertex)
+    fields = [(_suffixed(out, f"_v{args.vertex}_t{t:g}"), VertexSignal(values, name="kernel"))
+              for t, values in zip(ts, rows)]
+    _emit("kernel", args, out, mesh, kind, ts, fields, vertex=args.vertex)
     return 0
 
 

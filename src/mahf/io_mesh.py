@@ -426,9 +426,9 @@ def parse_mesh_property(path: str | Path, property_name: str, fmt: str | None = 
     the same file give, with the same errors in the same order."""
     path, fmt = _mesh_source(path, fmt)
     if fmt != "ply":
-        # an OFF or OBJ file holds no property: the two calls raise their errors
-        return parse_mesh(path, fmt, triangulate), parse_signal(
-            path, property_name=property_name, fmt=fmt)
+        # a malformed OFF or OBJ file fails as a mesh first
+        parse_mesh(path, fmt, triangulate)
+        raise _no_properties(path, fmt)
     columns, faces, int_typed = _read_ply(path, triangulate)
     mesh = _mesh(path, _ply_fields(path, columns, faces, int_typed))
     return mesh, _signal(path, _ply_property(path, columns, property_name), property_name)
@@ -453,18 +453,16 @@ def _mesh(path: Path, fields: dict) -> Mesh:
 
 
 def parse_signal(path: str | Path, *, property_name: str = "quality",
-                 expected_length: int | None = None,
-                 fmt: str | None = None) -> VertexSignal:
-    """Read a per-vertex scalar from a CSV column or a PLY vertex property;
-    ``fmt`` (off, obj, ply, or None to infer from the suffix) is the file's
-    format, as in :func:`parse_mesh`, and any other format reads as CSV."""
+                 expected_length: int | None = None) -> VertexSignal:
+    """Read a per-vertex scalar by the file's suffix: a vertex property of a
+    .ply file, none of an .off or .obj file, else a CSV column.  A PLY file
+    of another suffix is read through :func:`parse_mesh_property`."""
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"no such signal file: {path}")
-    fmt = (fmt or path.suffix.lstrip(".")).lower()
+    fmt = path.suffix.lstrip(".").lower()
     if fmt in ("off", "obj"):
-        raise SignalFormatError(f"{path}: an {fmt.upper()} file has no per-vertex "
-                                "scalar properties; read them from a PLY file")
+        raise _no_properties(path, fmt)
     if fmt == "ply":
         columns = _read_ply(path, triangulate=True)[0]
         values, name = _ply_property(path, columns, property_name), property_name
@@ -474,6 +472,11 @@ def parse_signal(path: str | Path, *, property_name: str = "quality",
         raise SignalFormatError(f"{path}: signal has {len(values)} values, "
                                 f"expected {expected_length}")
     return _signal(path, values, name)
+
+
+def _no_properties(path: Path, fmt: str) -> SignalFormatError:
+    return SignalFormatError(f"{path}: an {fmt.upper()} file has no per-vertex "
+                             "scalar properties; read them from a PLY file")
 
 
 def _ply_property(path: Path, columns: dict, property_name: str) -> np.ndarray:

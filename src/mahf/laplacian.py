@@ -28,8 +28,9 @@ _BREAKDOWN = 1e-12
 class SparseOperator:
     """Symmetric stiffness plus positive diagonal mass.
 
-    ``stiffness`` is a :class:`~mahf.csr.Csr` or a tuple of its arrays
-    ``(indptr, indices, data)``, a scipy sparse matrix or a dense array.
+    ``stiffness`` is a :class:`~mahf.csr.Csr` or a plain tuple of its arrays
+    ``(indptr, indices, data)``; anything else, a scipy matrix or a dense
+    array included, raises :class:`TypeError`.
 
     Attributes
     ----------
@@ -43,30 +44,21 @@ class SparseOperator:
     stiffness : scipy csr_matrix
         A view over ``indptr``, ``indices`` and ``data``, built on first
         read.  No library code reads it, so a command never imports
-        ``scipy.sparse``; tests and benchmarks may.
+        ``scipy.sparse``; it stays because the benchmark's dense oracle and
+        span counters read it.
     """
 
     def __init__(self, stiffness, mass: np.ndarray, _lambda_max: float | None = None):
+        if not isinstance(stiffness, tuple):
+            raise TypeError("stiffness must be CSR arrays (indptr, indices, data), "
+                            f"got {type(stiffness).__name__}")
         self.mass = np.ascontiguousarray(np.asarray(mass, dtype=np.float64)).reshape(-1)
         self._lambda_max = _lambda_max
         self._stiffness = None
-        if isinstance(stiffness, tuple):
-            self.indptr, self.indices, self.data = stiffness
-            shape = (self.indptr.shape[0] - 1,) * 2
-        elif hasattr(stiffness, "tocsr"):
-            s = stiffness.tocsr()
-            self.indptr, self.indices, self.data = s.indptr, s.indices, s.data
-            shape = s.shape
-        else:
-            dense = np.asarray(stiffness, dtype=np.float64)
-            shape = dense.shape
-            if dense.ndim == 2:
-                rows, cols = np.nonzero(dense)
-                self.indptr, self.indices, self.data = from_coo(shape[0], rows, cols,
-                                                                dense[rows, cols])
-        if shape != (self.n, self.n):
+        self.indptr, self.indices, data = stiffness
+        if self.indptr.shape[0] - 1 != self.n:
             raise ValueError("stiffness and mass sizes disagree")
-        self.data = np.asarray(self.data, dtype=np.float64)
+        self.data = np.asarray(data, dtype=np.float64)
         if not np.all((self.mass > 0) & np.isfinite(self.mass)):
             raise ValueError("mass entries must be positive and finite")
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from mahf.csr import Csr
 from mahf.geometry import FrameField, build_frames, vertex_normals
 from mahf.io_mesh import Mesh
 from mahf.laplacian import SparseOperator, cotan_operator
@@ -77,8 +78,7 @@ def cube40_op(cube40):
 
 @pytest.fixture(scope="session")
 def two_node_op():
-    stiffness = sp.csr_matrix(np.array([[1.0, -1.0], [-1.0, 1.0]]))
-    return SparseOperator(stiffness, np.ones(2))
+    return csr_operator(sp.csr_matrix(np.array([[1.0, -1.0], [-1.0, 1.0]])), np.ones(2))
 
 
 @pytest.fixture(scope="session")
@@ -87,8 +87,14 @@ def path4_op():
     w = np.zeros((4, 4))
     for i in range(3):
         w[i, i + 1] = w[i + 1, i] = 1.0
-    stiffness = sp.csr_matrix(np.diag(w.sum(axis=1)) - w)
-    return SparseOperator(stiffness, np.ones(4))
+    return csr_operator(sp.csr_matrix(np.diag(w.sum(axis=1)) - w), np.ones(4))
+
+
+def csr_operator(matrix, mass, _lambda_max: float | None = None) -> SparseOperator:
+    """A hand-made operator from a scipy sparse ``matrix``, passed on as the
+    CSR arrays that :class:`SparseOperator` takes."""
+    m = matrix.tocsr()
+    return SparseOperator(Csr(m.indptr, m.indices, m.data), mass, _lambda_max=_lambda_max)
 
 
 def dense_heat_oracle(op: SparseOperator, t: float):
@@ -119,7 +125,7 @@ def overflowing_operator(kind: str):
     """
     s, off = {"inf": (1e304, -1.0), "overflow": (3e303, 1.0)}[kind]
     stiffness = sp.csr_matrix(np.array([[1.0, off], [off, 1.0]]))
-    op = SparseOperator(stiffness, np.full(2, 1.0 / s), _lambda_max=0.02 * s)
+    op = csr_operator(stiffness, np.full(2, 1.0 / s), _lambda_max=0.02 * s)
     return op, 1.0 / op.lambda_max
 
 

@@ -312,18 +312,52 @@ def test_kernel_vertex_out_of_range(tmp_path, grid_inputs, capsys, monkeypatch):
     assert not list(tmp_path.glob("r*"))
 
 
+def _command_argv(command, mesh_path, signal_path):
+    mesh, signal = ["--mesh", str(mesh_path)], str(signal_path)
+    return {"filter": ["filter", *mesh, "--signal", signal, "--t", "5"],
+            "normal-variation": ["normal-variation", *mesh, "--t", "5"],
+            "kernel": ["kernel", *mesh, "--vertex", "0", "--t", "5"],
+            "fuse": ["fuse", "--a", signal, "--b", signal, "--beta", "0.5"]}[command]
+
+
 @pytest.mark.parametrize("command", ["filter", "normal-variation", "kernel", "fuse"])
 def test_output_suffix_checked_before_any_work(tmp_path, grid_inputs, capsys, monkeypatch,
                                                command):
     _, mesh_path, signal_path = grid_inputs
     refuse_calls(monkeypatch, *ENTRY_POINTS)
-    mesh, signal = ["--mesh", str(mesh_path)], str(signal_path)
-    argv = {"filter": ["filter", *mesh, "--signal", signal, "--t", "5"],
-            "normal-variation": ["normal-variation", *mesh, "--t", "5"],
-            "kernel": ["kernel", *mesh, "--vertex", "0", "--t", "5"],
-            "fuse": ["fuse", "--a", signal, "--b", signal, "--beta", "0.5"]}[command]
+    argv = _command_argv(command, mesh_path, signal_path)
     assert main(argv + ["--out", str(tmp_path / "r.txt")]) == 2
     assert capsys.readouterr().err == "error: output must be .ply or .csv, got '.txt'\n"
+    assert not list(tmp_path.glob("r*"))
+
+
+@pytest.mark.parametrize("command", ["filter", "normal-variation", "kernel", "fuse"])
+def test_output_directory_checked_before_any_work(tmp_path, grid_inputs, capsys, monkeypatch,
+                                                  command):
+    _, mesh_path, signal_path = grid_inputs
+    refuse_calls(monkeypatch, *ENTRY_POINTS)
+    argv = _command_argv(command, mesh_path, signal_path)
+    missing = tmp_path / "nodir"
+    assert main(argv + ["--out", str(missing / "r.csv")]) == 2
+    assert capsys.readouterr().err == f"error: no such output directory: {missing}\n"
+    assert not missing.exists()
+
+
+@pytest.mark.parametrize("command", ["filter", "normal-variation", "normal-variation-mhw",
+                                     "kernel"])
+def test_scales_that_name_one_file_checked_before_any_work(tmp_path, grid_inputs, capsys,
+                                                           monkeypatch, command):
+    # {t:g} keeps 6 significant digits: 5 and 5.000001 would both write *_t5
+    _, mesh_path, signal_path = grid_inputs
+    refuse_calls(monkeypatch, *ENTRY_POINTS)
+    argv = _command_argv(command.removesuffix("-mhw"), mesh_path, signal_path)
+    if command.endswith("-mhw"):
+        argv += ["--baseline", "mhw"]
+    assert main(argv + ["--t", "30", "--t", "5.000001", "--out",
+                        str(tmp_path / "r.csv")]) == 2
+    assert capsys.readouterr().err == (
+        "error: --t 5.0 and --t 5.000001 would write one file (_t5); "
+        "scales must differ when rounded to 6 significant digits\n")
     assert not list(tmp_path.glob("r*"))
 
 
@@ -363,6 +397,7 @@ _SIGMA_NEEDS = "sigma must be a positive finite number or 'auto'"
     ("normal-variation", ["--knn", "0"],
      "argument --knn: neighbor count must be at least 1, got 0"),
     ("kernel", ["--knn=-3"], "argument --knn: neighbor count must be at least 1, got -3"),
+    ("kernel", ["--vertex", "-1"], "argument --vertex: vertex index must be nonnegative, got -1"),
     ("filter", ["--sigma", "wide"], f"argument --sigma: {_SIGMA_NEEDS}, got wide"),
     ("normal-variation", ["--sigma", "0"], f"argument --sigma: {_SIGMA_NEEDS}, got 0"),
     ("kernel", ["--sigma", "nan"], f"argument --sigma: {_SIGMA_NEEDS}, got nan"),
@@ -376,8 +411,9 @@ _SIGMA_NEEDS = "sigma must be a positive finite number or 'auto'"
     ("filter", ["--luma-weights", "0.3", "0.6", "inf"],
      "argument --luma-weights: luma weights must be finite, got inf"),
 ], ids=["filter-negative-k", "nv-negative-k", "fractional-k", "filter-knn-0", "nv-knn-0",
-        "kernel-negative-knn", "sigma-word", "sigma-0", "sigma-nan", "sigma-inf",
-        "negative-sigma", "beta-nan", "beta-inf", "negative-beta", "luma-nan", "luma-inf"])
+        "kernel-negative-knn", "kernel-negative-vertex", "sigma-word", "sigma-0", "sigma-nan",
+        "sigma-inf", "negative-sigma", "beta-nan", "beta-inf", "negative-beta", "luma-nan",
+        "luma-inf"])
 def test_order_operator_and_weight_arguments_checked_before_any_work(
         tmp_path, grid_inputs, capsys, monkeypatch, command, bad, message):
     _, mesh_path, signal_path = grid_inputs

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mahf.errors import MeshFormatError, SignalFormatError
-from mahf.io_mesh import (Mesh, VertexSignal, parse_mesh, parse_signal,
+from mahf.io_mesh import (Mesh, VertexSignal, parse_mesh, parse_mesh_property, parse_signal,
                           rgb_to_luminance, write_mesh, write_response)
 from mahf.synthetic import icosphere
 
@@ -235,6 +235,22 @@ def test_parse_signal_non_numeric(tmp_path):
     p = _write(tmp_path, "s.csv", "1\ntwo\n3\n")
     with pytest.raises(SignalFormatError, match="non-numeric"):
         parse_signal(p)
+
+
+@pytest.mark.parametrize("fmt, malformed", [
+    ("off", "OFF\n3 1 0\n0 0 0\n1 0 0\n"), ("obj", "v 0 0 zero\n"),
+], ids=["off", "obj"])
+def test_off_and_obj_files_have_no_property(tmp_path, fmt, malformed):
+    # parse_mesh_property refuses in the order parse_mesh, then parse_signal, would
+    good = tmp_path / f"tri.{fmt}"
+    write_mesh(good, parse_mesh(_write(tmp_path, "tri.off", MINIMAL_OFF)))
+    message = f"an {fmt.upper()} file has no per-vertex scalar properties"
+    with pytest.raises(SignalFormatError, match=message):
+        parse_signal(good)
+    with pytest.raises(SignalFormatError, match=message):
+        parse_mesh_property(good, "quality")
+    with pytest.raises(MeshFormatError):
+        parse_mesh_property(_write(tmp_path, f"bad.{fmt}", malformed), "quality")
 
 
 def test_write_response_roundtrip(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import eigsh
 
+from mahf.csr import Csr
 from mahf.errors import NumericalError, OperatorError
 from mahf.geometry import knn, pca_normals
 from mahf.io_mesh import Mesh
@@ -12,7 +13,7 @@ from mahf.laplacian import (SparseOperator, cotan_operator,
                             estimate_lambda_max, gaussian_knn_operator)
 from mahf.synthetic import cube_surface, flat_grid, icosphere, refine_midpoint
 
-from conftest import dense_heat_oracle
+from conftest import csr_operator, dense_heat_oracle
 
 
 def equilateral():
@@ -132,14 +133,14 @@ def test_lambda_max_two_node(two_node_op):
 
 def test_lambda_max_scales_linearly(two_node_op):
     c = 3.7
-    scaled = SparseOperator(two_node_op.stiffness * c, two_node_op.mass)
+    scaled = csr_operator(two_node_op.stiffness * c, two_node_op.mass)
     a = estimate_lambda_max(two_node_op)
     b = estimate_lambda_max(scaled)
     assert b == pytest.approx(c * a, rel=1e-6)
 
 
 def test_lambda_max_zero_operator():
-    op = SparseOperator(sp.csr_matrix((2, 2)), np.ones(2))
+    op = csr_operator(sp.csr_matrix((2, 2)), np.ones(2))
     assert estimate_lambda_max(op) == 0.0
 
 
@@ -181,7 +182,7 @@ def test_lambda_max_brackets_eigsh_top(request, make):
     ([[np.inf, -1.0], [-1.0, 1.0]], [1.0, 1.0]),
 ], ids=["inf-stiffness"])
 def test_lambda_max_rejects_nonfinite(stiffness, mass):
-    op = SparseOperator(sp.csr_matrix(np.array(stiffness)), np.array(mass))
+    op = csr_operator(sp.csr_matrix(np.array(stiffness)), np.array(mass))
     with pytest.raises(NumericalError, match="non-finite"):
         estimate_lambda_max(op)
 
@@ -194,7 +195,24 @@ def test_lambda_max_rejects_nonfinite(stiffness, mass):
 ], ids=["nan-mass", "nan-mass-isolated", "inf-mass"])
 def test_operator_rejects_nonfinite_mass(stiffness, mass):
     with pytest.raises(ValueError, match="finite"):
-        SparseOperator(sp.csr_matrix(np.array(stiffness)), np.array(mass))
+        csr_operator(sp.csr_matrix(np.array(stiffness)), np.array(mass))
+
+
+@pytest.mark.parametrize("stiffness", [
+    sp.csr_matrix(np.array([[1.0, -1.0], [-1.0, 1.0]])),
+    np.array([[1.0, -1.0], [-1.0, 1.0]]),
+], ids=["scipy-matrix", "dense-array"])
+def test_operator_takes_only_csr_arrays(stiffness):
+    with pytest.raises(TypeError, match=r"CSR arrays \(indptr, indices, data\)"):
+        SparseOperator(stiffness, np.ones(2))
+
+
+@pytest.mark.parametrize("form", [Csr, lambda *arrays: arrays], ids=["csr", "tuple"])
+def test_operator_rejects_size_mismatch(two_node_op, form):
+    arrays = form(two_node_op.indptr, two_node_op.indices, two_node_op.data)
+    assert np.array_equal(SparseOperator(arrays, np.ones(2)).data, two_node_op.data)
+    with pytest.raises(ValueError, match="stiffness and mass sizes disagree"):
+        SparseOperator(arrays, np.ones(3))
 
 
 def test_positive_semidefinite_property(grid20_op, ico162_op):

@@ -9,13 +9,13 @@ from scipy.sparse.linalg import expm_multiply
 
 import mahf.spectral as spectral
 from mahf.errors import NumericalError
-from mahf.laplacian import SparseOperator, breadth_first, cotan_operator
+from mahf.laplacian import breadth_first, cotan_operator
 from mahf.spectral import (CHEB_TOL, HeatParams, certified_expansion, chebyshev_apply,
                            heat_function, heat_kernel_row, shared_order, threshold_row)
 from mahf.synthetic import icosphere
 
-from conftest import (SPHERE_RADIUS, DenseOracle, certified_action, dense_heat_oracle,
-                      heat_action, overflowing_operator, within_steps)
+from conftest import (SPHERE_RADIUS, DenseOracle, certified_action, csr_operator,
+                      dense_heat_oracle, heat_action, overflowing_operator, within_steps)
 
 
 @pytest.fixture(scope="module")
@@ -129,7 +129,7 @@ def test_chebyshev_two_node_closed_form(two_node_op):
 
 def test_chebyshev_reports_nonfinite_iteration():
     stiffness = sp.csr_matrix(np.array([[np.inf, -1.0], [-1.0, 1.0]]))
-    op = SparseOperator(stiffness, np.ones(2), _lambda_max=2.0)
+    op = csr_operator(stiffness, np.ones(2), _lambda_max=2.0)
     with np.errstate(invalid="ignore"):
         with pytest.raises(NumericalError, match="iteration"):
             heat_action(op, 1.0, np.ones(2))
@@ -222,8 +222,8 @@ def scattered_components_op():
     w = np.zeros((14, 14))
     for i, j in edges:
         w[label[i], label[j]] = w[label[j], label[i]] = rng.uniform(0.5, 2.0)
-    return SparseOperator(sp.csr_matrix(np.diag(w.sum(axis=1)) - w),
-                          rng.uniform(0.5, 2.0, 14))
+    return csr_operator(sp.csr_matrix(np.diag(w.sum(axis=1)) - w),
+                        rng.uniform(0.5, 2.0, 14))
 
 
 @pytest.mark.parametrize("which", ["ico162", "grid20", "components"])
