@@ -12,14 +12,14 @@ __version__ = "0.1.0"
 from .baselines import MhwSpec, mhw_normal_variation
 from .errors import (GeometryError, MahfError, MeshFormatError, NumericalError,
                      OperatorError, SignalFormatError)
-from .filters import (FilterResponse, FilterSpec, apply_filter, fuse, multiscale_apply,
-                      normal_variation)
+from .filters import (FilterResponse, FilterSpec, apply_filter, fuse, heat_kernel_row,
+                      multiscale_apply, normal_variation)
 from .geometry import (FrameField, NeighborList, build_frames, knn, pca_normals,
                        vertex_areas, vertex_normals)
 from .io_mesh import (Mesh, VertexSignal, parse_mesh, parse_signal,
                       rgb_to_luminance, write_mesh, write_response, write_signal_csv)
 from .laplacian import SparseOperator, cotan_operator, gaussian_knn_operator
-from .spectral import HeatParams, heat_kernel_row
+from .spectral import HeatParams
 
 __all__ = [
     "__version__",

@@ -19,12 +19,12 @@ from . import __version__, geometry
 from .baselines import MhwSpec, mhw_normal_variation
 from .errors import (GeometryError, MahfError, MeshFormatError, NumericalError,
                      OperatorError, SignalFormatError)
-from .filters import FilterSpec, apply_filter, fuse, normal_variation
+from .filters import FilterSpec, apply_filter, fuse, heat_kernel_row, normal_variation
 from .geometry import build_frames, pca_normals, vertex_normals
 from .io_mesh import (REC601_WEIGHTS, Mesh, VertexSignal, parse_mesh, parse_mesh_property,
                       parse_signal, rgb_to_luminance, write_response, write_signal_csv)
 from .laplacian import cotan_operator, gaussian_knn_operator
-from .spectral import HeatParams, heat_kernel_row
+from .spectral import HeatParams
 
 
 def _add_mesh_args(p):
@@ -46,12 +46,12 @@ def _add_operator_args(p):
 
 def _float_in(lo: float, hi: float, requirement: str):
     """An argparse type: a finite float in ``[lo, hi)``, so that a value out
-    of range is a usage error before any input is read."""
+    of range is a usage error before any input is read; ``-0`` reads as 0."""
     def parse(raw: str) -> float:
         value = float(raw)
         if not (lo <= value < hi and math.isfinite(value)):
             raise argparse.ArgumentTypeError(f"{requirement}, got {raw}")
-        return value
+        return value + 0.0
     # argparse names the type in its message for a value that is no number
     parse.__name__ = "float"
     return parse

@@ -12,6 +12,9 @@ exactly the kernel-weighted sum; on meshes it makes the order-0 filter
 reproduce heat smoothing and preserve constants, and it keeps responses
 stable under refinement because the neighbor mass plays the role of the area
 element.
+
+Every kernel column comes from :func:`_kernel_columns`, a generator of
+chunks; a kernel row is one chunk of width 1.
 """
 
 from __future__ import annotations
@@ -228,17 +231,62 @@ def _reap(pid: int, read: int):
     return payload, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
 
+def _heat_functions(op: SparseOperator, heats):
+    """One heat function per distinct time of ``heats``, their shared order
+    and each heat's cutoff ``(function index, threshold)``."""
+    times = {}
+    for heat in heats:
+        times.setdefault(heat.t, len(times))
+    fns = [heat_function(t) for t in times]
+    return fns, shared_order(op, fns), [(times[h.t], h.support_threshold) for h in heats]
+
+
+def _kernel_columns(op: SparseOperator, fns, order: int, cutoffs, chunks, width: int):
+    """Per chunk of at most ``width`` vertices: the chunk, its ball, one
+    (|ball|, w) kernel block per function of ``fns`` and the keep masks.
+
+    One recurrence of ``order`` steps runs from the indicator ``1 / mass``
+    of the chunk on its ball, the operator restricted to the breadth-first
+    levels around the chunk, chunk first.  Each block is thresholded once
+    per distinct ``(function, threshold)`` of ``cutoffs``, whole, into the
+    mask of that key.  The blocks are views that the next chunk overwrites;
+    the masks leave their dict before the next chunk's recurrence, the peak.
+
+    Memory: while a chunk runs, at most ``(2 + n_t)`` float64 blocks of
+    ``|ball| x w`` hold data: the two halves of the recurrence's one
+    ``2 |ball| x w`` buffer and one kernel block per time, at most 3 KiB
+    per ball row for one time and 5 KiB for three or more.  The input
+    indicator beside them holds only the chunk's ``w`` diagonal entries.
+    The indicator and the kernel buffers are reserved once per call,
+    ``N x width`` each, and a chunk writes only their first ``|ball| x w``,
+    so their pages past the largest ball are never touched.  Each recurrence
+    allocates its own buffer and arrays the size of the ball's operator.
+    The masks add one bool block of ``|ball| x w`` per distinct cutoff.
+    """
+    indicator = np.zeros(op.n * min(width, op.n))
+    kernels = [np.empty(indicator.size) for _ in fns]
+    for chunk in chunks:
+        ball = breadth_first(op, chunk, np.zeros(op.n, dtype=bool), levels=order)
+        w = chunk.shape[0]
+        x = indicator[:ball.shape[0] * w].reshape(-1, w)
+        diagonal = np.diag_indices(w)
+        x[diagonal] = 1.0 / op.mass[chunk]
+        blocks = chebyshev_apply(op.restricted(ball), fns, x, order,
+                                 out=[buf[:x.size].reshape(x.shape) for buf in kernels])
+        x[diagonal] = 0.0
+        keeps = {(b, threshold): threshold_row(blocks[b], threshold)[0]
+                 for b, threshold in dict.fromkeys(cutoffs)}
+        yield chunk, ball, blocks, keeps
+        keeps.clear()
+
+
 def _response_block(op: SparseOperator, frames: FrameField, positions: np.ndarray,
                     specs: list[FilterSpec], signals: np.ndarray):
     """Responses for a block of signals: one (N, C) real/imaginary pair per spec.
 
-    One Chebyshev recurrence per chunk of kernel columns serves every spec,
-    with one function per distinct diffusion time.  It runs on the chunk's
-    ball: the operator restricted to the breadth-first levels around the
-    chunk, as deep as the pass's order, chunk first.  Right after the
-    recurrence each kernel block is thresholded once per distinct threshold
-    of its time, over the whole chunk.  The chunk is then contracted in
-    slices of ``1 / _SLICES`` of its width, each with its columns of those
+    One recurrence per chunk of :func:`_kernel_columns` serves every spec,
+    with one function per distinct diffusion time.  The chunk is contracted
+    in slices of ``1 / _SLICES`` of its width, each with its columns of the
     masks, on all of its ball's rows: those a slice never reached are exact
     zeros, which no positive threshold keeps.
 
@@ -258,33 +306,16 @@ def _response_block(op: SparseOperator, frames: FrameField, positions: np.ndarra
     ``_CHUNK``.  One and two times get the three-time width: scipy's block
     product kernel costs about the same per column from 128 columns up and
     loses efficiency below, so the narrower chunk saves memory for free.
-    While a chunk runs, at most ``(2 + n_t)`` float64 blocks of
-    ``|ball| x w`` hold data: the two halves of the recurrence's one
-    ``2 |ball| x w`` buffer and one kernel block per time, at most 3 KiB
-    per ball row for one time and 5 KiB for three or more.  The input indicator beside them holds only the chunk's ``w``
-    diagonal entries.  The indicator and the kernel buffers are reserved
-    once per pass, ``N x w`` each, and a chunk writes only their first
-    ``|ball| x w``, so their pages past the largest ball are never touched.
-    Each recurrence allocates its own buffer and arrays the size of the
-    ball's operator.  The masks add one bool block of ``|ball| x w`` per
-    distinct (time, threshold).  Each worker holds its own pass buffers and
-    chunk blocks, so the memory summed over the processes grows with the
-    number of workers, while each process peaks at one chunk's.  The
-    benchmark's ``peak_rss_mb``, ``wait4``'s ``ru_maxrss``, is the largest of
-    the CLI process and its reaped children, not their sum.
+    Each worker holds its own buffers and chunk blocks, so the memory summed
+    over the processes grows with the number of workers, while each process
+    peaks at one chunk's.  The benchmark's ``peak_rss_mb``, ``wait4``'s
+    ``ru_maxrss``, is the largest of the CLI process and its reaped
+    children, not their sum.
     """
     if positions.shape != (op.n, 3) or len(frames) != op.n:
         raise ValueError(f"positions of shape {positions.shape} and {len(frames)} frames "
                          f"for an operator on {op.n} vertices")
-    times = {}
-    for spec in specs:
-        times.setdefault(spec.heat.t, len(times))
-    fns = [heat_function(t) for t in times]
-    order = shared_order(op, fns)
-    terms = [(times[spec.heat.t], spec.k, spec.heat.support_threshold) for spec in specs]
-    cutoffs = dict.fromkeys((b, threshold) for b, _, threshold in terms)
-    n = op.n
-    mass = op.mass
+    fns, order, cutoffs = _heat_functions(op, [spec.heat for spec in specs])
     width = max(1, 2 * _CHUNK // (max(len(fns), 3) + 1))
     step = -(-width // _SLICES)
     chunks = list(_chunks(op, width))
@@ -294,32 +325,16 @@ def _response_block(op: SparseOperator, frames: FrameField, positions: np.ndarra
     responses = list(shared.reshape(len(specs), 2, *signals.shape))
 
     def run(share):
-        # the input and kernel buffers of this process, reused by each of
-        # its chunks; a ball may have fewer rows and the last chunk fewer
-        # columns
-        indicator = np.zeros(n * min(width, n))
-        kernels = [np.empty(n * min(width, n)) for _ in fns]
-        for chunk in share:
-            ball = breadth_first(op, chunk, np.zeros(n, dtype=bool), levels=order)
-            w = chunk.shape[0]
-            x = indicator[:ball.shape[0] * w].reshape(-1, w)
-            diagonal = np.diag_indices(w)
-            x[diagonal] = 1.0 / mass[chunk]
-            blocks = chebyshev_apply(op.restricted(ball), fns, x, order,
-                                     out=[buf[:x.size].reshape(x.shape) for buf in kernels])
-            x[diagonal] = 0.0
-            keeps = {(b, threshold): threshold_row(blocks[b], threshold)[0]
-                     for b, threshold in cutoffs}
-            for lo in range(0, w, step):
+        for chunk, ball, blocks, keeps in _kernel_columns(op, fns, order, cutoffs, share,
+                                                          width):
+            for lo in range(0, chunk.shape[0], step):
                 cut = slice(lo, lo + step)
                 centres = chunk[cut]
-                parts = _contract([(blocks[b][:, cut], k, keeps[b, threshold][:, cut])
-                                   for b, k, threshold in terms],
-                                  ball, centres, frames, positions, mass, signals)
+                parts = _contract([(blocks[b][:, cut], spec.k, keeps[b, threshold][:, cut])
+                                   for spec, (b, threshold) in zip(specs, cutoffs)],
+                                  ball, centres, frames, positions, op.mass, signals)
                 for (r_real, r_imag), (h_real, h_imag) in zip(responses, parts):
                     r_real[centres], r_imag[centres] = h_real, h_imag
-            # free the masks before the next chunk's recurrence, the pass's peak
-            del keeps
 
     workers = _workers(len(chunks))
     children = {}
@@ -340,6 +355,24 @@ def _response_block(op: SparseOperator, frames: FrameField, positions: np.ndarra
         if code:
             raise MahfError(f"a filter worker process ended with exit code {code}")
     return responses
+
+
+def heat_kernel_row(op: SparseOperator, params: HeatParams | Sequence[HeatParams], i: int):
+    """Row ``i`` of the heat kernel, length N, with the entries below the
+    cutoff of :func:`~mahf.spectral.threshold_row` zeroed: the chunk ``[i]``
+    of :func:`_kernel_columns`, of width 1, zero outside the ball of ``i``.
+    A sequence of params returns one row per spec from one recurrence, on
+    the ball of the largest certified order of its times.
+    """
+    if not 0 <= i < op.n:
+        raise IndexError(f"vertex index {i} out of range for {op.n} vertices")
+    heats = [params] if isinstance(params, HeatParams) else list(params)
+    fns, order, cutoffs = _heat_functions(op, heats)
+    rows = [np.zeros(op.n) for _ in heats]
+    for _, ball, blocks, keeps in _kernel_columns(op, fns, order, cutoffs, [np.array([i])], 1):
+        for row, (b, threshold) in zip(rows, cutoffs):
+            row[ball] = np.where(keeps[b, threshold][:, 0], blocks[b][:, 0], 0.0)
+    return rows[0] if isinstance(params, HeatParams) else rows
 
 
 def _squared_modulus(r_real: np.ndarray, r_imag: np.ndarray) -> np.ndarray:

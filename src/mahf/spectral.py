@@ -1,25 +1,22 @@
-"""Heat-kernel actions by Chebyshev expansion.
+"""Heat-kernel actions by Chebyshev expansion: the one engine.
 
-The Chebyshev route approximates ``exp(-t mass^-1 stiffness) @ s`` with a
+The Chebyshev route approximates ``f(mass^-1 stiffness) @ x`` with a
 three-term recurrence that touches the operator only through matrix-vector
-products, so it never forms a dense N x N object.  Kernel rows are defined
-so that identity-mass graphs reproduce the spectral-sum kernel exactly; for
-general mass the row convention is ``exp(-t L) @ (indicator / mass)``, which
-downstream filters use consistently.
+products, so it never forms a dense N x N object.  The kernel columns that
+filters and kernel rows use are made from it in :mod:`mahf.filters`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 from numpy.polynomial import chebyshev as npcheb
 
 from .csr import Csr, canonical, sparsetools
 from .errors import NumericalError
-from .laplacian import SparseOperator, breadth_first
+from .laplacian import SparseOperator
 
 # Certified truncation: each expansion keeps the fewest terms whose
 # coefficient tail is at most CHEB_TOL * max|f| on the spectral interval.
@@ -366,34 +363,3 @@ def threshold_row(row: np.ndarray, threshold: float):
         return np.ones(row.shape, dtype=bool), np.arange(row.size)
     keep = row >= threshold * row.max(axis=0)
     return keep, np.flatnonzero(keep)
-
-
-def heat_kernel_row(op: SparseOperator, params: HeatParams | Sequence[HeatParams], i: int):
-    """Row ``i`` of the heat kernel, length N, with the entries below the
-    cutoff of :func:`threshold_row` zeroed.
-
-    The indicator divided by the vertex's mass makes the Chebyshev result
-    match row ``i`` of the dense spectral-sum kernel; for identity mass the
-    input is the plain indicator.  The recurrence runs on the ball of
-    vertices within its order of steps of ``i``, and the row is zero outside
-    it.  A sequence of params returns a list of one row per spec from one
-    recurrence, with one function per distinct time, on the ball of the
-    pass's order: the largest certified order of its times.
-    """
-    if not 0 <= i < op.n:
-        raise IndexError(f"vertex index {i} out of range for {op.n} vertices")
-    specs = [params] if isinstance(params, HeatParams) else list(params)
-    fns = {p.t: heat_function(p.t) for p in specs}
-    order = shared_order(op, fns.values())
-    ball = breadth_first(op, [i], np.zeros(op.n, dtype=bool), levels=order)
-    x = np.zeros(ball.shape[0])
-    x[0] = 1.0 / op.mass[i]
-    columns = dict(zip(fns, chebyshev_apply(op.restricted(ball), fns.values(), x, order)))
-    rows = []
-    for p in specs:
-        row = np.zeros(op.n)
-        row[ball] = columns[p.t]
-        row[~threshold_row(row, p.support_threshold)[0]] = 0.0
-        rows.append(row)
-    return rows[0] if isinstance(params, HeatParams) else rows
-

@@ -12,11 +12,12 @@ import pytest
 
 from mahf.baselines import MhwSpec, _mhw_function, mhw_normal_variation
 from mahf.errors import MeshFormatError
-from mahf.filters import FilterSpec, apply_filter, multiscale_apply, normal_variation
+from mahf.filters import (FilterSpec, apply_filter, heat_kernel_row, multiscale_apply,
+                          normal_variation)
 from mahf.geometry import build_frames, vertex_normals
 from mahf.io_mesh import Mesh, parse_mesh, write_mesh
 from mahf.laplacian import cotan_operator, gaussian_knn_operator
-from mahf.spectral import HeatParams, heat_kernel_row
+from mahf.spectral import HeatParams
 from mahf.synthetic import flat_grid, icosphere
 
 from conftest import (CUBE_DIVISIONS, CUBE_EDGE, GRID_SPACING, DenseOracle,

@@ -16,12 +16,12 @@ import mahf.io_mesh
 import mahf.laplacian
 from mahf.cli import main
 from mahf.errors import GeometryError, MeshFormatError
-from mahf.filters import FilterSpec, apply_filter, fuse, normal_variation
+from mahf.filters import FilterSpec, apply_filter, fuse, heat_kernel_row, normal_variation
 from mahf.geometry import build_frames, pca_normals, vertex_normals
 from mahf.io_mesh import (Mesh, VertexSignal, parse_mesh, parse_signal, rgb_to_luminance,
                           write_mesh, write_response)
 from mahf.laplacian import cotan_operator, gaussian_knn_operator
-from mahf.spectral import HeatParams, heat_kernel_row
+from mahf.spectral import HeatParams
 from mahf.synthetic import flat_grid, icosphere
 
 from conftest import overflowing_operator
@@ -438,6 +438,31 @@ def test_mhw_zero_time_checked_before_any_work(tmp_path, grid_inputs, capsys, mo
                  "--t", "5", "--t", "0", "--out", str(tmp_path / "r.csv")]) == 2
     assert capsys.readouterr().err == "error: MHW scale must be finite and positive, got 0.0\n"
     assert not list(tmp_path.glob("r*"))
+
+
+@pytest.mark.parametrize("first, second", [("-0", "0"), ("0", "-0")])
+def test_negative_zero_time_is_zero(tmp_path, grid_inputs, first, second):
+    # -0 and 0 are one scale, named and recorded as 0 whichever comes first
+    _, mesh_path, _ = grid_inputs
+    assert main(["kernel", "--mesh", str(mesh_path), "--vertex", "0", "--t", first,
+                 "--t", second, "--out", str(tmp_path / "row.csv")]) == 0
+    assert sorted(p.name for p in tmp_path.glob("row*")) == ["row_manifest.json",
+                                                             "row_v0_t0.csv"]
+    manifest = json.loads((tmp_path / "row_manifest.json").read_text())
+    assert [repr(t) for t in manifest["parameters"]["t"]] == ["0.0"]
+
+
+def test_negative_zero_beta_and_threshold_recorded_as_zero(tmp_path, grid_inputs):
+    _, mesh_path, _ = grid_inputs
+    field = tmp_path / "a.csv"
+    field.write_text("1\n2\n3\n")
+    assert main(["fuse", "--a", str(field), "--b", str(field), "--beta", "-0",
+                 "--out", str(tmp_path / "f.csv")]) == 0
+    assert main(["normal-variation", "--mesh", str(mesh_path), "--t", "5",
+                 "--support-threshold", "-0", "--out", str(tmp_path / "nv.csv")]) == 0
+    for name, key in (("f", "beta"), ("nv", "support_threshold")):
+        manifest = json.loads((tmp_path / f"{name}_manifest.json").read_text())
+        assert repr(manifest["parameters"][key]) == "0.0"
 
 
 def test_kernel_infinite_time_exits_2(tmp_path, grid_inputs, capsys):

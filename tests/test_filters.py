@@ -6,6 +6,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -14,13 +15,13 @@ import pytest
 import mahf.filters as filters
 import mahf.spectral as spectral
 from mahf.errors import MahfError, NumericalError
-from mahf.filters import (FilterSpec, apply_filter, fuse, multiscale_apply,
+from mahf.filters import (FilterSpec, apply_filter, fuse, heat_kernel_row, multiscale_apply,
                           normal_variation)
 from mahf.geometry import FrameField, build_frames, vertex_normals
 from mahf.io_mesh import Mesh, VertexSignal
 from mahf.laplacian import SparseOperator, cotan_operator, gaussian_knn_operator
-from mahf.spectral import (HeatParams, chebyshev_apply, heat_function, heat_kernel_row,
-                           shared_order, threshold_row)
+from mahf.spectral import (HeatParams, chebyshev_apply, heat_function, shared_order,
+                           threshold_row)
 from mahf.synthetic import icosphere, refine_midpoint
 
 from conftest import (GRID_SPACING, SPHERE_RADIUS, dense_heat_oracle, grid_columns_rows,
@@ -600,6 +601,35 @@ def test_pass_memory_within_documented_bound(monkeypatch, ico642, ico642_op):
     assert peaks[1] < 0.6 * peaks[0]
 
 
+def test_masks_freed_before_next_chunk_recurrence(monkeypatch, ico642, ico642_op):
+    # a chunk's masks are handed to the pass across a yield; none may live
+    # on into the next chunk's recurrence, the pass's peak
+    frames = build_frames(vertex_normals(ico642))
+    s = np.random.default_rng(4).standard_normal(ico642_op.n)
+    specs = [FilterSpec(1, HeatParams(t, threshold))
+             for t in (5.0, 20.0) for threshold in (1e-4, 0.0)]
+    masks, recurrences = [], []
+
+    def recording_threshold(block, threshold):
+        keep, kept = threshold_row(block, threshold)
+        masks.append(weakref.ref(keep))
+        return keep, kept
+
+    def checking(op, fns, x, order, **kwargs):
+        recurrences.append(len(masks))
+        assert all(mask() is None for mask in masks)
+        return chebyshev_apply(op, fns, x, order, **kwargs)
+
+    pinned_workers(monkeypatch, 1)
+    monkeypatch.setattr(filters, "_CHUNK", 64)
+    monkeypatch.setattr(filters, "threshold_row", recording_threshold)
+    monkeypatch.setattr(filters, "chebyshev_apply", checking)
+    apply_filter(ico642_op, frames, ico642.vertices, specs, s)
+    chunks = -(-ico642_op.n // (2 * 64 // 4))
+    assert recurrences == [4 * c for c in range(chunks)]
+    assert len(masks) == 4 * chunks
+
+
 def test_contraction_slices_bound_pair_count(monkeypatch, grid20, grid20_op,
                                               grid20_frames):
     # every pair is kept at threshold 0; the contraction still gathers at
@@ -909,6 +939,13 @@ def test_vertex_permutation_equivariance(ico642):
                 for op, fr, m in zip(ops, frames, meshes))
     for a, b in zip(ref, got):
         assert np.abs(b.values - a.values[perm]).max() <= 1e-12 * np.abs(a.values).max()
+    # kernel rows: old vertex i is new vertex inverse[i]
+    inverse = np.argsort(perm)
+    params = [HeatParams(t, threshold) for t in (5.0, 20.0) for threshold in (1e-4, 0.0)]
+    for i in range(0, ico642.n_vertices, 7):
+        for want, have in zip(heat_kernel_row(ops[0], params, i),
+                              heat_kernel_row(ops[1], params, int(inverse[i]))):
+            assert np.abs(have - want[perm]).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_fused_pass_validates_specs(grid20, grid20_op, grid20_frames):

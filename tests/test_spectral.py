@@ -9,9 +9,10 @@ from scipy.sparse.linalg import expm_multiply
 
 import mahf.spectral as spectral
 from mahf.errors import NumericalError
+from mahf.filters import heat_kernel_row
 from mahf.laplacian import breadth_first, cotan_operator
 from mahf.spectral import (CHEB_TOL, HeatParams, certified_expansion, chebyshev_apply,
-                           heat_function, heat_kernel_row, shared_order, threshold_row)
+                           heat_function, shared_order, threshold_row)
 from mahf.synthetic import icosphere
 
 from conftest import (SPHERE_RADIUS, DenseOracle, certified_action, csr_operator,
