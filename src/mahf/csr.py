@@ -6,9 +6,11 @@ which this module loads by itself: importing the ``scipy.sparse`` package
 would also clone numpy's namespace through scipy's array-API layer, about
 0.2 s and 20 MB per process.  The loader finds the extension beside the
 installed scipy without running scipy code.  A process that has imported
-``scipy.sparse`` already reuses its copy.  Each function here makes the
-kernel calls that ``scipy.sparse`` makes for the same operation, so their
-results are scipy's bit for bit.
+``scipy.sparse`` already reuses its copy.  The library calls six kernels,
+each a private signature: ``coo_tocsr`` and the four of :func:`canonical`
+assemble every matrix, and ``csr_matvecs`` runs every product.  Each
+function here makes scipy's own calls for its operation, so its results
+are scipy's bit for bit.
 """
 
 from __future__ import annotations
@@ -64,11 +66,6 @@ def canonical(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray) -> Csr:
         if not sparsetools.csr_has_sorted_indices(n, indptr, indices):
             sparsetools.csr_sort_indices(n, indptr, indices, data)
         sparsetools.csr_sum_duplicates(n, n, indptr, indices, data)
-    return pruned(indptr, indices, data)
-
-
-def pruned(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray) -> Csr:
-    """The arrays of a kernel's output, cut to the ``indptr[-1]`` entries it kept."""
     return Csr(indptr, indices[:indptr[-1]], data[:indptr[-1]])
 
 

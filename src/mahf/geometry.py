@@ -48,6 +48,13 @@ def face_areas(mesh: Mesh) -> np.ndarray:
     return 0.5 * np.linalg.norm(_face_cross(mesh), axis=1)
 
 
+def _corner_sums(mesh: Mesh, per_face: np.ndarray) -> np.ndarray:
+    """Each vertex's sum of ``per_face`` over its incident faces, added in
+    the order of the faces' first corners, then their second and third."""
+    return np.bincount(mesh.faces.T.reshape(-1), np.tile(per_face, 3),
+                       minlength=mesh.n_vertices)
+
+
 def vertex_areas(mesh: Mesh) -> np.ndarray:
     """Barycentric lumped vertex areas: one third of each incident face.
 
@@ -56,10 +63,7 @@ def vertex_areas(mesh: Mesh) -> np.ndarray:
     """
     if mesh.n_faces == 0:
         raise GeometryError("mesh has no faces; vertex areas are undefined")
-    areas = np.zeros(mesh.n_vertices)
-    third = face_areas(mesh) / 3.0
-    for c in range(3):
-        np.add.at(areas, mesh.faces[:, c], third)
+    areas = _corner_sums(mesh, face_areas(mesh) / 3.0)
     dead = np.flatnonzero(areas <= 0.0)
     if dead.size:
         raise GeometryError(f"vertex {int(dead[0])} has zero incident area")
@@ -74,12 +78,8 @@ def vertex_normals(mesh: Mesh) -> np.ndarray:
     if mesh.n_faces == 0:
         raise GeometryError("mesh has no faces; use pca_normals for point clouds")
     cross = _face_cross(mesh)          # face normal scaled by twice its area
-    acc = np.zeros_like(mesh.vertices)
-    counts = np.zeros(mesh.n_vertices, dtype=np.int64)
-    for c in range(3):
-        np.add.at(acc, mesh.faces[:, c], cross)
-        np.add.at(counts, mesh.faces[:, c], 1)
-    isolated = np.flatnonzero(counts == 0)
+    acc = np.stack([_corner_sums(mesh, component) for component in cross.T], axis=1)
+    isolated = np.flatnonzero(_corner_sums(mesh, np.ones(mesh.n_faces)) == 0)
     if isolated.size:
         raise GeometryError(f"vertex {int(isolated[0])} has no incident face")
     norms = np.linalg.norm(acc, axis=1)

@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 
-from .csr import Csr, canonical, from_coo, index_dtype, pruned, row_entries, sparsetools
+from .csr import Csr, canonical, from_coo, index_dtype, row_entries, sparsetools
 from .errors import NumericalError, OperatorError
 from .geometry import NeighborList, as_xyz, knn, next_level, vertex_areas
 from .io_mesh import Mesh
@@ -55,10 +55,27 @@ class SparseOperator:
         self.mass = np.ascontiguousarray(np.asarray(mass, dtype=np.float64)).reshape(-1)
         self._lambda_max = _lambda_max
         self._stiffness = None
-        self.indptr, self.indices, data = stiffness
-        if self.indptr.shape[0] - 1 != self.n:
-            raise ValueError("stiffness and mass sizes disagree")
+        # the kernels check no sizes: an array they cannot run on stops here
+        indptr, indices, data = stiffness
+        indptr, indices = np.asarray(indptr), np.asarray(indices)
         self.data = np.asarray(data, dtype=np.float64)
+        n = self.n
+        if indptr.ndim != 1 or indptr.shape[0] - 1 != n:
+            raise ValueError("stiffness and mass sizes disagree")
+        if indptr.dtype.kind not in "iu" or indices.dtype.kind not in "iu":
+            raise ValueError("stiffness indptr and indices must be integer arrays")
+        if indices.ndim != 1 or self.data.shape != indices.shape:
+            raise ValueError("stiffness indices and data must be 1-D of one length, "
+                             f"got shapes {indices.shape} and {self.data.shape}")
+        nnz = indices.shape[0]
+        if indptr[0] != 0 or indptr[-1] != nnz or np.any(indptr[1:] < indptr[:-1]):
+            raise ValueError(f"stiffness indptr must rise from 0 to {nnz}, the entry "
+                             "count, without decreasing")
+        if nnz and not (indices.min() >= 0 and indices.max() < n):
+            raise ValueError(f"stiffness column indices must lie in [0, {n})")
+        idx = index_dtype(max(n, nnz))
+        self.indptr = np.ascontiguousarray(indptr, dtype=idx)
+        self.indices = np.ascontiguousarray(indices, dtype=idx)
         if not np.all((self.mass > 0) & np.isfinite(self.mass)):
             raise ValueError("mass entries must be positive and finite")
 
@@ -136,36 +153,22 @@ def _row_sums(indptr: np.ndarray, data: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _binop(kernel, a: Csr, b: Csr) -> Csr:
-    """Entry-wise ``kernel`` (a csr_*_csr routine) of two n x n CSR arrays,
-    with scipy's output sizes; the kernel stores no zero result."""
-    n, most = a.indptr.shape[0] - 1, a.indices.shape[0] + b.indices.shape[0]
-    idx = index_dtype(most)
-    indptr, indices, data = np.empty(n + 1, idx), np.empty(most, idx), np.empty(most)
-    kernel(n, n, a.indptr.astype(idx, copy=False), a.indices.astype(idx, copy=False), a.data,
-           b.indptr.astype(idx, copy=False), b.indices.astype(idx, copy=False), b.data,
-           indptr, indices, data)
-    return pruned(indptr, indices, data)
-
-
 def _stiffness_from_edges(n: int, edge_i: np.ndarray, edge_j: np.ndarray,
-                          weights: np.ndarray) -> Csr:
-    """Assemble D - W from one weight per undirected edge.
+                          weights: np.ndarray, diag: np.ndarray) -> Csr:
+    """Assemble D - W from one weight per undirected edge and the diagonal D,
+    which each caller sums in its own order.
 
     Both triangle entries of an edge receive the identical float, so the
-    matrix is symmetric entry-wise by construction.  An edge of weight
-    exactly 0, such as the diagonal of a square split into two right
-    triangles, stores no entry, so the pattern holds only coupled vertices.
+    matrix is symmetric entry-wise by construction.  Each edge comes once
+    and off the diagonal, so no two entries meet; a zero entry, such as the
+    weight of the diagonal of a square split into two right triangles, is
+    left out before assembly, so the pattern holds only coupled vertices.
     """
-    diag = np.zeros(n)
-    np.add.at(diag, edge_i, weights)
-    np.add.at(diag, edge_j, weights)
     rows = np.concatenate([edge_i, edge_j, np.arange(n)])
     cols = np.concatenate([edge_j, edge_i, np.arange(n)])
     vals = np.concatenate([-weights, -weights, diag])
-    indptr, indices, data = from_coo(n, rows, cols, vals)
-    sparsetools.csr_eliminate_zeros(n, n, indptr, indices, data)
-    return pruned(indptr, indices, data)
+    stored = vals != 0
+    return from_coo(n, rows[stored], cols[stored], vals[stored])
 
 
 def cotan_operator(mesh: Mesh) -> SparseOperator:
@@ -181,30 +184,22 @@ def cotan_operator(mesh: Mesh) -> SparseOperator:
     v, f = mesh.vertices, mesh.faces
     n = mesh.n_vertices
 
-    half_cots = []
-    edges = []
-    for corner in range(3):
-        a = f[:, corner]
-        b = f[:, (corner + 1) % 3]
-        c = f[:, (corner + 2) % 3]
-        u, w = v[b] - v[a], v[c] - v[a]
-        cross_norm = np.linalg.norm(np.cross(u, w), axis=1)
-        zero = np.flatnonzero(cross_norm == 0)
-        if zero.size:
-            raise OperatorError(f"face {int(zero[0])} has zero area; "
-                                "cotangent weights are undefined")
-        cot = np.sum(u * w, axis=1) / cross_norm
-        half_cots.append(0.5 * cot)
-        edges.append((b, c))
-
-    cots = np.concatenate(half_cots)
+    # each face's corner a and the edge (b, c) opposite it: every face's
+    # first corner, then every face's second, then every face's third
+    a, b, c = (np.roll(f, -s, axis=1).T.reshape(-1) for s in range(3))
+    u, w = v[b] - v[a], v[c] - v[a]
+    cross_norm = np.linalg.norm(np.cross(u, w), axis=1)
+    zero = np.flatnonzero(cross_norm == 0)
+    if zero.size:
+        raise OperatorError(f"face {int(zero[0]) % mesh.n_faces} has zero area; "
+                            "cotangent weights are undefined")
+    cots = 0.5 * (np.sum(u * w, axis=1) / cross_norm)
     clipped = np.count_nonzero(np.abs(cots) > 0.5 * _COT_CLAMP)
     if clipped:
         warnings.warn(f"clamped {clipped} near-degenerate cotangent entries",
                       RuntimeWarning, stacklevel=2)
         cots = np.clip(cots, -0.5 * _COT_CLAMP, 0.5 * _COT_CLAMP)
-    ei = np.concatenate([np.minimum(b, c) for b, c in edges])
-    ej = np.concatenate([np.maximum(b, c) for b, c in edges])
+    ei, ej = np.minimum(b, c), np.maximum(b, c)
 
     # one accumulated weight per undirected edge; multiplicity counts the
     # incident faces, which a manifold-ish mesh caps at two
@@ -214,12 +209,15 @@ def cotan_operator(mesh: Mesh) -> SparseOperator:
     if over.size:
         i, j = divmod(int(uniq[over[0]]), n)
         raise OperatorError(f"edge ({i}, {j}) is shared by more than two faces")
-    weights = np.zeros(uniq.shape[0])
-    np.add.at(weights, inverse, cots)
+    weights = np.bincount(inverse, cots)
     if not np.all(np.isfinite(weights)):
         raise OperatorError("non-finite cotangent weight (degenerate face)")
 
-    return SparseOperator(_stiffness_from_edges(n, uniq // n, uniq % n, weights),
+    edge_i, edge_j = uniq // n, uniq % n
+    # D adds each vertex's weights in edge order, first where it is the lower end
+    diag = np.bincount(np.concatenate([edge_i, edge_j]), np.concatenate([weights, weights]),
+                       minlength=n)
+    return SparseOperator(_stiffness_from_edges(n, edge_i, edge_j, weights, diag),
                           vertex_areas(mesh))
 
 
@@ -229,8 +227,10 @@ def gaussian_knn_operator(points: np.ndarray, k: int, sigma: float | str = "auto
 
     Weights exp(-d^2 / (2 sigma^2)) over each point's k nearest neighbors,
     symmetrized by the entry-wise maximum so the kNN digraph keeps its
-    connectivity.  ``sigma="auto"`` uses the mean k-th neighbor distance.
-    ``nbrs`` is ``knn(points, k)`` if the caller holds it already, as
+    connectivity; D holds the row sums of that symmetric W, so the arrays are
+    scipy's ``diags(Ws.sum(1)) - Ws``, ``Ws = W.maximum(W.T)``, bit for bit.
+    ``sigma="auto"`` uses the mean k-th neighbor distance.  ``nbrs`` is
+    ``knn(points, k)`` if the caller holds it already, as
     :func:`~mahf.geometry.pca_normals` may share it; its indices must be (N, k).
     """
     points = as_xyz(points, "points")
@@ -246,17 +246,21 @@ def gaussian_knn_operator(points: np.ndarray, k: int, sigma: float | str = "auto
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
 
-    rows = np.repeat(np.arange(n), k)
-    cols = nbrs.indices.reshape(-1)
     vals = np.exp(-nbrs.distances.reshape(-1) ** 2 / (2.0 * sigma ** 2))
-    w = from_coo(n, rows, cols, vals)
-    idx = w.indptr.dtype
-    w_t = Csr(np.empty(n + 1, idx), np.empty_like(w.indices), np.empty_like(w.data))
-    sparsetools.csr_tocsc(n, n, *w, *w_t)
-    w_sym = _binop(sparsetools.csr_maximum_csr, w, w_t)
-    diag = Csr(np.arange(n + 1, dtype=idx), np.arange(n, dtype=idx),
-               _row_sums(w_sym.indptr, w_sym.data))
-    return SparseOperator(_binop(sparsetools.csr_minus_csr, diag, w_sym), np.ones(n))
+    # each undirected edge once, with the larger of its two directed weights;
+    # an edge whose weights both underflow to 0 couples nothing and is dropped
+    rows, cols = np.repeat(np.arange(n), k), nbrs.indices.reshape(-1)
+    coupled = vals != 0
+    keys = (np.minimum(rows, cols).astype(np.int64) * n + np.maximum(rows, cols))[coupled]
+    order = np.argsort(keys)
+    edges, first = np.unique(keys[order], return_index=True)
+    weights = np.maximum.reduceat(vals[coupled][order], first)
+    edge_i, edge_j = edges // n, edges % n
+    # D sums each row of the symmetric W over its entries in column order
+    w_sym = from_coo(n, np.concatenate([edge_i, edge_j]), np.concatenate([edge_j, edge_i]),
+                     np.concatenate([weights, weights]))
+    diag = _row_sums(w_sym.indptr, w_sym.data)
+    return SparseOperator(_stiffness_from_edges(n, edge_i, edge_j, weights, diag), np.ones(n))
 
 
 def estimate_lambda_max(op: SparseOperator) -> float:
@@ -268,8 +272,10 @@ def estimate_lambda_max(op: SparseOperator) -> float:
     from a fixed start vector: the top Ritz value, the last residual norm and
     the last entry of the Ritz vector in the Lanczos basis (Zhou & Li,
     *Bounding the spectrum of large Hermitian matrices*, LAA 2011).  It holds
-    in practice but is not proven in general.  Raises :class:`NumericalError`
-    on a non-finite entry, as from an infinite stiffness or a NaN mass.
+    in practice but is not proven in general.  Each Lanczos product is one
+    call of the CSR block-product kernel on one column, which adds a row's
+    products in its stored order.  Raises :class:`NumericalError` on a
+    non-finite entry, as from an infinite stiffness or a NaN mass.
     """
     inv_sqrt = 1.0 / np.sqrt(op.mass)
     rows = np.repeat(np.arange(op.n), np.diff(op.indptr))
@@ -284,7 +290,7 @@ def estimate_lambda_max(op: SparseOperator) -> float:
     alphas, betas = [], [0.0]
     for _ in range(min(_LANCZOS_STEPS, op.n)):
         w = np.zeros(op.n)
-        sparsetools.csr_matvec(op.n, op.n, *a, v, w)
+        sparsetools.csr_matvecs(op.n, op.n, 1, *a, v, w)
         w -= betas[-1] * previous
         alphas.append(v @ w)
         w -= alphas[-1] * v

@@ -802,10 +802,9 @@ def test_cli_import_does_not_load_scipy_spatial():
     assert json.loads(run.stdout) == []
 
 
-def test_commands_load_neither_scipy_linalg_nor_scipy_spatial(tmp_path):
-    # the recurrence needs no BLAS wrapper, the kNN graph no tree and the
-    # operators no scipy.sparse, so no command, run to the end on a mesh or
-    # on a point cloud, loads any scipy package
+def _every_command(tmp_path):
+    """Every command's argument list, run to the end on a mesh and, each
+    that takes one, on a point cloud, with its inputs written to ``tmp_path``."""
     mesh = icosphere(1, 20.0)
     mesh_path, cloud_path = tmp_path / "ico.off", tmp_path / "cloud.ply"
     write_mesh(mesh_path, mesh)
@@ -814,7 +813,7 @@ def test_commands_load_neither_scipy_linalg_nor_scipy_spatial(tmp_path):
     signal.write_text("".join(f"{v:g}\n" for v in mesh.vertices[:, 0]))
     cloud_signal = tmp_path / "c.csv"
     cloud_signal.write_text("1\n" * 162)
-    commands = [
+    return [
         ["filter", "--mesh", str(mesh_path), "--signal", str(signal), "--t", "5",
          "--out", str(tmp_path / "f.ply")],
         ["normal-variation", "--mesh", str(mesh_path), "--t", "5",
@@ -834,11 +833,50 @@ def test_commands_load_neither_scipy_linalg_nor_scipy_spatial(tmp_path):
         ["kernel", "--mesh", str(cloud_path), "--vertex", "3", "--t", "5",
          "--out", str(tmp_path / "ck.ply")],
     ]
+
+
+def test_commands_load_neither_scipy_linalg_nor_scipy_spatial(tmp_path):
+    # the recurrence needs no BLAS wrapper, the kNN graph no tree and the
+    # operators no scipy.sparse, so no command, run to the end on a mesh or
+    # on a point cloud, loads any scipy package
+    commands = _every_command(tmp_path)
     run = _run_src("import json, sys\n"
                    "from mahf.cli import main\n"
                    f"codes = [main(argv) for argv in {commands!r}]\n"
                    f"print(json.dumps([codes, {_SCIPY_LOADED}]))\n")
     assert json.loads(run.stdout) == [[0] * len(commands), []]
+
+
+def test_commands_call_six_sparse_kernels(tmp_path, monkeypatch):
+    # one way to assemble a sparse matrix (the COO conversion and the sort
+    # and duplicate kernels of csr.canonical) and one kernel to multiply by
+    # one: every command, on a mesh and on a point cloud, calls these
+    # private scipy kernels and no other
+    called = set()
+
+    class Recording:
+        def __init__(self, kernels):
+            self.kernels = kernels
+
+        def __getattr__(self, name):
+            kernel = getattr(self.kernels, name)
+
+            def call(*args):
+                called.add(name)
+                return kernel(*args)
+            return call
+
+    bound = [m for name, m in list(sys.modules.items())
+             if (name == "mahf" or name.startswith("mahf.")) and hasattr(m, "sparsetools")]
+    assert {m.__name__ for m in bound} >= {"mahf.csr", "mahf.laplacian", "mahf.spectral"}
+    for module in bound:
+        monkeypatch.setattr(module, "sparsetools", Recording(module.sparsetools))
+    # one process: a forked worker's calls would not be recorded here
+    monkeypatch.setattr(mahf.filters, "_workers", lambda chunks: 1)
+    commands = _every_command(tmp_path)
+    assert [main(argv) for argv in commands] == [0] * len(commands)
+    assert called == {"coo_tocsr", "csr_has_canonical_format", "csr_has_sorted_indices",
+                      "csr_sort_indices", "csr_sum_duplicates", "csr_matvecs"}
 
 
 def test_filter_pass_alike_with_scipy_sparse_imported_before_or_after(tmp_path):

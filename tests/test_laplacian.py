@@ -116,6 +116,30 @@ def test_shared_knn_graph_changes_nothing():
             pca_normals(pts, 6, nbrs=wrong)
 
 
+@pytest.mark.parametrize("sigma", [1.0, "auto"])
+def test_gaussian_matches_scipy_reference_bit_for_bit(sigma):
+    # non-mutual neighbours, a coincident pair (weight 1) and a far outlier
+    # whose weights all underflow to 0, so none of its edges may be stored
+    pts = np.random.default_rng(5).uniform(0, 4, (80, 3))
+    pts = np.concatenate([pts, pts[:1], [[1e3, 0.0, 0.0]]])
+    n, k, outlier = pts.shape[0], 5, pts.shape[0] - 1
+    nbrs = knn(pts, k)
+    s = float(np.mean(nbrs.distances[:, -1])) if sigma == "auto" else sigma
+    w = sp.csr_matrix((np.exp(-nbrs.distances.reshape(-1) ** 2 / (2.0 * s ** 2)),
+                       (np.repeat(np.arange(n), k), nbrs.indices.reshape(-1))), shape=(n, n))
+    assert (w != w.T).nnz > 0 and w[outlier].nnz == k and w[outlier].count_nonzero() == 0
+    w_sym = w.maximum(w.T)
+    ref = (sp.diags(np.asarray(w_sym.sum(axis=1)).reshape(-1)) - w_sym).tocsr()
+    ref.eliminate_zeros()
+    ref.sort_indices()
+    op = gaussian_knn_operator(pts, k, sigma=sigma)
+    assert np.array_equal(op.indptr, ref.indptr)
+    assert np.array_equal(op.indices, ref.indices)
+    assert op.data.tobytes() == ref.data.tobytes()
+    assert op.stiffness[0, n - 2] == -1.0
+    assert op.indptr[outlier + 1] == op.indptr[outlier] and outlier not in op.indices
+
+
 def test_stiffness_is_a_csr_matrix_over_the_operator_arrays(ico162_op):
     pts = np.random.default_rng(3).uniform(0, 10, (120, 3))
     for op in (ico162_op, gaussian_knn_operator(pts, 6),
@@ -213,6 +237,31 @@ def test_operator_rejects_size_mismatch(two_node_op, form):
     assert np.array_equal(SparseOperator(arrays, np.ones(2)).data, two_node_op.data)
     with pytest.raises(ValueError, match="stiffness and mass sizes disagree"):
         SparseOperator(arrays, np.ones(3))
+
+
+def test_operator_runs_mixed_index_dtypes(two_node_op):
+    # an int64 indptr beside int32 indices becomes one index dtype, so the
+    # kernels run on it
+    s = two_node_op.stiffness
+    op = SparseOperator((s.indptr.astype(np.int64), s.indices.astype(np.int32), s.data),
+                        np.ones(2))
+    assert op.indptr.dtype == op.indices.dtype
+    assert estimate_lambda_max(op) == estimate_lambda_max(two_node_op)
+
+
+@pytest.mark.parametrize("indptr, indices, data, match", [
+    ([0, 2, 4], [0, 2, 0, 1], [1.0, -1.0, -1.0, 1.0], r"indices must lie in \[0, 2\)"),
+    ([0, 2, 4], [0, -1, 0, 1], [1.0, -1.0, -1.0, 1.0], r"indices must lie in \[0, 2\)"),
+    ([0, 3, 2], [0, 1], [1.0, -1.0], "without decreasing"),
+    ([1, 2, 4], [0, 1, 0, 1], [1.0, -1.0, -1.0, 1.0], "rise from 0"),
+    ([0, 2, 3], [0, 1, 0, 1], [1.0, -1.0, -1.0, 1.0], "rise from 0 to 4"),
+    ([0, 2, 4], [0, 1, 0], [1.0, -1.0, -1.0, 1.0], "indices and data must be 1-D of one length"),
+    ([0.0, 2.0, 4.0], [0, 1, 0, 1], [1.0, -1.0, -1.0, 1.0], "integer"),
+], ids=["index-past-n", "negative-index", "decreasing-indptr", "indptr-not-from-0",
+        "indptr-short-of-entries", "short-indices", "float-indptr"])
+def test_operator_rejects_arrays_the_kernels_cannot_run_on(indptr, indices, data, match):
+    with pytest.raises(ValueError, match=match):
+        SparseOperator((np.array(indptr), np.array(indices), np.array(data)), np.ones(2))
 
 
 def test_positive_semidefinite_property(grid20_op, ico162_op):
